@@ -10,6 +10,7 @@ gaps with quantified probability and confidence.
 
 from ._version import __version__
 from .percentile import (
+    CapacityError,
     ConfidenceSpec,
     DomainError,
     EvaluationError,
@@ -26,7 +27,6 @@ from .percentile import (
 )
 from .spaces import BoxSpace, PermutationSpace, SpaceError
 from .certifier import (
-    CapacityError,
     GapCertificate,
     LevelSetReport,
     VarianceModel,

@@ -12,21 +12,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _rng
-from .percentile import DomainError, InfoSet, Problem, confidence_of, min_samples
+from .percentile import ENUMERATION_LIMIT, DomainError, InfoSet, Problem, \
+    confidence_of, enumerate_costs, min_samples
 
 DEFAULT_CHI = 0.1
 DEFAULT_EPSILON = 0.01  # safe when the unknown exceedance probability p >= 1e-2
-ENUMERATION_LIMIT = math.factorial(10)
-
-
-class CapacityError(RuntimeError):
-    """Exact enumeration requested beyond the configured size limit."""
 
 
 @dataclass(frozen=True)
@@ -157,14 +153,8 @@ def _variance_sample(model: VarianceModel, mode: str, m: int | None,
                      enumeration_limit: int) -> tuple[np.ndarray, str]:
     problem = model.problem
     if mode == "exact":
-        card = problem.space.cardinality
-        if card is None:
-            raise DomainError("exact mode requires a finite decision space")
-        if card > enumeration_limit:
-            raise CapacityError(f"space cardinality {card} exceeds the "
-                                f"enumeration limit {enumeration_limit}")
-        chunks = [variance_of_costs(model, problem.evaluate_batch(block))
-                  for block in problem.space.enumerate()]
+        chunks = [variance_of_costs(model, costs)
+                  for _, costs in enumerate_costs(problem, enumeration_limit)]
         return np.concatenate(chunks), "exact"
     if mode == "monte-carlo":
         if m is None or m < 1:
@@ -206,17 +196,7 @@ def level_set_report(model: VarianceModel, r: float, mode: str = "exact",
 
 
 def certificate_to_json(cert: GapCertificate) -> str:
-    return json.dumps({
-        "v_star": cert.v_star,
-        "n_v": cert.n_v,
-        "epsilon": cert.epsilon,
-        "confidence": cert.confidence,
-        "solution_cost": cert.solution_cost,
-        "chi": cert.chi,
-        "seed": cert.seed,
-        "d_indices": list(cert.d_indices),
-        "low_sample_warning": cert.low_sample_warning,
-    }, indent=2)
+    return json.dumps(asdict(cert), indent=2)
 
 
 def certificate_from_json(text: str) -> GapCertificate:

@@ -17,18 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _rng
+from . import _rng, repetitive
 from ._version import __version__
-from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, ENUMERATION_LIMIT, \
-    certificate_to_json, certify_gap, exceedance_probability, subsample_info, \
-    variance_of_costs
+from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, certificate_to_json, \
+    certify_gap, exceedance_probability, subsample_info, variance_of_costs
 from .mpc import WaypointProblemParams, mpc_family
-from .oracles import exhaustive_min, refine_min
-from .percentile import Problem, confidence_of, min_samples, \
+from .percentile import Problem, confidence_of, enumerate_costs, min_samples, \
     percentile_solve, write_infoset_csv
 from .problems import BENCHMARK_NAMES, make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance
-from .repetitive import OracleConfig, ProblemFamily, sample_gap
+from .repetitive import OracleConfig, ProblemFamily, iter_gap_samples
 from .spaces import BoxSpace
 
 EXPERIMENTS = ("solve", "certify", "chi-sweep", "table1", "tsp-fig2",
@@ -155,14 +153,19 @@ def _resolve_family(cfg: ExperimentConfig) -> ProblemFamily:
                       "'uniform-gaps', or 'tsp:<n>'")
 
 
-def _resolve_oracle(cfg: ExperimentConfig, default_method="refine-min",
-                    default_n0=2000, default_tol=None) -> OracleConfig:
-    raw = dict(cfg.oracle or {})
-    return OracleConfig(
-        method=raw.get("method", default_method),
-        n0=int(raw.get("n0", default_n0)),
-        gap_tolerance=raw.get("gap_tolerance", default_tol),
-    )
+def _resolve_gap_sampling(cfg: ExperimentConfig
+                          ) -> tuple[ProblemFamily, OracleConfig]:
+    """The family and its ground-truth oracle for gap sampling.  Defaults:
+    the declared optimum for uniform-gaps, else refine-min with n0 = 2000 and,
+    for mpc (its cost takes grid-distance steps), a gap tolerance of 1.0."""
+    family = _resolve_family(cfg)
+    raw = cfg.oracle or {}
+    if family.description == "uniform-gaps" and not raw:
+        return family, OracleConfig(method="declared")
+    return family, OracleConfig(
+        method=raw.get("method", "refine-min"), n0=int(raw.get("n0", 2000)),
+        gap_tolerance=raw.get("gap_tolerance",
+                              1.0 if cfg.family == "mpc" else None))
 
 
 def uniform_gap_family() -> ProblemFamily:
@@ -226,6 +229,11 @@ class _RecordSink:
 
     def done(self, **key) -> bool:
         return tuple(str(key[k]) for k in self.key_cols) in self.records
+
+    def trials(self, **key) -> dict[int, dict]:
+        """Records matching the given key values, by trial number."""
+        return {int(r["trial"]): r for r in self.records.values()
+                if all(r[k] == str(v) for k, v in key.items())}
 
     def add(self, rec: dict) -> None:
         rec = {k: _fmt(rec[k]) for k in self.columns}
@@ -325,17 +333,10 @@ def _run_certify(cfg: ExperimentConfig, out: Path):
 def _true_optimum(cfg: ExperimentConfig, problem: Problem) -> tuple[float, str]:
     """Ground truth for gap measurement: exact for finite spaces, strong
     refine-min otherwise (n0 from the oracle config, default 20000)."""
-    card = problem.space.cardinality
-    if card is not None:
-        if card > ENUMERATION_LIMIT:
-            raise ConfigError(f"finite space with {card} elements exceeds the "
-                              f"exact-oracle limit {ENUMERATION_LIMIT}")
-        res = exhaustive_min(problem)
-        return res.value, res.method
-    oracle = _resolve_oracle(cfg, default_n0=20000)
-    res = refine_min(problem, n0=oracle.n0,
-                     seed=_rng.child_seed(cfg.seed, _rng.ORACLE),
-                     config=oracle.descent)
+    method = "refine-min" if problem.space.cardinality is None else "exhaustive"
+    n0 = int((cfg.oracle or {}).get("n0", 20000))
+    res = OracleConfig(method=method, n0=n0).run(
+        problem, _rng.child_seed(cfg.seed, _rng.ORACLE))
     return res.value, res.method
 
 
@@ -344,8 +345,7 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     t0 = time.perf_counter()
     j_star, method = _true_optimum(cfg, problem)
     oracle_s = time.perf_counter() - t0
-    card = problem.space.cardinality
-    exact = card is not None and card <= ENUMERATION_LIMIT
+    exact = problem.space.cardinality is not None
     sink = _RecordSink(out, cfg, ["trial", "chi", "gap", "p"], ["trial", "chi"])
     for trial in range(cfg.trials):
         solution = None
@@ -435,15 +435,10 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
 
 def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     problem = _resolve_problem(cfg)
-    card = problem.space.cardinality
-    if card is None:
+    if problem.space.cardinality is None:
         raise ConfigError("tsp-fig2 needs a finite (tour) problem")
-    if card > ENUMERATION_LIMIT:
-        raise ConfigError(f"tsp-fig2 enumerates every tour; {card} exceeds "
-                          f"the limit {ENUMERATION_LIMIT}")
     t0 = time.perf_counter()
-    all_costs = np.concatenate([problem.evaluate_batch(block)
-                                for block in problem.space.enumerate()])
+    all_costs = np.concatenate([costs for _, costs in enumerate_costs(problem)])
     j_star = float(all_costs.min())
     enumerate_s = time.perf_counter() - t0
     sink = _RecordSink(out, cfg,
@@ -479,59 +474,44 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     return records, summary, {"enumerate_s": enumerate_s}
 
 
+_GAP_COLUMNS = ["instance_seed", "solution_cost", "oracle_value", "gamma"]
+
+
 def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
-    family = _resolve_family(cfg)
-    oracle = _resolve_oracle(
-        cfg, default_tol=1.0 if (cfg.family or "mpc") == "mpc" else None)
-    if family.description == "uniform-gaps" and not cfg.oracle:
-        oracle = OracleConfig(method="declared")
-    sink = _RecordSink(out, cfg,
-                       ["phase", "n_p", "trial", "instance_seed",
-                        "solution_cost", "oracle_value", "gamma"],
+    family, oracle = _resolve_gap_sampling(cfg)
+    sink = _RecordSink(out, cfg, ["phase", "n_p", "trial", *_GAP_COLUMNS],
                        ["phase", "n_p", "trial"])
+
+    def phase(name: str, n_p: int, seed: int, tag: int, count: int):
+        """Gaps of samples 0..count-1 of one phase, sampling only those the
+        sink lacks."""
+        for i, s in iter_gap_samples(family, n_p, oracle, seed, tag, count,
+                                     sink.trials(phase=name, n_p=n_p)):
+            sink.add({"phase": name, "n_p": n_p, "trial": i,
+                      **dataclasses.asdict(s)})
+        return [float(r["gamma"])
+                for r in sink.trials(phase=name, n_p=n_p).values()]
+
     timings = {}
     summary_rows = {}
     for n_p in cfg.n_p_list:
         base = _rng.child_seed(cfg.seed, 400, n_p)
         t0 = time.perf_counter()
-        for i in range(cfg.r):
-            if not sink.done(phase="certify", n_p=n_p, trial=i):
-                s = sample_gap(family, n_p, oracle,
-                               _rng.child_seed(base, _rng.FAMILY, i))
-                sink.add({"phase": "certify", "n_p": n_p, "trial": i,
-                          "instance_seed": s.instance_seed,
-                          "solution_cost": s.solution_cost,
-                          "oracle_value": s.oracle_value, "gamma": s.gamma})
-        rows = [r for r in sink.records.values()
-                if r["phase"] == "certify" and int(r["n_p"]) == n_p]
-        gammas = [float(r["gamma"]) for r in rows]
-        gamma_star = max(gammas)
+        cert = repetitive.certificate_from_samples(
+            phase("certify", n_p, base, _rng.FAMILY, cfg.r), cfg.epsilon, n_p,
+            family.description, base)
         timings[f"certify_np{n_p}_s"] = time.perf_counter() - t0
-        cert = {"gamma_star": gamma_star, "r": cfg.r, "epsilon": cfg.epsilon,
-                "confidence": confidence_of(cfg.epsilon, cfg.r), "n_p": n_p,
-                "family": family.description, "seed": base}
         (out / f"certificate_np{n_p}.json").write_text(
-            json.dumps(cert, indent=2), encoding="utf-8")
+            repetitive.certificate_to_json(cert), encoding="utf-8")
         coverage = None
         if cfg.m_validate > 0:
             t1 = time.perf_counter()
-            covered = 0
-            for i in range(cfg.m_validate):
-                if not sink.done(phase="validate", n_p=n_p, trial=i):
-                    s = sample_gap(family, n_p, oracle,
-                                   _rng.child_seed(base, _rng.VALIDATE, i))
-                    sink.add({"phase": "validate", "n_p": n_p, "trial": i,
-                              "instance_seed": s.instance_seed,
-                              "solution_cost": s.solution_cost,
-                              "oracle_value": s.oracle_value, "gamma": s.gamma})
-            vrows = [r for r in sink.records.values()
-                     if r["phase"] == "validate" and int(r["n_p"]) == n_p]
-            coverage = float(np.mean([float(r["gamma"]) <= gamma_star
-                                      for r in vrows]))
+            gammas = phase("validate", n_p, base, _rng.VALIDATE, cfg.m_validate)
+            coverage = float(np.mean([g <= cert.gamma_star for g in gammas]))
             timings[f"validate_np{n_p}_s"] = time.perf_counter() - t1
-        summary_rows[str(n_p)] = {"gamma_star": gamma_star,
+        summary_rows[str(n_p)] = {"gamma_star": cert.gamma_star,
                                   "coverage": coverage,
-                                  "confidence": cert["confidence"]}
+                                  "confidence": cert.confidence}
     records = sink.finish()
     summary = {"family": family.description, "r": cfg.r,
                "epsilon": cfg.epsilon, "by_n_p": summary_rows,
@@ -541,34 +521,27 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
 
 
 def _run_validate(cfg: ExperimentConfig, out: Path):
-    family = _resolve_family(cfg)
-    oracle = _resolve_oracle(
-        cfg, default_tol=1.0 if (cfg.family or "mpc") == "mpc" else None)
-    if family.description == "uniform-gaps" and not cfg.oracle:
-        oracle = OracleConfig(method="declared")
+    family, oracle = _resolve_gap_sampling(cfg)
     cert_path = Path(cfg.certificate) if cfg.certificate \
         else out / f"certificate_np{cfg.n_p}.json"
     if not cert_path.exists():
         raise ConfigError(f"validate needs a certificate: set 'certificate' or "
                           f"run mpc-fig4 first (looked for {cert_path})")
-    cert = json.loads(cert_path.read_text(encoding="utf-8"))
-    gamma_star = float(cert["gamma_star"])
+    cert = repetitive.certificate_from_json(cert_path.read_text(encoding="utf-8"))
+    if (cert.n_p, cert.family) != (cfg.n_p, family.description):
+        raise ConfigError(
+            f"certificate {cert_path} holds family {cert.family!r} at "
+            f"n_p={cert.n_p}, but this run samples family "
+            f"{family.description!r} at n_p={cfg.n_p}")
     m = cfg.m_validate or cfg.trials
-    sink = _RecordSink(out, cfg,
-                       ["trial", "instance_seed", "solution_cost",
-                        "oracle_value", "gamma", "covered"], ["trial"])
-    for i in range(m):
-        if sink.done(trial=i):
-            continue
-        s = sample_gap(family, cfg.n_p, oracle,
-                       _rng.child_seed(cfg.seed, _rng.VALIDATE, i))
-        sink.add({"trial": i, "instance_seed": s.instance_seed,
-                  "solution_cost": s.solution_cost,
-                  "oracle_value": s.oracle_value, "gamma": s.gamma,
-                  "covered": s.gamma <= gamma_star})
+    sink = _RecordSink(out, cfg, ["trial", *_GAP_COLUMNS, "covered"], ["trial"])
+    for i, s in iter_gap_samples(family, cfg.n_p, oracle, cfg.seed,
+                                 _rng.VALIDATE, m, sink.trials()):
+        sink.add({"trial": i, **dataclasses.asdict(s),
+                  "covered": s.gamma <= cert.gamma_star})
     records = sink.finish()
     coverage = float(np.mean([r["covered"] == "1" for r in records]))
-    summary = {"family": family.description, "gamma_star": gamma_star,
+    summary = {"family": family.description, "gamma_star": cert.gamma_star,
                "m": m, "coverage": coverage}
     return records, summary, {}
 
@@ -616,13 +589,11 @@ def emit_plot_data(report: RunReport, kind: str, out_dir=None) -> list[Path]:
                 fh.write(f"{n_p},{row['gamma_star']!r}\n")
         written.append(markers)
         for n_p in report.config.n_p_list:
-            gammas = np.array([float(r["gamma"]) for r in report.records
-                               if r.get("phase") == "validate"
-                               and int(r["n_p"]) == n_p])
-            if gammas.size == 0:
-                gammas = np.array([float(r["gamma"]) for r in report.records
-                                   if r.get("phase") == "certify"
-                                   and int(r["n_p"]) == n_p])
+            by_phase = {"certify": [], "validate": []}
+            for r in report.records:
+                if r.get("phase") in by_phase and int(r["n_p"]) == n_p:
+                    by_phase[r["phase"]].append(float(r["gamma"]))
+            gammas = np.array(by_phase["validate"] or by_phase["certify"])
             path = out / f"fig4_hist_np{n_p}.csv"
             with path.open("w", encoding="utf-8", newline="") as fh:
                 fh.write("bin_left,bin_right,count\n")

@@ -68,10 +68,6 @@ class ControlInput:
     omega: float
 
 
-def _wrap_02pi(theta):
-    return np.mod(theta, TWO_PI)
-
-
 def _wrap_pi(angle):
     """Wrap to (-pi, pi]."""
     wrapped = np.mod(np.asarray(angle) + math.pi, TWO_PI) - math.pi
@@ -148,15 +144,58 @@ def _goal_distance_field(so_mask: np.ndarray,
     return dist
 
 
+def _step(x, y, theta, v, omega, params):
+    return (x + v * np.cos(theta) * params.dt,
+            y + v * np.sin(theta) * params.dt,
+            np.mod(theta + omega * params.dt, TWO_PI))
+
+
+def _control(x, y, theta, wx, wy, params):
+    """Controller inputs (v, omega) driving each state toward its waypoint."""
+    dx = wx - x
+    dy = wy - y
+    dist = np.hypot(dx, dy)
+    e = _wrap_pi(np.arctan2(dy, dx) - theta)
+    v = np.clip(params.k_v * dist * np.cos(e), -params.v_max, params.v_max)
+    om = np.clip(params.k_omega * e, -params.omega_max, params.omega_max)
+    hold = dist < 1e-6
+    return np.where(hold, 0.0, v), np.where(hold, 0.0, om)
+
+
+def _barrier(x, y, x_o, so_mask, params) -> np.ndarray:
+    col, row = cell_of(x, y)
+    valid = col >= 0
+    in_so = np.zeros_like(valid)
+    in_so[valid] = so_mask[row[valid], col[valid]]
+    d = np.hypot(x - x_o[0], y - x_o[1]) - params.safety_radius
+    return np.where(in_so, params.obstacle_barrier, d)
+
+
+def _rollout(x_k, waypoints: np.ndarray, env: Environment,
+             params: WaypointProblemParams):
+    """Simulate the controller toward each of m waypoints; yield, per step,
+    the m-arrays (x, y, theta, v, omega, h): the predicted state, the input
+    that led to it, and its barrier value (uncontrolled agent held static).
+
+    dynamics_step, lyapunov_controller and barrier are the single-state views
+    of this kernel's helpers, so they agree with it bit for bit."""
+    m = len(waypoints)
+    x = np.full(m, float(x_k[0]))
+    y = np.full(m, float(x_k[1]))
+    th = np.full(m, float(x_k[2]))
+    for _ in range(params.horizon):
+        v, om = _control(x, y, th, waypoints[:, 0], waypoints[:, 1], params)
+        x, y, th = _step(x, y, th, v, om, params)
+        yield x, y, th, v, om, _barrier(x, y, env.x_o, env.so_mask, params)
+
+
 def dynamics_step(state: UnicycleState, control: ControlInput,
                   params: WaypointProblemParams = WaypointProblemParams()
                   ) -> UnicycleState:
     """One forward-Euler unicycle step; heading wraps, position is unclamped."""
-    return UnicycleState(
-        x=state.x + control.v * math.cos(state.theta) * params.dt,
-        y=state.y + control.v * math.sin(state.theta) * params.dt,
-        theta=float(_wrap_02pi(state.theta + control.omega * params.dt)),
-    )
+    x, y, th = _step(state.x, state.y, state.theta, control.v, control.omega,
+                     params)
+    return UnicycleState(float(x), float(y), float(th))
 
 
 def lyapunov_controller(state: UnicycleState, waypoint,
@@ -168,15 +207,9 @@ def lyapunov_controller(state: UnicycleState, waypoint,
     (negative cosine allows reversing); turn rate is proportional to the
     heading error.  At the waypoint the input is identically zero.
     """
-    wx, wy = float(waypoint[0]), float(waypoint[1])
-    dx, dy = wx - state.x, wy - state.y
-    dist = math.hypot(dx, dy)
-    if dist < 1e-6:
-        return ControlInput(0.0, 0.0)
-    e = float(_wrap_pi(math.atan2(dy, dx) - state.theta))
-    v = max(-params.v_max, min(params.v_max, params.k_v * dist * math.cos(e)))
-    omega = max(-params.omega_max, min(params.omega_max, params.k_omega * e))
-    return ControlInput(v, omega)
+    v, omega = _control(state.x, state.y, state.theta, float(waypoint[0]),
+                        float(waypoint[1]), params)
+    return ControlInput(float(v), float(omega))
 
 
 def barrier(x_a, x_o, env: Environment,
@@ -184,57 +217,17 @@ def barrier(x_a, x_o, env: Environment,
     """Safety margin: the obstacle value inside a static-obstacle cell, else
     planar distance to the uncontrolled agent minus the safety radius."""
     a = np.asarray(x_a, dtype=float).ravel()
-    col, row = cell_of(a[0], a[1])
-    if col >= 0 and env.so_mask[row, col]:
-        return params.obstacle_barrier
-    o = np.asarray(x_o, dtype=float).ravel()
-    return float(math.hypot(a[0] - o[0], a[1] - o[1]) - params.safety_radius)
-
-
-def _barrier_batch(x, y, env: Environment, params) -> np.ndarray:
-    col, row = cell_of(x, y)
-    valid = col >= 0
-    in_so = np.zeros_like(valid)
-    in_so[valid] = env.so_mask[row[valid], col[valid]]
-    d = np.hypot(x - env.x_o[0], y - env.x_o[1]) - params.safety_radius
-    return np.where(in_so, params.obstacle_barrier, d)
-
-
-def _rollout_barriers(x_k, waypoints: np.ndarray, env: Environment,
-                      params: WaypointProblemParams) -> np.ndarray:
-    """Simulate the controller toward each waypoint; (m, horizon) barrier
-    values at the predicted states (uncontrolled agent held static)."""
-    w = np.atleast_2d(np.asarray(waypoints, dtype=float))
-    m = len(w)
-    x = np.full(m, float(x_k[0]))
-    y = np.full(m, float(x_k[1]))
-    th = np.full(m, float(x_k[2]))
-    out = np.empty((m, params.horizon))
-    for j in range(params.horizon):
-        dx = w[:, 0] - x
-        dy = w[:, 1] - y
-        dist = np.hypot(dx, dy)
-        e = _wrap_pi(np.arctan2(dy, dx) - th)
-        v = np.clip(params.k_v * dist * np.cos(e), -params.v_max, params.v_max)
-        om = np.clip(params.k_omega * e, -params.omega_max, params.omega_max)
-        hold = dist < 1e-6
-        v = np.where(hold, 0.0, v)
-        om = np.where(hold, 0.0, om)
-        x = x + v * np.cos(th) * params.dt
-        y = y + v * np.sin(th) * params.dt
-        th = _wrap_02pi(th + om * params.dt)
-        out[:, j] = _barrier_batch(x, y, env, params)
-    return out
+    return float(_barrier(a[:1], a[1:2], np.asarray(x_o, dtype=float).ravel(),
+                          env.so_mask, params)[0])
 
 
 def rollout_feasible(x_k, waypoint, env: Environment,
                      params: WaypointProblemParams = WaypointProblemParams()
                      ) -> bool:
     """True iff the barrier stays nonnegative at every predicted step."""
-    x_k = _state_array(x_k)
-    h = _rollout_barriers(x_k, np.asarray(waypoint, dtype=float)[None, :],
-                          env, params)
-    return bool((h >= 0.0).all())
+    w = np.asarray(waypoint, dtype=float)[None, :]
+    return all(h[0] >= 0.0
+               for *_, h in _rollout(_state_array(x_k), w, env, params))
 
 
 def shortest_goal_distance(waypoint, env: Environment) -> float:
@@ -253,7 +246,6 @@ def augmented_cost(waypoint, env: Environment, x_k=None,
     """Shortest-path-to-goal score, replaced by the flat penalty when the
     rollout is unsafe or the waypoint's cell is unreachable.  Always in
     [0, penalty]."""
-    x_k = env.x_a if x_k is None else _state_array(x_k)
     return float(augmented_cost_batch(
         np.asarray(waypoint, dtype=float)[None, :], env, x_k, params)[0])
 
@@ -263,8 +255,8 @@ def augmented_cost_batch(waypoints: np.ndarray, env: Environment, x_k=None,
                          ) -> np.ndarray:
     w = np.atleast_2d(np.asarray(waypoints, dtype=float))
     x_k = env.x_a if x_k is None else _state_array(x_k)
-    h = _rollout_barriers(x_k, w, env, params)
-    feasible = (h >= 0.0).all(axis=1)
+    feasible = np.logical_and.reduce(
+        [h >= 0.0 for *_, h in _rollout(x_k, w, env, params)])
     col, row = cell_of(w[:, 0], w[:, 1])
     s = np.full(len(w), UNREACHABLE)
     ok = col >= 0
@@ -434,13 +426,10 @@ def read_environment(path) -> Environment:
 def write_rollout_trace(x_k, waypoint, env: Environment, path,
                         params: WaypointProblemParams = WaypointProblemParams()
                         ) -> None:
-    """Debug CSV ``j,x,y,theta,v,omega,h`` of one predicted rollout."""
-    state = UnicycleState(*_state_array(x_k))
+    """Debug CSV ``j,x,y,theta,v,omega,h`` of one predicted rollout, exactly
+    as the cost kernel computes it."""
+    w = np.asarray(waypoint, dtype=float)[None, :]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("j,x,y,theta,v,omega,h\n")
-        for j in range(1, params.horizon + 1):
-            u = lyapunov_controller(state, waypoint, params)
-            state = dynamics_step(state, u, params)
-            h = barrier(state.as_array(), env.x_o, env, params)
-            fh.write(f"{j},{state.x!r},{state.y!r},{state.theta!r},"
-                     f"{u.v!r},{u.omega!r},{h!r}\n")
+        for j, row in enumerate(_rollout(_state_array(x_k), w, env, params), 1):
+            fh.write(f"{j}," + ",".join(repr(float(a[0])) for a in row) + "\n")

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .percentile import DomainError, Problem
-
-ENUMERATION_LIMIT = math.factorial(10)
-
-
-class OracleError(RuntimeError):
-    """Oracle could not produce a trustworthy optimum."""
+from .percentile import ENUMERATION_LIMIT, DomainError, OracleError, Problem, \
+    enumerate_costs
 
 
 @dataclass(frozen=True)
@@ -57,18 +52,13 @@ class DescentConfig:
 
 def exhaustive_min(problem: Problem,
                    enumeration_limit: int = ENUMERATION_LIMIT) -> OracleResult:
-    """Exact minimum by full enumeration; first minimizer in enumeration order."""
-    card = problem.space.cardinality
-    if card is None:
-        raise DomainError("exhaustive_min requires a finite decision space")
-    if card > enumeration_limit:
-        raise OracleError(f"space cardinality {card} exceeds the enumeration "
-                          f"limit {enumeration_limit}")
+    """Exact minimum by full enumeration; first minimizer in enumeration order.
+
+    Raises CapacityError, an OracleError, beyond the enumeration limit."""
     best_value = math.inf
     best_decision = None
     evaluations = 0
-    for block in problem.space.enumerate():
-        costs = problem.evaluate_batch(block)
+    for block, costs in enumerate_costs(problem, enumeration_limit):
         evaluations += len(costs)
         i = int(np.argmin(costs))
         if costs[i] < best_value:

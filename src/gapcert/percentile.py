@@ -12,15 +12,25 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import _rng
 
+ENUMERATION_LIMIT = math.factorial(10)
+
 
 class DomainError(ValueError):
     """Argument outside its mathematical domain."""
+
+
+class OracleError(RuntimeError):
+    """Oracle could not produce a trustworthy optimum."""
+
+
+class CapacityError(OracleError):
+    """Exact enumeration requested beyond the configured size limit."""
 
 
 class EvaluationError(RuntimeError):
@@ -167,6 +177,21 @@ def percentile_solve(problem: Problem, n_p: int, seed: int) -> PercentileSolutio
     return PercentileSolution(best=info[i], best_index=i, info=info)
 
 
+def enumerate_costs(problem: Problem, enumeration_limit: int = ENUMERATION_LIMIT
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every decision of a finite space with its cost, as (block, costs)
+    pairs in enumeration order.  The size is checked at the call, before
+    anything is enumerated."""
+    card = problem.space.cardinality
+    if card is None:
+        raise DomainError("exact enumeration requires a finite decision space")
+    if card > enumeration_limit:
+        raise CapacityError(f"space cardinality {card} exceeds the "
+                            f"enumeration limit {enumeration_limit}")
+    return ((block, problem.evaluate_batch(block))
+            for block in problem.space.enumerate())
+
+
 def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
                              seed: int = 0, exact: bool = False) -> float:
     """Fraction of the decision space strictly cheaper than ``candidate``.
@@ -176,13 +201,9 @@ def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
     """
     threshold = problem.evaluate(candidate)
     if exact:
-        card = problem.space.cardinality
-        if card is None:
-            raise DomainError("exact enumeration requires a finite decision space")
-        better = 0
-        for block in problem.space.enumerate():
-            better += int((problem.evaluate_batch(block) < threshold).sum())
-        return better / card
+        better = sum(int((costs < threshold).sum())
+                     for _, costs in enumerate_costs(problem))
+        return better / problem.space.cardinality
     if m < 1:
         raise DomainError(f"m must be a positive integer, got {m}")
     samples = problem.space.sample(seed, m, path=(_rng.BETTER_FRACTION,))

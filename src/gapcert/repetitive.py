@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Collection, Iterator
 
 from . import _rng
 from .oracles import DescentConfig, OracleError, OracleResult, declared_min, \
@@ -121,6 +121,18 @@ def sample_gap(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
                      oracle_method=oracle.method)
 
 
+def iter_gap_samples(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
+                     seed: int, tag: int, count: int,
+                     done: Collection[int] = ()) -> Iterator[tuple[int, GapSample]]:
+    """Yield (i, gap sample i) for each i < count not in done.  Sample i is
+    drawn at child_seed(seed, tag, i), so skipping finished trials or growing
+    count leaves every other sample unchanged."""
+    for i in range(count):
+        if i not in done:
+            yield i, sample_gap(family, n_p, oracle_cfg,
+                                _rng.child_seed(seed, tag, i))
+
+
 def sample_gaps(family: ProblemFamily, r: int, n_p: int,
                 oracle_cfg: OracleConfig, seed: int) -> list[GapSample]:
     """r independent gap samples; sample i is a pure function of (seed, i).
@@ -131,14 +143,14 @@ def sample_gaps(family: ProblemFamily, r: int, n_p: int,
     if r < 1:
         raise DomainError(f"r must be a positive integer, got {r}")
     samples: list[GapSample] = []
-    for i in range(r):
-        try:
-            samples.append(sample_gap(family, n_p, oracle_cfg,
-                                      _rng.child_seed(seed, _rng.FAMILY, i)))
-        except OracleError:
-            log.warning("gap sampling aborted at trial %d/%d; %d samples kept",
-                        i, r, len(samples))
-            raise
+    try:
+        for _, s in iter_gap_samples(family, n_p, oracle_cfg, seed,
+                                     _rng.FAMILY, r):
+            samples.append(s)
+    except OracleError:
+        log.warning("gap sampling aborted at trial %d/%d; %d samples kept",
+                    len(samples), r, len(samples))
+        raise
     return samples
 
 
@@ -149,16 +161,18 @@ def build_certificate(family: ProblemFamily, r: int, n_p: int, epsilon: float,
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
     samples = sample_gaps(family, r, n_p, oracle_cfg, seed)
-    return certificate_from_samples(samples, epsilon, n_p, family.description, seed)
+    return certificate_from_samples([s.gamma for s in samples], epsilon, n_p,
+                                    family.description, seed)
 
 
-def certificate_from_samples(samples: list[GapSample], epsilon: float, n_p: int,
+def certificate_from_samples(gammas: list[float], epsilon: float, n_p: int,
                              family: str, seed: int) -> RepetitiveCertificate:
+    """The maximum of the measured gaps, at confidence 1-(1-epsilon)^r."""
     return RepetitiveCertificate(
-        gamma_star=float(max(s.gamma for s in samples)),
-        r=len(samples),
+        gamma_star=float(max(gammas)),
+        r=len(gammas),
         epsilon=float(epsilon),
-        confidence=confidence_of(epsilon, len(samples)),
+        confidence=confidence_of(epsilon, len(gammas)),
         n_p=int(n_p),
         family=family,
         seed=int(seed),
@@ -172,20 +186,14 @@ def validate_coverage(family: ProblemFamily, certificate: RepetitiveCertificate,
     certificate's bound."""
     if m < 1:
         raise DomainError(f"m must be a positive integer, got {m}")
-    covered = 0
-    for i in range(m):
-        s = sample_gap(family, n_p, oracle_cfg,
-                       _rng.child_seed(seed, _rng.VALIDATE, i))
-        covered += s.gamma <= certificate.gamma_star
+    covered = sum(s.gamma <= certificate.gamma_star for _, s in
+                  iter_gap_samples(family, n_p, oracle_cfg, seed,
+                                   _rng.VALIDATE, m))
     return covered / m
 
 
 def certificate_to_json(cert: RepetitiveCertificate) -> str:
-    return json.dumps({
-        "gamma_star": cert.gamma_star, "r": cert.r, "epsilon": cert.epsilon,
-        "confidence": cert.confidence, "n_p": cert.n_p, "family": cert.family,
-        "seed": cert.seed,
-    }, indent=2)
+    return json.dumps(asdict(cert), indent=2)
 
 
 def certificate_from_json(text: str) -> RepetitiveCertificate:

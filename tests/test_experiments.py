@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gapcert import CapacityError
 from gapcert.cli import main
 from gapcert.experiments import (
     ConfigError,
@@ -14,6 +15,7 @@ from gapcert.experiments import (
     run,
 )
 from gapcert.problems import random_tsp_instance, write_tsp_instance
+from gapcert.spaces import PermutationSpace
 
 
 class TestConfig:
@@ -108,6 +110,17 @@ class TestTspFig2:
                       "n_p": 60, "trials": 3, "out_dir": str(tmp_path / "out")})
         assert report.summary["problem"] == "tsp-5"
 
+    @pytest.mark.parametrize("experiment", ["tsp-fig2", "chi-sweep"])
+    def test_enumeration_limit_checked_before_enumerating(
+            self, tmp_path, monkeypatch, experiment):
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration started beyond the limit")
+
+        monkeypatch.setattr(PermutationSpace, "enumerate", never)
+        with pytest.raises(CapacityError):
+            run({"experiment": experiment, "seed": 1, "tsp_random": 11,
+                 "n_p": 10, "trials": 1, "out_dir": str(tmp_path)})
+
 
 class TestMpcFig4:
     def test_small_run_with_validation(self, tmp_path):
@@ -167,6 +180,27 @@ class TestValidate:
         assert 0.0 <= report.summary["coverage"] <= 1.0
         assert len(report.records) == 8
 
+    @staticmethod
+    def uniform_certificate(tmp_path):
+        run({"experiment": "mpc-fig4", "seed": 3, "family": "uniform-gaps",
+             "r": 5, "n_p_list": [2], "out_dir": str(tmp_path / "fig4")})
+        return str(tmp_path / "fig4" / "certificate_np2.json")
+
+    def test_certificate_n_p_mismatch_is_config_error(self, tmp_path):
+        cert = self.uniform_certificate(tmp_path)
+        with pytest.raises(ConfigError, match="n_p=2.*n_p=3"):
+            run({"experiment": "validate", "seed": 1, "family": "uniform-gaps",
+                 "n_p": 3, "m_validate": 2, "certificate": cert,
+                 "out_dir": str(tmp_path / "val")})
+
+    def test_certificate_family_mismatch_is_config_error(self, tmp_path):
+        cert = self.uniform_certificate(tmp_path)
+        with pytest.raises(ConfigError,
+                           match="'uniform-gaps'.*'tsp-5-uniform'"):
+            run({"experiment": "validate", "seed": 1, "family": "tsp:5",
+                 "n_p": 2, "m_validate": 2, "certificate": cert,
+                 "out_dir": str(tmp_path / "val")})
+
     def test_missing_certificate_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="certificate"):
             run({"experiment": "validate", "seed": 1, "family": "uniform-gaps",
@@ -175,13 +209,25 @@ class TestValidate:
 
 class TestReproducibilityAndResume:
     def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = {"experiment": "tsp-fig2", "seed": 11, "tsp_random": 5,
-               "n_p": 50, "trials": 5}
-        run({**cfg, "out_dir": str(tmp_path / "a")})
-        run({**cfg, "out_dir": str(tmp_path / "b")})
-        for name in ("records.csv", "bound_vs_gap.csv", "running_fraction.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                   (tmp_path / "b" / name).read_bytes()
+        cert = tmp_path / "a" / "mpc-fig4" / "certificate_np2.json"
+        cases = [
+            ({"experiment": "tsp-fig2", "seed": 11, "tsp_random": 5,
+              "n_p": 50, "trials": 5},
+             ("records.csv", "bound_vs_gap.csv", "running_fraction.csv")),
+            ({"experiment": "mpc-fig4", "seed": 12, "family": "uniform-gaps",
+              "r": 20, "n_p_list": [2], "m_validate": 10},
+             ("records.csv", "certificate_np2.json", "fig4_markers.csv",
+              "fig4_hist_np2.csv")),
+            ({"experiment": "validate", "seed": 13, "family": "uniform-gaps",
+              "n_p": 2, "m_validate": 10, "certificate": str(cert)},
+             ("records.csv",)),
+        ]
+        for cfg, names in cases:
+            for side in "ab":
+                run({**cfg, "out_dir": str(tmp_path / side / cfg["experiment"])})
+            for name in names:
+                assert (tmp_path / "a" / cfg["experiment"] / name).read_bytes() \
+                    == (tmp_path / "b" / cfg["experiment"] / name).read_bytes()
 
     def test_resume_skips_completed_trials(self, tmp_path, monkeypatch):
         cfg = {"experiment": "table1", "seed": 13, "trials": 6, "n_p": 40,
@@ -208,6 +254,32 @@ class TestReproducibilityAndResume:
         strip = lambda recs: [{k: v for k, v in r.items() if k != "certify_ms"}
                               for r in recs]
         assert strip(resumed.records) == strip(full.records)
+
+    def test_resume_skips_completed_gap_samples(self, tmp_path, monkeypatch):
+        cfg = {"experiment": "mpc-fig4", "seed": 14, "family": "uniform-gaps",
+               "r": 30, "n_p_list": [1, 2], "m_validate": 20,
+               "out_dir": str(tmp_path)}
+        run(cfg)
+        fresh = {name: (tmp_path / name).read_bytes() for name in
+                 ("records.csv", "certificate_np1.json", "certificate_np2.json")}
+        # simulate an interrupted run: keep 40 of the 100 flushed records
+        lines = fresh["records.csv"].decode().splitlines()
+        (tmp_path / "records.partial.csv").write_text(
+            "\n".join(lines[:41]) + "\n", encoding="utf-8")
+        (tmp_path / "records.csv").unlink()
+        import gapcert.repetitive as rep
+        calls = {"n": 0}
+        original = rep.sample_gap
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rep, "sample_gap", counting)
+        run(cfg)
+        assert calls["n"] == 60  # only the missing samples were recomputed
+        for name, data in fresh.items():
+            assert (tmp_path / name).read_bytes() == data
 
     def test_changed_config_discards_stale_records(self, tmp_path):
         base = {"experiment": "table1", "trials": 3, "n_p": 30, "n_v": 30,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gapcert import percentile_solve
+from gapcert import mpc, percentile_solve
 from gapcert.mpc import (
     CELL_H,
     CELL_W,
@@ -319,3 +319,47 @@ class TestFamily:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "j,x,y,theta,v,omega,h"
         assert len(lines) == 6  # header + 5 prediction steps
+
+
+class TestSingleKernel:
+    """The scalar model functions and the debug trace are views of the
+    rollout kernel, so they agree with it bit for bit."""
+
+    def test_scalar_functions_equal_batch_helpers_bitwise(self):
+        rng = np.random.default_rng(17)
+        n = 500
+        x = rng.uniform(-1.7, 1.7, n)   # a margin outside the workspace too
+        y = rng.uniform(-1.3, 1.3, n)
+        th = rng.uniform(0.0, 2 * math.pi, n)
+        v = rng.uniform(-0.2, 0.2, n)
+        om = rng.uniform(-math.pi, math.pi, n)
+        wx = x + rng.uniform(-0.3, 0.3, n)
+        wy = y + rng.uniform(-0.3, 0.3, n)
+        wx[:20], wy[:20] = x[:20], y[:20]   # at the waypoint: zero input
+        env = sample_environment(9)
+        want = np.stack([*mpc._step(x, y, th, v, om, PARAMS),
+                         *mpc._control(x, y, th, wx, wy, PARAMS),
+                         mpc._barrier(x, y, env.x_o, env.so_mask, PARAMS)],
+                        axis=1)
+        got = []
+        for i in range(n):
+            state = UnicycleState(x[i], y[i], th[i])
+            nxt = dynamics_step(state, ControlInput(v[i], om[i]))
+            u = lyapunov_controller(state, (wx[i], wy[i]))
+            h = barrier([x[i], y[i], th[i]], env.x_o, env)
+            got.append([nxt.x, nxt.y, nxt.theta, u.v, u.omega, h])
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+    def test_rollout_trace_rows_are_the_kernels_rollout(self, tmp_path):
+        env = sample_environment(12)
+        w = AnnulusSpace(env.x_a[:2]).sample(3, 40)
+        steps = list(mpc._rollout(env.x_a, w, env, PARAMS))
+        costs = augmented_cost_batch(w, env)
+        for k in range(len(w)):
+            path = tmp_path / f"trace{k}.csv"
+            write_rollout_trace(env.x_a, w[k], env, path)
+            rows = [[float(c) for c in line.split(",")[1:]]
+                    for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+            assert rows == [[float(a[k]) for a in step] for step in steps]
+            if min(row[-1] for row in rows) < 0.0:
+                assert costs[k] == PARAMS.penalty

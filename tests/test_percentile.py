@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gapcert import (
+    CapacityError,
     ConfidenceSpec,
     DomainError,
     EvaluationError,
@@ -21,7 +22,7 @@ from gapcert import (
 )
 from gapcert.oracles import exhaustive_min
 from gapcert.problems import make_tsp_problem, random_tsp_instance
-from gapcert.spaces import BoxSpace
+from gapcert.spaces import BoxSpace, PermutationSpace
 
 
 def constant_problem(c=3.5):
@@ -178,6 +179,15 @@ class TestEstimateBetterFraction:
         expected = (720 - ties) / 720
         got = estimate_better_fraction(problem, np.asarray(worst_perm), exact=True)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_exact_respects_enumeration_limit(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration started beyond the limit")
+
+        monkeypatch.setattr(PermutationSpace, "enumerate", never)
+        problem = Problem(space=PermutationSpace(11), cost=lambda d: 0.0)
+        with pytest.raises(CapacityError):
+            estimate_better_fraction(problem, np.arange(11), exact=True)
 
     def test_exact_matches_brute_force_for_solver_best(self):
         instance = random_tsp_instance(5, seed=30)

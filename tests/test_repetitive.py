@@ -102,7 +102,8 @@ class TestCertificates:
     def test_gamma_star_is_exact_maximum(self):
         family = uniform_gap_family()
         samples = sample_gaps(family, r=40, n_p=1, oracle_cfg=DECLARED, seed=5)
-        cert = certificate_from_samples(samples, epsilon=0.05, n_p=1,
+        cert = certificate_from_samples([s.gamma for s in samples],
+                                        epsilon=0.05, n_p=1,
                                         family="uniform-gaps", seed=5)
         assert cert.gamma_star == max(s.gamma for s in samples)
         assert cert.confidence == pytest.approx(1 - 0.95**40)
@@ -112,7 +113,8 @@ class TestCertificates:
         samples = sample_gaps(family, r=60, n_p=1, oracle_cfg=DECLARED, seed=8)
         prefix_max = -math.inf
         for k in range(1, 61):
-            cert = certificate_from_samples(samples[:k], 0.01, 1, "u", 8)
+            cert = certificate_from_samples([s.gamma for s in samples[:k]],
+                                            0.01, 1, "u", 8)
             assert cert.gamma_star >= prefix_max
             prefix_max = cert.gamma_star
 
