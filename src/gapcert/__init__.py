@@ -25,7 +25,7 @@ from .percentile import (
     read_infoset_csv,
     write_infoset_csv,
 )
-from .spaces import BoxSpace, PermutationSpace, SpaceError
+from .spaces import BoxSpace, PermutationSpace, SpaceError, TourSpace
 from .certifier import (
     GapCertificate,
     LevelSetReport,

@@ -49,7 +49,11 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = run(config)
+    try:
+        report = run(config)
+    except ConfigError as exc:  # config checks that need the run's inputs
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report.summary, indent=2))
     if args.check:
         failures = apply_check(report)

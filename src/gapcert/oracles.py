@@ -52,7 +52,9 @@ class DescentConfig:
 
 def exhaustive_min(problem: Problem,
                    enumeration_limit: int = ENUMERATION_LIMIT) -> OracleResult:
-    """Exact minimum by full enumeration; first minimizer in enumeration order.
+    """Exact minimum by enumeration (one tour per rotation/reversal class on
+    tour spaces, see ``enumerate_costs``); first minimizer in lexicographic
+    order.  ``evaluations`` counts the decisions actually evaluated.
 
     Raises CapacityError, an OracleError, beyond the enumeration limit."""
     best_value = math.inf

@@ -17,6 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import _rng
+from .spaces import TourSpace
 
 ENUMERATION_LIMIT = math.factorial(10)
 
@@ -181,15 +182,23 @@ def enumerate_costs(problem: Problem, enumeration_limit: int = ENUMERATION_LIMIT
                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every decision of a finite space with its cost, as (block, costs)
     pairs in enumeration order.  The size is checked at the call, before
-    anything is enumerated."""
-    card = problem.space.cardinality
+    anything is enumerated.
+
+    A tour space yields one tour per rotation/reversal class instead (see
+    ``TourSpace.enumerate_canonical``).  Every class has the same size and
+    one cost, so minima, first minimizers and fractions over the yielded rows
+    equal those over the whole space; count rows, never divide by the
+    cardinality."""
+    space = problem.space
+    card = space.cardinality
     if card is None:
         raise DomainError("exact enumeration requires a finite decision space")
     if card > enumeration_limit:
         raise CapacityError(f"space cardinality {card} exceeds the "
                             f"enumeration limit {enumeration_limit}")
-    return ((block, problem.evaluate_batch(block))
-            for block in problem.space.enumerate())
+    blocks = (space.enumerate_canonical() if isinstance(space, TourSpace)
+              else space.enumerate())
+    return ((block, problem.evaluate_batch(block)) for block in blocks)
 
 
 def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
@@ -201,9 +210,11 @@ def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
     """
     threshold = problem.evaluate(candidate)
     if exact:
-        better = sum(int((costs < threshold).sum())
-                     for _, costs in enumerate_costs(problem))
-        return better / problem.space.cardinality
+        better = rows = 0
+        for _, costs in enumerate_costs(problem):
+            better += int((costs < threshold).sum())
+            rows += len(costs)
+        return better / rows
     if m < 1:
         raise DomainError(f"m must be a positive integer, got {m}")
     samples = problem.space.sample(seed, m, path=(_rng.BETTER_FRACTION,))

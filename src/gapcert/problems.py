@@ -13,7 +13,7 @@ from . import _rng
 from .oracles import OracleResult
 from .percentile import DomainError, Problem
 from .repetitive import ProblemFamily
-from .spaces import BoxSpace, PermutationSpace
+from .spaces import BoxSpace, TourSpace
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def tsp_cost_batch(instance: TspInstance, orders: np.ndarray) -> np.ndarray:
 
 def make_tsp_problem(instance: TspInstance) -> Problem:
     return Problem(
-        space=PermutationSpace(instance.count),
+        space=TourSpace(instance.count),
         cost=lambda order: tsp_cost(instance, order),
         batch_cost=lambda orders: tsp_cost_batch(instance, np.asarray(orders)),
         name=f"tsp-{instance.count}",

@@ -156,6 +156,20 @@ class TestChiSweep:
         # shrinking the retained subset can only raise variances, hence p
         assert mean_p[0.05] >= mean_p[1.0]
 
+    def test_exact_mode_enumerates_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        enumerate_ = PermutationSpace.enumerate
+
+        def counted(space, *args, **kwargs):
+            calls.append(space.n_items)
+            return enumerate_(space, *args, **kwargs)
+
+        monkeypatch.setattr(PermutationSpace, "enumerate", counted)
+        run({"experiment": "chi-sweep", "seed": 7, "tsp_random": 5, "n_p": 60,
+             "trials": 4, "chis": [0.05, 0.5, 1.0], "out_dir": str(tmp_path)})
+        # one for the exhaustive oracle, one for the sweep's costs
+        assert len(calls) == 2
+
     def test_monte_carlo_mode_on_benchmark(self, tmp_path):
         report = run({"experiment": "chi-sweep", "seed": 2,
                       "benchmark": "beale", "n_p": 50, "trials": 2,
@@ -344,6 +358,15 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"seed": 1}))  # no problem selector
         assert main(["solve", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_error_raised_by_the_run_exit_code(self, tmp_path, capsys):
+        cert = TestValidate.uniform_certificate(tmp_path)
+        cfg = tmp_path / "validate.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "family": "uniform-gaps", "n_p": 3, "m_validate": 2,
+            "certificate": cert, "out_dir": str(tmp_path / "val")}))
+        assert main(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):

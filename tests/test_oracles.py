@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gapcert import DomainError, Problem, percentile_solve
+from gapcert import CapacityError, DomainError, Problem, \
+    estimate_better_fraction, percentile_solve
+from gapcert.certifier import exceedance_probability, level_set_report, \
+    subsample_info, variance_of_costs
 from gapcert.oracles import (
     DescentConfig,
     OracleError,
@@ -62,6 +65,64 @@ class TestExhaustiveMin:
         problem = Problem(space=BoxSpace([0.0], [1.0]), cost=lambda d: 0.0)
         with pytest.raises(DomainError):
             exhaustive_min(problem)
+
+
+def _hexagon():
+    return TspInstance([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]
+                        for k in range(6)])
+
+
+# Random instances, then tie-heavy ones: the regular hexagon, collinear
+# points, coincident waypoints and a unit grid.
+QUOTIENT_INSTANCES = [pytest.param(lambda n=n, s=s: random_tsp_instance(n, s),
+                                   id=f"random-{n}-{s}")
+                      for n in range(3, 9) for s in (1, 2)] + [
+    pytest.param(_hexagon, id="hexagon"),
+    pytest.param(lambda: TspInstance([[float(i), 0.0] for i in range(7)]),
+                 id="collinear-7"),
+    pytest.param(lambda: TspInstance([[0, 0], [0, 0], [1, 0], [1, 0], [0, 1],
+                                      [0.5, 0.5]]), id="coincident-6"),
+    pytest.param(lambda: TspInstance([[i % 4, i // 4] for i in range(8)]),
+                 id="grid-8"),
+]
+
+
+class TestTourQuotient:
+    """Exact quantities over one tour per rotation/reversal class equal, bit
+    for bit, brute force over every ordering."""
+
+    @pytest.mark.parametrize("make", QUOTIENT_INSTANCES)
+    def test_bitwise_equal_to_full_enumeration(self, make):
+        problem = make_tsp_problem(make())
+        n = problem.space.n_items
+        rows = np.concatenate(list(problem.space.enumerate()))
+        costs = problem.evaluate_batch(rows)
+        assert len(rows) == math.factorial(n)
+
+        truth = exhaustive_min(problem)
+        first = int(np.argmin(costs))
+        assert truth.value == costs[first]
+        assert np.array_equal(truth.minimizer, rows[first])
+        assert truth.evaluations == math.factorial(n - 1) // 2
+
+        sol = percentile_solve(problem, 30, seed=n)
+        model = subsample_info(sol.info, 0.2, seed=1, problem=problem)
+        variances = variance_of_costs(model, costs)
+        # thresholds at the true gap and at exact variance values, where ties
+        # decide the count
+        for r in (sol.best.cost - truth.value, *np.unique(variances)[:3]):
+            assert exceedance_probability(model, r) == (variances > r).mean()
+            assert level_set_report(model, r).fraction == (variances <= r).mean()
+        for candidate in (sol.best.decision, rows[first], rows[-1]):
+            threshold = problem.evaluate(candidate)
+            assert estimate_better_fraction(problem, candidate, exact=True) == \
+                int((costs < threshold).sum()) / len(costs)
+
+    def test_limit_applies_to_all_orderings(self):
+        # 2,520 canonical tours would fit; the 8! orderings do not
+        problem = make_tsp_problem(random_tsp_instance(8, seed=1))
+        with pytest.raises(CapacityError):
+            exhaustive_min(problem, enumeration_limit=math.factorial(8) - 1)
 
 
 class TestRefineMin:

@@ -1,6 +1,7 @@
 """Decision spaces and the seeded stream discipline."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,13 +73,29 @@ def test_permutation_uniformity():
 
 
 def test_permutation_enumeration_is_lexicographic_and_complete():
-    space = PermutationSpace(4)
-    assert space.cardinality == 24
-    blocks = list(space.enumerate(chunk=10))
-    rows = np.concatenate(blocks)
-    assert len(rows) == 24
-    expected = np.asarray(list(itertools.permutations(range(4))))
-    assert np.array_equal(rows, expected)
+    assert PermutationSpace(4).cardinality == 24
+    for n in range(2, 9):
+        expected = np.asarray(list(itertools.permutations(range(n))))
+        for chunk in (1, 7, 10, 10000):
+            blocks = list(PermutationSpace(n).enumerate(chunk=chunk))
+            # same blocking as slicing the itertools order into chunk rows
+            assert [len(b) for b in blocks] == [
+                len(expected[i:i + chunk]) for i in range(0, len(expected), chunk)]
+            assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def test_permutation_enumeration_is_lazy_beyond_one_table():
+    # 10! rows would take 290 MB; the first block must not wait for them
+    tracemalloc.start()
+    try:
+        first = next(PermutationSpace(10).enumerate())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = np.asarray(list(itertools.islice(
+        itertools.permutations(range(10)), 10000)))
+    assert np.array_equal(first, expected)
+    assert peak < 16 * 2**20
 
 
 def test_permutation_space_rejects_trivial():
