@@ -72,6 +72,6 @@ from .mpc import (
     shortest_goal_distance,
     waypoint_sampler,
 )
-from .experiments import ExperimentConfig, RunReport, emit_plot_data, run
+from .experiments import ExperimentConfig, RunReport, run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng
-from .percentile import ENUMERATION_LIMIT, DomainError, InfoSet, Problem, \
-    confidence_of, enumerate_costs, min_samples
+from .percentile import DomainError, InfoSet, Problem, confidence_of, \
+    enumerate_costs, min_samples
 
 DEFAULT_CHI = 0.1
 DEFAULT_EPSILON = 0.01  # safe when the unknown exceedance probability p >= 1e-2
@@ -149,12 +149,11 @@ def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
 
 
 def _variance_sample(model: VarianceModel, mode: str, m: int | None,
-                     seed: int | None,
-                     enumeration_limit: int) -> tuple[np.ndarray, str]:
+                     seed: int | None) -> tuple[np.ndarray, str]:
     problem = model.problem
     if mode == "exact":
         chunks = [variance_of_costs(model, costs)
-                  for _, costs in enumerate_costs(problem, enumeration_limit)]
+                  for _, costs in enumerate_costs(problem)]
         return np.concatenate(chunks), "exact"
     if mode == "monte-carlo":
         if m is None or m < 1:
@@ -168,8 +167,7 @@ def _variance_sample(model: VarianceModel, mode: str, m: int | None,
 
 def exceedance_probability(model: VarianceModel, threshold: float,
                            mode: str = "exact", m: int | None = None,
-                           seed: int | None = None,
-                           enumeration_limit: int = ENUMERATION_LIMIT) -> float:
+                           seed: int | None = None) -> float:
     """Probability that a uniform decision's variance strictly exceeds the
     threshold: exact enumeration on finite spaces, sample fraction otherwise.
 
@@ -178,18 +176,18 @@ def exceedance_probability(model: VarianceModel, threshold: float,
     """
     if threshold < 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
-    variances, _ = _variance_sample(model, mode, m, seed, enumeration_limit)
+    variances, _ = _variance_sample(model, mode, m, seed)
     return float((variances > threshold).mean())
 
 
 def level_set_report(model: VarianceModel, r: float, mode: str = "exact",
-                     m: int | None = None, seed: int | None = None,
-                     enumeration_limit: int = ENUMERATION_LIMIT) -> LevelSetReport:
+                     m: int | None = None, seed: int | None = None
+                     ) -> LevelSetReport:
     """Volume fraction of decisions whose variance is at most r, on the same
     sample set exceedance_probability uses for the given mode and seed."""
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    variances, mode_label = _variance_sample(model, mode, m, seed, enumeration_limit)
+    variances, mode_label = _variance_sample(model, mode, m, seed)
     return LevelSetReport(radius=float(r),
                           fraction=float((variances <= r).mean()),
                           mode=mode_label)
@@ -213,7 +211,7 @@ def certificate_from_json(text: str) -> GapCertificate:
 def write_level_set_sweep(model: VarianceModel, radii, path, mode: str = "exact",
                           m: int | None = None, seed: int | None = None) -> None:
     """CSV sweep ``r,fraction`` over the given radii (plot-ready)."""
-    variances, _ = _variance_sample(model, mode, m, seed, ENUMERATION_LIMIT)
+    variances, _ = _variance_sample(model, mode, m, seed)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("r,fraction\n")
         for r in radii:

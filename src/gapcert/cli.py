@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, apply_check, run
+from .percentile import CapacityError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +52,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run(config)
-    except ConfigError as exc:  # config checks that need the run's inputs
+    except (ConfigError, CapacityError) as exc:  # checks that need the inputs
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report.summary, indent=2))

@@ -2,14 +2,16 @@
 
 Each experiment is described by a config (JSON file or dict), runs fully
 deterministically from its seed, flushes per-trial records as it goes so an
-interrupted run can resume, and writes plot-ready CSV artifacts.  Re-running
-an identical config byte-reproduces every numeric output; wall-clock timings
-live only in the report JSON.
+interrupted run can resume, and writes its own plot-ready CSV artifacts.
+Re-running an identical config byte-reproduces every numeric output except
+wall-clock timings: the report JSON's ``timings`` and, for table1, the
+``certify_ms`` and ``mean_certify_ms`` columns.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -22,6 +24,7 @@ from ._version import __version__
 from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, certificate_to_json, \
     certify_gap, exceedance_probability, subsample_info, variance_of_costs
 from .mpc import WaypointProblemParams, mpc_family
+from .oracles import refine_min
 from .percentile import Problem, confidence_of, enumerate_costs, min_samples, \
     percentile_solve, write_infoset_csv
 from .problems import BENCHMARK_NAMES, make_benchmark, make_tsp_family, \
@@ -97,6 +100,12 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if not 0.0 < self.chi <= 1.0:
             raise ConfigError(f"chi must be in (0, 1], got {self.chi}")
+        if not all(0.0 < chi <= 1.0 for chi in self.chis):
+            raise ConfigError(f"chis must all be in (0, 1], got {self.chis}")
+        if not all(int(n_p) >= 1 for n_p in self.n_p_list):
+            raise ConfigError(f"n_p_list entries must be >= 1, got {self.n_p_list}")
+        if int(self.m_validate) < 0:
+            raise ConfigError(f"m_validate must be >= 0, got {self.m_validate}")
         if not 0.0 <= self.confidence < 1.0:
             raise ConfigError(f"confidence must be in [0, 1), got {self.confidence}")
         needs_problem = self.experiment in ("solve", "certify", "chi-sweep",
@@ -242,15 +251,20 @@ class _RecordSink:
         self._fh.flush()
 
     def finish(self) -> list[dict]:
+        """Write records.csv; return the records sorted by string key ("10" < "2")."""
         self._fh.close()
         rows = [self.records[k] for k in sorted(self.records)]
-        with (self.out / "records.csv").open("w", encoding="utf-8",
-                                             newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for rec in rows:
-                fh.write(",".join(rec[c] for c in self.columns) + "\n")
+        _write_csv(self.out / "records.csv", ",".join(self.columns),
+                   (",".join(rec[c] for c in self.columns) for rec in rows))
         self._partial.unlink(missing_ok=True)
         return rows
+
+
+def _write_csv(path: Path, header: str, lines) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _fmt(v) -> str:
@@ -264,8 +278,8 @@ def _fmt(v) -> str:
 def run(config: ExperimentConfig | dict, out_dir=None) -> RunReport:
     """Execute the configured experiment and write its artifacts.
 
-    Returns the report; also writes report.json, records.csv, and the
-    experiment's plot files under the output directory.
+    Returns the report; the runner writes records.csv and its plot files,
+    and this writes report.json, all under the output directory.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
@@ -281,7 +295,6 @@ def run(config: ExperimentConfig | dict, out_dir=None) -> RunReport:
                        timings=timings)
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2),
                                      encoding="utf-8")
-    emit_plot_data(report, config.experiment, out)
     return report
 
 
@@ -330,24 +343,25 @@ def _run_certify(cfg: ExperimentConfig, out: Path):
     return records, summary, {"certify_s": certify_s}
 
 
-def _true_optimum(cfg: ExperimentConfig, problem: Problem) -> tuple[float, str]:
-    """Ground truth for gap measurement: exact for finite spaces, strong
-    refine-min otherwise (n0 from the oracle config, default 20000)."""
-    method = "refine-min" if problem.space.cardinality is None else "exhaustive"
-    n0 = int((cfg.oracle or {}).get("n0", 20000))
-    res = OracleConfig(method=method, n0=n0).run(
-        problem, _rng.child_seed(cfg.seed, _rng.ORACLE))
-    return res.value, res.method
+def _ground_truth(cfg: ExperimentConfig, problem: Problem
+                  ) -> tuple[float, str, np.ndarray | None]:
+    """Ground truth for gap measurement as (value, method, all_costs): one
+    enumeration of a finite space (the minimum equals exhaustive_min's), else
+    strong refine-min (n0 from the oracle config, default 20000), no costs."""
+    if problem.space.cardinality is not None:
+        all_costs = np.concatenate([c for _, c in enumerate_costs(problem)])
+        return float(all_costs.min()), "exhaustive", all_costs
+    res = refine_min(problem, n0=int((cfg.oracle or {}).get("n0", 20000)),
+                     seed=_rng.child_seed(cfg.seed, _rng.ORACLE))
+    return res.value, res.method, None
 
 
 def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     problem = _resolve_problem(cfg)
     t0 = time.perf_counter()
-    j_star, method = _true_optimum(cfg, problem)
+    j_star, method, all_costs = _ground_truth(cfg, problem)
     oracle_s = time.perf_counter() - t0
-    exact = problem.space.cardinality is not None
-    if exact:
-        all_costs = np.concatenate([costs for _, costs in enumerate_costs(problem)])
+    exact = all_costs is not None
     sink = _RecordSink(out, cfg, ["trial", "chi", "gap", "p"], ["trial", "chi"])
     for trial in range(cfg.trials):
         solution = None
@@ -373,10 +387,8 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     for rec in records:
         by_chi.setdefault(float(rec["chi"]), []).append(float(rec["p"]))
     mean_p = {chi: float(np.mean(ps)) for chi, ps in sorted(by_chi.items())}
-    with (out / "chi_p.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("chi,mean_p\n")
-        for chi, p in mean_p.items():
-            fh.write(f"{chi!r},{p!r}\n")
+    _write_csv(out / "chi_p.csv", "chi,mean_p",
+               (f"{chi!r},{p!r}" for chi, p in mean_p.items()))
     summary = {"problem": problem.name, "oracle_value": j_star,
                "oracle_method": method, "mode": "exact" if exact else
                f"monte-carlo({cfg.mc_samples})", "mean_p_by_chi": mean_p}
@@ -394,7 +406,7 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
     for name in names:
         problem = make_benchmark(name)
         t0 = time.perf_counter()
-        j_star, _ = _true_optimum(cfg, problem)
+        j_star, _, _ = _ground_truth(cfg, problem)
         timings[f"oracle_{name}_s"] = time.perf_counter() - t0
         oracle_values[name] = j_star
         for trial in range(cfg.trials):
@@ -423,14 +435,11 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
         summary_rows[name] = {"success_fraction": fraction,
                               "mean_certify_ms": mean_ms,
                               "oracle_value": oracle_values[name]}
-    with (out / "table1.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("name,n_p,n_v,expected_success,success_fraction,"
-                 "mean_certify_ms\n")
-        for name in names:
-            row = summary_rows[name]
-            fh.write(f"{name},{cfg.n_p},{cfg.n_v},{expected!r},"
-                     f"{row['success_fraction']!r},"
-                     f"{row['mean_certify_ms']:.3f}\n")
+    _write_csv(out / "table1.csv", "name,n_p,n_v,expected_success,"
+               "success_fraction,mean_certify_ms",
+               (f"{name},{cfg.n_p},{cfg.n_v},{expected!r},"
+                f"{row['success_fraction']!r},{row['mean_certify_ms']:.3f}"
+                for name, row in summary_rows.items()))
     summary = {"expected_success": expected, "benchmarks": summary_rows,
                "success_fraction": {n: summary_rows[n]["success_fraction"]
                                     for n in names}}
@@ -442,8 +451,7 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     if problem.space.cardinality is None:
         raise ConfigError("tsp-fig2 needs a finite (tour) problem")
     t0 = time.perf_counter()
-    all_costs = np.concatenate([costs for _, costs in enumerate_costs(problem)])
-    j_star = float(all_costs.min())
+    j_star, _, all_costs = _ground_truth(cfg, problem)
     enumerate_s = time.perf_counter() - t0
     sink = _RecordSink(out, cfg,
                        ["trial", "zeta", "gap", "p", "n_v", "v_star", "success"],
@@ -469,6 +477,13 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
                   "p": p, "n_v": n_v, "v_star": cert.v_star,
                   "success": cert.v_star >= gap})
     records = sink.finish()
+    _write_csv(out / "bound_vs_gap.csv", "trial,v_star,true_gap",
+               (f"{r['trial']},{r['v_star']},{r['gap']}" for r in records))
+    in_order = sorted(records, key=lambda r: int(r["trial"]))
+    hits = itertools.accumulate(r["success"] == "1" for r in in_order)
+    _write_csv(out / "running_fraction.csv", "trial,fraction",
+               (f"{r['trial']},{h / (i + 1)!r}"
+                for i, (r, h) in enumerate(zip(in_order, hits))))
     successes = [r["success"] == "1" for r in records]
     summary = {"problem": problem.name, "true_optimum": j_star,
                "confidence": cfg.confidence,
@@ -501,9 +516,9 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
     for n_p in cfg.n_p_list:
         base = _rng.child_seed(cfg.seed, 400, n_p)
         t0 = time.perf_counter()
+        gammas = phase("certify", n_p, base, _rng.FAMILY, cfg.r)
         cert = repetitive.certificate_from_samples(
-            phase("certify", n_p, base, _rng.FAMILY, cfg.r), cfg.epsilon, n_p,
-            family.description, base)
+            gammas, cfg.epsilon, n_p, family.description, base)
         timings[f"certify_np{n_p}_s"] = time.perf_counter() - t0
         (out / f"certificate_np{n_p}.json").write_text(
             repetitive.certificate_to_json(cert), encoding="utf-8")
@@ -513,10 +528,17 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
             gammas = phase("validate", n_p, base, _rng.VALIDATE, cfg.m_validate)
             coverage = float(np.mean([g <= cert.gamma_star for g in gammas]))
             timings[f"validate_np{n_p}_s"] = time.perf_counter() - t1
+        counts, edges = np.histogram(gammas, bins=40)  # validation, else certify
+        _write_csv(out / f"fig4_hist_np{n_p}.csv", "bin_left,bin_right,count",
+                   (f"{edges[i]!r},{edges[i + 1]!r},{c}"
+                    for i, c in enumerate(counts)))
         summary_rows[str(n_p)] = {"gamma_star": cert.gamma_star,
                                   "coverage": coverage,
                                   "confidence": cert.confidence}
     records = sink.finish()
+    _write_csv(out / "fig4_markers.csv", "n_p,gamma_star",
+               (f"{n_p},{row['gamma_star']!r}"
+                for n_p, row in summary_rows.items()))
     summary = {"family": family.description, "r": cfg.r,
                "epsilon": cfg.epsilon, "by_n_p": summary_rows,
                "coverage": {k: v["coverage"] for k, v in summary_rows.items()
@@ -559,58 +581,6 @@ _RUNNERS = {
     "mpc-fig4": _run_mpc_fig4,
     "validate": _run_validate,
 }
-
-
-def emit_plot_data(report: RunReport, kind: str, out_dir=None) -> list[Path]:
-    """Write plot-ready CSV files for the report's experiment kind."""
-    out = Path(out_dir if out_dir is not None else report.config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if kind != report.config.experiment:
-        raise ConfigError(f"report holds a {report.config.experiment!r} run, "
-                          f"cannot emit {kind!r} plot data")
-    written: list[Path] = []
-    if kind == "tsp-fig2":
-        path = out / "bound_vs_gap.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("trial,v_star,true_gap\n")
-            for rec in report.records:
-                fh.write(f"{rec['trial']},{rec['v_star']},{rec['gap']}\n")
-        written.append(path)
-        path = out / "running_fraction.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("trial,fraction\n")
-            hits = 0
-            for i, rec in enumerate(
-                    sorted(report.records, key=lambda r: int(r["trial"]))):
-                hits += rec["success"] == "1"
-                fh.write(f"{rec['trial']},{hits / (i + 1)!r}\n")
-        written.append(path)
-    elif kind == "mpc-fig4":
-        markers = out / "fig4_markers.csv"
-        with markers.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("n_p,gamma_star\n")
-            for n_p, row in report.summary.get("by_n_p", {}).items():
-                fh.write(f"{n_p},{row['gamma_star']!r}\n")
-        written.append(markers)
-        for n_p in report.config.n_p_list:
-            by_phase = {"certify": [], "validate": []}
-            for r in report.records:
-                if r.get("phase") in by_phase and int(r["n_p"]) == n_p:
-                    by_phase[r["phase"]].append(float(r["gamma"]))
-            gammas = np.array(by_phase["validate"] or by_phase["certify"])
-            path = out / f"fig4_hist_np{n_p}.csv"
-            with path.open("w", encoding="utf-8", newline="") as fh:
-                fh.write("bin_left,bin_right,count\n")
-                if gammas.size:
-                    counts, edges = np.histogram(gammas, bins=40)
-                    for i, c in enumerate(counts):
-                        fh.write(f"{edges[i]!r},{edges[i + 1]!r},{c}\n")
-            written.append(path)
-    elif kind == "chi-sweep":
-        written.append(out / "chi_p.csv")  # written by the runner
-    elif kind == "table1":
-        written.append(out / "table1.csv")  # written by the runner
-    return written
 
 
 def apply_check(report: RunReport) -> list[str]:

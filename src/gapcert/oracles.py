@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .percentile import ENUMERATION_LIMIT, DomainError, OracleError, Problem, \
-    enumerate_costs
+from .percentile import DomainError, OracleError, Problem, enumerate_costs
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,7 @@ class DescentConfig:
     curvature_floor: float = 1e-12
 
 
-def exhaustive_min(problem: Problem,
-                   enumeration_limit: int = ENUMERATION_LIMIT) -> OracleResult:
+def exhaustive_min(problem: Problem) -> OracleResult:
     """Exact minimum by enumeration (one tour per rotation/reversal class on
     tour spaces, see ``enumerate_costs``); first minimizer in lexicographic
     order.  ``evaluations`` counts the decisions actually evaluated.
@@ -60,7 +58,7 @@ def exhaustive_min(problem: Problem,
     best_value = math.inf
     best_decision = None
     evaluations = 0
-    for block, costs in enumerate_costs(problem, enumeration_limit):
+    for block, costs in enumerate_costs(problem):
         evaluations += len(costs)
         i = int(np.argmin(costs))
         if costs[i] < best_value:

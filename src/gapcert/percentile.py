@@ -178,8 +178,7 @@ def percentile_solve(problem: Problem, n_p: int, seed: int) -> PercentileSolutio
     return PercentileSolution(best=info[i], best_index=i, info=info)
 
 
-def enumerate_costs(problem: Problem, enumeration_limit: int = ENUMERATION_LIMIT
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def enumerate_costs(problem: Problem) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every decision of a finite space with its cost, as (block, costs)
     pairs in enumeration order.  The size is checked at the call, before
     anything is enumerated.
@@ -193,9 +192,9 @@ def enumerate_costs(problem: Problem, enumeration_limit: int = ENUMERATION_LIMIT
     card = space.cardinality
     if card is None:
         raise DomainError("exact enumeration requires a finite decision space")
-    if card > enumeration_limit:
+    if card > ENUMERATION_LIMIT:
         raise CapacityError(f"space cardinality {card} exceeds the "
-                            f"enumeration limit {enumeration_limit}")
+                            f"enumeration limit {ENUMERATION_LIMIT}")
     blocks = (space.enumerate_canonical() if isinstance(space, TourSpace)
               else space.enumerate())
     return ((block, problem.evaluate_batch(block)) for block in blocks)

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Callable, Collection, Iterator
 
 from . import _rng
-from .oracles import DescentConfig, OracleError, OracleResult, declared_min, \
-    exhaustive_min, refine_min
+from .oracles import OracleError, OracleResult, declared_min, exhaustive_min, \
+    refine_min
 from .percentile import DomainError, Problem, confidence_of, percentile_solve
 
 log = logging.getLogger(__name__)
@@ -44,7 +44,6 @@ class OracleConfig:
 
     method: str = "refine-min"  # "exhaustive" | "refine-min" | "declared"
     n0: int = 2000
-    descent: DescentConfig = DescentConfig()
     gap_tolerance: float | None = None  # None: method default
 
     @property
@@ -61,7 +60,7 @@ class OracleConfig:
         if self.method == "exhaustive":
             return exhaustive_min(problem)
         if self.method == "refine-min":
-            return refine_min(problem, n0=self.n0, seed=seed, config=self.descent)
+            return refine_min(problem, n0=self.n0, seed=seed)
         if self.method == "declared":
             return declared_min(problem)
         raise DomainError(f"unknown oracle method {self.method!r}")

@@ -25,7 +25,7 @@ from gapcert.certifier import (
     write_level_set_sweep,
 )
 from gapcert.problems import make_tsp_problem, random_tsp_instance
-from gapcert.spaces import BoxSpace
+from gapcert.spaces import BoxSpace, PermutationSpace
 
 
 def linear_problem():
@@ -201,12 +201,16 @@ class TestExceedanceAndLevelSets:
         with pytest.raises(DomainError):
             exceedance_probability(model, 0.5, mode="exact")
 
-    def test_capacity_error(self):
-        problem = make_tsp_problem(random_tsp_instance(6, seed=1))
+    def test_capacity_error(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration started beyond the limit")
+
+        problem = make_tsp_problem(random_tsp_instance(11, seed=1))
         sol = percentile_solve(problem, 10, seed=1)
         model = subsample_info(sol.info, 1.0, seed=1, problem=problem)
+        monkeypatch.setattr(PermutationSpace, "enumerate", never)
         with pytest.raises(CapacityError):
-            exceedance_probability(model, 0.1, mode="exact", enumeration_limit=100)
+            exceedance_probability(model, 0.1, mode="exact")
 
     def test_level_set_complements_exceedance_same_samples(self):
         problem = linear_problem()

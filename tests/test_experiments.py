@@ -4,18 +4,19 @@ import json
 
 import pytest
 
-from gapcert import CapacityError
+from gapcert import CapacityError, exhaustive_min
 from gapcert.cli import main
-from gapcert.experiments import (
-    ConfigError,
-    ExperimentConfig,
-    RunReport,
-    apply_check,
-    emit_plot_data,
-    run,
-)
-from gapcert.problems import random_tsp_instance, write_tsp_instance
+from gapcert.experiments import ConfigError, ExperimentConfig, apply_check, run
+from gapcert.problems import make_tsp_problem, random_tsp_instance, \
+    write_tsp_instance
 from gapcert.spaces import PermutationSpace
+
+
+def forbid_enumeration(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started beyond the limit")
+
+    monkeypatch.setattr(PermutationSpace, "enumerate", never)
 
 
 class TestConfig:
@@ -47,6 +48,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="chi"):
             ExperimentConfig.from_dict({"experiment": "solve", "seed": 1,
                                         "benchmark": "beale", "chi": 2.0})
+        for field, value in (("chis", [0.5, 0.0]), ("chis", [1.5]),
+                             ("n_p_list", [200, 0]), ("m_validate", -1)):
+            with pytest.raises(ConfigError, match=field):
+                ExperimentConfig.from_dict({"experiment": "chi-sweep",
+                                            "seed": 1, "benchmark": "beale",
+                                            field: value})
 
     def test_unknown_benchmark(self):
         with pytest.raises(ConfigError, match="benchmark"):
@@ -92,14 +99,20 @@ class TestTable1:
 class TestTspFig2:
     def test_pipeline_and_plots(self, tmp_path):
         report = run({"experiment": "tsp-fig2", "seed": 2, "tsp_random": 6,
-                      "n_p": 120, "trials": 8, "confidence": 0.9,
+                      "n_p": 120, "trials": 12, "confidence": 0.9,
                       "out_dir": str(tmp_path)})
-        assert len(report.records) == 8
+        assert len(report.records) == 12
         bound = (tmp_path / "bound_vs_gap.csv").read_text().splitlines()
         assert bound[0] == "trial,v_star,true_gap"
+        # bound_vs_gap follows records.csv (string order: "10" before "2");
+        # the running fraction accumulates in trial order
+        trials = [str(i) for i in range(12)]
+        assert [line.split(",")[0] for line in bound[1:]] == sorted(trials)
         running = (tmp_path / "running_fraction.csv").read_text().splitlines()
         assert running[0] == "trial,fraction"
-        assert len(running) == 9
+        assert [line.split(",")[0] for line in running[1:]] == trials
+        assert float(running[-1].split(",")[1]) == \
+            report.summary["success_fraction"]
         assert 0.0 <= report.summary["success_fraction"] <= 1.0
 
     def test_tsp_file_selector(self, tmp_path):
@@ -113,10 +126,7 @@ class TestTspFig2:
     @pytest.mark.parametrize("experiment", ["tsp-fig2", "chi-sweep"])
     def test_enumeration_limit_checked_before_enumerating(
             self, tmp_path, monkeypatch, experiment):
-        def never(*args, **kwargs):
-            raise AssertionError("enumeration started beyond the limit")
-
-        monkeypatch.setattr(PermutationSpace, "enumerate", never)
+        forbid_enumeration(monkeypatch)
         with pytest.raises(CapacityError):
             run({"experiment": experiment, "seed": 1, "tsp_random": 11,
                  "n_p": 10, "trials": 1, "out_dir": str(tmp_path)})
@@ -157,6 +167,7 @@ class TestChiSweep:
         assert mean_p[0.05] >= mean_p[1.0]
 
     def test_exact_mode_enumerates_once_per_run(self, tmp_path, monkeypatch):
+        truth = exhaustive_min(make_tsp_problem(random_tsp_instance(5, 7)))
         calls = []
         enumerate_ = PermutationSpace.enumerate
 
@@ -165,10 +176,16 @@ class TestChiSweep:
             return enumerate_(space, *args, **kwargs)
 
         monkeypatch.setattr(PermutationSpace, "enumerate", counted)
-        run({"experiment": "chi-sweep", "seed": 7, "tsp_random": 5, "n_p": 60,
-             "trials": 4, "chis": [0.05, 0.5, 1.0], "out_dir": str(tmp_path)})
-        # one for the exhaustive oracle, one for the sweep's costs
-        assert len(calls) == 2
+        for experiment, key in (("chi-sweep", "oracle_value"),
+                                ("tsp-fig2", "true_optimum")):
+            calls.clear()
+            summary = run({"experiment": experiment, "seed": 7,
+                           "tsp_random": 5, "n_p": 60, "trials": 4,
+                           "chis": [0.05, 0.5, 1.0],
+                           "out_dir": str(tmp_path / experiment)}).summary
+            # the ground truth and the exact fractions share one pass
+            assert len(calls) == 1, experiment
+            assert summary[key] == truth.value
 
     def test_monte_carlo_mode_on_benchmark(self, tmp_path):
         report = run({"experiment": "chi-sweep", "seed": 2,
@@ -226,8 +243,11 @@ class TestReproducibilityAndResume:
         cert = tmp_path / "a" / "mpc-fig4" / "certificate_np2.json"
         cases = [
             ({"experiment": "tsp-fig2", "seed": 11, "tsp_random": 5,
-              "n_p": 50, "trials": 5},
+              "n_p": 50, "trials": 12},
              ("records.csv", "bound_vs_gap.csv", "running_fraction.csv")),
+            ({"experiment": "chi-sweep", "seed": 15, "tsp_random": 5,
+              "n_p": 40, "trials": 3, "chis": [0.1, 1.0]},
+             ("records.csv", "chi_p.csv")),
             ({"experiment": "mpc-fig4", "seed": 12, "family": "uniform-gaps",
               "r": 20, "n_p_list": [2], "m_validate": 10},
              ("records.csv", "certificate_np2.json", "fig4_markers.csv",
@@ -304,25 +324,6 @@ class TestReproducibilityAndResume:
         assert len(report.records) == 3
 
 
-class TestEmitPlotData:
-    def test_kind_mismatch(self, tmp_path):
-        report = run({"experiment": "solve", "seed": 1, "benchmark": "beale",
-                      "n_p": 2, "out_dir": str(tmp_path)})
-        with pytest.raises(ConfigError):
-            emit_plot_data(report, "tsp-fig2", tmp_path)
-
-    def test_empty_report_writes_headers(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(
-            {"experiment": "tsp-fig2", "seed": 1, "tsp_random": 5,
-             "out_dir": str(tmp_path)})
-        report = RunReport(config=cfg, records=[], summary={}, timings={})
-        emit_plot_data(report, "tsp-fig2", tmp_path)
-        assert (tmp_path / "bound_vs_gap.csv").read_text() == \
-            "trial,v_star,true_gap\n"
-        assert (tmp_path / "running_fraction.csv").read_text() == \
-            "trial,fraction\n"
-
-
 class TestApplyCheck:
     def test_passing_and_failing_thresholds(self, tmp_path):
         report = run({"experiment": "tsp-fig2", "seed": 3, "tsp_random": 5,
@@ -368,6 +369,16 @@ class TestCli:
             "certificate": cert, "out_dir": str(tmp_path / "val")}))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["tsp-fig2", "chi-sweep"])
+    def test_oversized_tour_space_exit_code(self, tmp_path, capsys,
+                                            monkeypatch, experiment):
+        forbid_enumeration(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "tsp_random": 11, "n_p": 10,
+                                   "trials": 1, "out_dir": str(tmp_path)}))
+        assert main([experiment, "--config", str(cfg)]) == 2
+        assert "enumeration limit" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2

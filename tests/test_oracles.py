@@ -118,11 +118,15 @@ class TestTourQuotient:
             assert estimate_better_fraction(problem, candidate, exact=True) == \
                 int((costs < threshold).sum()) / len(costs)
 
-    def test_limit_applies_to_all_orderings(self):
-        # 2,520 canonical tours would fit; the 8! orderings do not
-        problem = make_tsp_problem(random_tsp_instance(8, seed=1))
+    def test_limit_applies_to_all_orderings(self, monkeypatch):
+        # 1,814,400 canonical tours would fit under 10!; the 11! orderings do not
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration started beyond the limit")
+
+        monkeypatch.setattr(PermutationSpace, "enumerate", never)
+        problem = make_tsp_problem(random_tsp_instance(11, seed=1))
         with pytest.raises(CapacityError):
-            exhaustive_min(problem, enumeration_limit=math.factorial(8) - 1)
+            exhaustive_min(problem)
 
 
 class TestRefineMin:
