@@ -11,7 +11,6 @@ gaps with quantified probability and confidence.
 from ._version import __version__
 from .percentile import (
     CapacityError,
-    ConfidenceSpec,
     DomainError,
     EvaluationError,
     InfoSet,
@@ -31,6 +30,7 @@ from .certifier import (
     LevelSetReport,
     VarianceModel,
     certify_gap,
+    certify_solution,
     exceedance_probability,
     level_set_report,
     subsample_info,

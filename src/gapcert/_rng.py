@@ -6,6 +6,12 @@ by the same user seed never share randomness.  Streams are counter-based
 (Philox), and batch draws of fixed width per sample make sample i a pure
 function of (seed, tag, i): prefixes of a stream are stable when the batch
 size grows, and parallel evaluation cannot change results.
+
+Tags are the named constants below; no value serves two purposes.  The
+experiment tags seed per-trial or per-run work as child_seed(cfg.seed, TAG, i):
+chi-sweep's solve, subsample and exceedance seeds (CHI_SWEEP_*), the solve
+seed of a table1 or tsp-fig2 trial (TABLE1_TRIAL, TSP_FIG2_TRIAL), and an
+mpc-fig4 run's base seed per n_p (MPC_FIG4_BASE).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
 
-# Stream tags.  One per sampling purpose; never reuse a tag for two purposes.
+# Library stream tags.  One per sampling purpose; never reuse a tag.
 SOLVE = 1
 CERTIFY = 2
 SUBSAMPLE = 3
@@ -27,7 +33,14 @@ GAP_ORACLE = 9
 VALIDATE = 10
 ENVIRONMENT = 11
 FAMILY = 12
-DESCENT = 13
+
+# Experiment tags.
+CHI_SWEEP_SOLVE = 100
+CHI_SWEEP_SUBSAMPLE = 101
+CHI_SWEEP_EXCEEDANCE = 102
+TABLE1_TRIAL = 200
+TSP_FIG2_TRIAL = 300
+MPC_FIG4_BASE = 400
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

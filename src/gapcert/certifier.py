@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import _rng
-from .percentile import DomainError, InfoSet, Problem, confidence_of, \
-    enumerate_costs, min_samples
+from .percentile import DomainError, InfoSet, PercentileSolution, Problem, \
+    confidence_of, enumerate_costs, min_samples
 
 DEFAULT_CHI = 0.1
 DEFAULT_EPSILON = 0.01  # safe when the unknown exceedance probability p >= 1e-2
@@ -35,13 +34,6 @@ class VarianceModel:
     chi: float
     solution_cost: float
     source_size: int
-
-    @property
-    def d_size(self) -> int:
-        return len(self.d_costs)
-
-    def _sorted(self) -> np.ndarray:
-        return np.sort(self.d_costs)
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ def subsample_info(info: InfoSet, chi: float, seed: int,
 
 def variance_of_costs(model: VarianceModel, costs: np.ndarray) -> np.ndarray:
     """min_i |cost - d_cost_i| for each cost, via one sorted-array lookup."""
-    d = model._sorted()
+    d = np.sort(model.d_costs)
     costs = np.atleast_1d(np.asarray(costs, dtype=float))
     pos = np.searchsorted(d, costs)
     left = d[np.clip(pos - 1, 0, len(d) - 1)]
@@ -146,6 +138,29 @@ def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
         d_indices=tuple(int(i) for i in model.d_indices),
         low_sample_warning=bool(warn),
     )
+
+
+def solution_model(problem: Problem, solution: PercentileSolution,
+                   chi: float) -> VarianceModel:
+    """certify_solution's subsample step, at the solve seed's SUBSAMPLE child."""
+    return subsample_info(solution.info, chi,
+                          _rng.child_seed(solution.info.seed, _rng.SUBSAMPLE),
+                          problem=problem)
+
+
+def certify_model(model: VarianceModel, solution: PercentileSolution,
+                  n_v: int, epsilon: float) -> GapCertificate:
+    """certify_solution's certify step, at the solve seed's CERTIFY child."""
+    return certify_gap(model, n_v, epsilon,
+                       _rng.child_seed(solution.info.seed, _rng.CERTIFY))
+
+
+def certify_solution(problem: Problem, solution: PercentileSolution, chi: float,
+                     n_v: int, epsilon: float) -> tuple[VarianceModel, GapCertificate]:
+    """Subsample a percentile solution's information set and certify its gap,
+    at seeds derived from its solve seed (solution.info.seed)."""
+    model = solution_model(problem, solution, chi)
+    return model, certify_model(model, solution, n_v, epsilon)
 
 
 def _variance_sample(model: VarianceModel, mode: str, m: int | None,
@@ -206,13 +221,3 @@ def certificate_from_json(text: str) -> GapCertificate:
         seed=int(raw["seed"]), d_indices=tuple(int(i) for i in raw["d_indices"]),
         low_sample_warning=bool(raw.get("low_sample_warning", False)),
     )
-
-
-def write_level_set_sweep(model: VarianceModel, radii, path, mode: str = "exact",
-                          m: int | None = None, seed: int | None = None) -> None:
-    """CSV sweep ``r,fraction`` over the given radii (plot-ready)."""
-    variances, _ = _variance_sample(model, mode, m, seed)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write("r,fraction\n")
-        for r in radii:
-            fh.write(f"{float(r)!r},{float((variances <= r).mean())!r}\n")

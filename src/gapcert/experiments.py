@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,8 @@ import numpy as np
 from . import _rng, repetitive
 from ._version import __version__
 from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, certificate_to_json, \
-    certify_gap, exceedance_probability, subsample_info, variance_of_costs
+    certify_model, certify_solution, exceedance_probability, solution_model, \
+    subsample_info, variance_of_costs
 from .mpc import WaypointProblemParams, mpc_family
 from .oracles import refine_min
 from .percentile import Problem, confidence_of, enumerate_costs, min_samples, \
@@ -80,10 +82,6 @@ class ExperimentConfig:
         cfg = cls(**raw)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -222,16 +220,17 @@ class _RecordSink:
             self._fh.flush()
 
     def _load_partial(self):
-        with self._partial.open("r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            if header != self.columns:
-                return
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                if len(parts) != len(self.columns):
-                    continue  # torn tail line from a crash
-                rec = dict(zip(self.columns, parts))
-                self.records[self._key_of(rec)] = rec
+        """Load the newline-terminated rows, and cut off a torn tail line
+        from a crash so that the next row starts on a line of its own."""
+        data = self._partial.read_bytes()
+        complete = data[:data.rfind(b"\n") + 1]
+        os.truncate(self._partial, len(complete))
+        lines = complete.decode("utf-8").splitlines()
+        if not lines or lines[0].split(",") != self.columns:
+            return
+        for line in lines[1:]:
+            rec = dict(zip(self.columns, line.split(",")))
+            self.records[self._key_of(rec)] = rec
 
     def _key_of(self, rec: dict) -> tuple:
         return tuple(str(rec[k]) for k in self.key_cols)
@@ -322,11 +321,7 @@ def _run_certify(cfg: ExperimentConfig, out: Path):
     problem = _resolve_problem(cfg)
     t0 = time.perf_counter()
     solution = percentile_solve(problem, cfg.n_p, cfg.seed)
-    model = subsample_info(solution.info, cfg.chi,
-                           _rng.child_seed(cfg.seed, _rng.SUBSAMPLE),
-                           problem=problem)
-    cert = certify_gap(model, cfg.n_v, cfg.epsilon,
-                       _rng.child_seed(cfg.seed, _rng.CERTIFY))
+    _, cert = certify_solution(problem, solution, cfg.chi, cfg.n_v, cfg.epsilon)
     certify_s = time.perf_counter() - t0
     write_infoset_csv(solution.info, out / "infoset.csv")
     (out / "certificate.json").write_text(certificate_to_json(cert),
@@ -369,18 +364,17 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
             if sink.done(trial=trial, chi=_fmt(float(chi))):
                 continue
             if solution is None:
-                solution = percentile_solve(problem, cfg.n_p,
-                                            _rng.child_seed(cfg.seed, 100, trial))
+                solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
+                    cfg.seed, _rng.CHI_SWEEP_SOLVE, trial))
                 gap = solution.best.cost - j_star
-            model = subsample_info(solution.info, chi,
-                                   _rng.child_seed(cfg.seed, 101, trial),
-                                   problem=problem)
+            model = subsample_info(solution.info, chi, _rng.child_seed(
+                cfg.seed, _rng.CHI_SWEEP_SUBSAMPLE, trial), problem=problem)
             if exact:
                 p = float((variance_of_costs(model, all_costs) > max(gap, 0.0)).mean())
             else:
                 p = exceedance_probability(
                     model, max(gap, 0.0), mode="monte-carlo", m=cfg.mc_samples,
-                    seed=_rng.child_seed(cfg.seed, 102, trial))
+                    seed=_rng.child_seed(cfg.seed, _rng.CHI_SWEEP_EXCEEDANCE, trial))
             sink.add({"trial": trial, "chi": float(chi), "gap": gap, "p": p})
     records = sink.finish()
     by_chi = {}
@@ -412,14 +406,11 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
         for trial in range(cfg.trials):
             if sink.done(benchmark=name, trial=trial):
                 continue
-            seed = _rng.child_seed(cfg.seed, 200, trial)
-            solution = percentile_solve(problem, cfg.n_p, seed)
+            solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
+                cfg.seed, _rng.TABLE1_TRIAL, trial))
             t1 = time.perf_counter()
-            model = subsample_info(solution.info, cfg.chi,
-                                   _rng.child_seed(seed, _rng.SUBSAMPLE),
-                                   problem=problem)
-            cert = certify_gap(model, cfg.n_v, cfg.epsilon,
-                               _rng.child_seed(seed, _rng.CERTIFY))
+            _, cert = certify_solution(problem, solution, cfg.chi, cfg.n_v,
+                                       cfg.epsilon)
             certify_ms = (time.perf_counter() - t1) * 1e3
             gap = solution.best.cost - j_star
             sink.add({"benchmark": name, "trial": trial, "v_star": cert.v_star,
@@ -459,23 +450,17 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     for trial in range(cfg.trials):
         if sink.done(trial=trial):
             continue
-        seed = _rng.child_seed(cfg.seed, 300, trial)
-        solution = percentile_solve(problem, cfg.n_p, seed)
+        solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
+            cfg.seed, _rng.TSP_FIG2_TRIAL, trial))
         gap = solution.best.cost - j_star
-        model = subsample_info(solution.info, cfg.chi,
-                               _rng.child_seed(seed, _rng.SUBSAMPLE),
-                               problem=problem)
+        model = solution_model(problem, solution, cfg.chi)
         p = float((variance_of_costs(model, all_costs) > gap).mean())
-        if p <= 0.0:
-            sink.add({"trial": trial, "zeta": solution.best.cost, "gap": gap,
-                      "p": p, "n_v": 0, "v_star": float("nan"),
-                      "success": False})
-            continue
-        n_v = min_samples(p, cfg.confidence)
-        cert = certify_gap(model, n_v, p, _rng.child_seed(seed, _rng.CERTIFY))
+        n_v, v_star = 0, float("nan")  # no certificate when p = 0
+        if p > 0.0:
+            n_v = min_samples(p, cfg.confidence)
+            v_star = certify_model(model, solution, n_v, p).v_star
         sink.add({"trial": trial, "zeta": solution.best.cost, "gap": gap,
-                  "p": p, "n_v": n_v, "v_star": cert.v_star,
-                  "success": cert.v_star >= gap})
+                  "p": p, "n_v": n_v, "v_star": v_star, "success": v_star >= gap})
     records = sink.finish()
     _write_csv(out / "bound_vs_gap.csv", "trial,v_star,true_gap",
                (f"{r['trial']},{r['v_star']},{r['gap']}" for r in records))
@@ -514,7 +499,7 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
     timings = {}
     summary_rows = {}
     for n_p in cfg.n_p_list:
-        base = _rng.child_seed(cfg.seed, 400, n_p)
+        base = _rng.child_seed(cfg.seed, _rng.MPC_FIG4_BASE, n_p)
         t0 = time.perf_counter()
         gammas = phase("certify", n_p, base, _rng.FAMILY, cfg.r)
         cert = repetitive.certificate_from_samples(
@@ -530,7 +515,7 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
             timings[f"validate_np{n_p}_s"] = time.perf_counter() - t1
         counts, edges = np.histogram(gammas, bins=40)  # validation, else certify
         _write_csv(out / f"fig4_hist_np{n_p}.csv", "bin_left,bin_right,count",
-                   (f"{edges[i]!r},{edges[i + 1]!r},{c}"
+                   (f"{float(edges[i])!r},{float(edges[i + 1])!r},{c}"
                     for i, c in enumerate(counts)))
         summary_rows[str(n_p)] = {"gamma_star": cert.gamma_star,
                                   "coverage": coverage,

@@ -103,30 +103,12 @@ class InfoSet:
     def __getitem__(self, i: int) -> SampledPoint:
         return SampledPoint(self.decisions[i], float(self.costs[i]))
 
-    @property
-    def points(self) -> tuple[SampledPoint, ...]:
-        return tuple(self[i] for i in range(len(self)))
-
 
 @dataclass(frozen=True)
 class PercentileSolution:
     best: SampledPoint
     best_index: int
     info: InfoSet
-
-
-@dataclass(frozen=True)
-class ConfidenceSpec:
-    """A (percentile eps, confidence) pair, both validated to their ranges."""
-
-    epsilon: float
-    confidence: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise DomainError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.confidence < 1.0:
-            raise DomainError(f"confidence must be in [0, 1), got {self.confidence}")
 
 
 def confidence_of(epsilon: float, n: int) -> float:

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng
-from .oracles import OracleResult
 from .percentile import DomainError, Problem
 from .repetitive import ProblemFamily
 from .spaces import BoxSpace, TourSpace
@@ -84,42 +83,6 @@ def make_tsp_family(n_waypoints: int, box=((0.0, 0.0), (1.0, 1.0)),
         build=lambda s: make_tsp_problem(random_tsp_instance(n_waypoints, s, box)),
         description=label,
     )
-
-
-def two_opt_min(instance: TspInstance, n0: int = 2000, seed: int = 0,
-                max_passes: int = 200) -> OracleResult:
-    """Heuristic tour optimum: best of n0 sampled tours, then 2-opt segment
-    reversals to a local minimum.
-
-    A heuristic, not ground truth: use it only for instances too large to
-    enumerate, and never where exactness is asserted.
-    """
-    if n0 < 1:
-        raise DomainError(f"n0 must be a positive integer, got {n0}")
-    problem = make_tsp_problem(instance)
-    tours = problem.space.sample(seed, n0, path=(_rng.ORACLE,))
-    costs = tsp_cost_batch(instance, tours)
-    order = np.array(tours[int(np.argmin(costs))])
-    best = float(costs.min())
-    evaluations = n0
-    n = instance.count
-    for _ in range(max_passes):
-        improved = False
-        for i in range(n - 1):
-            # all reversals order[i:j] for j > i, evaluated as one batch
-            cands = np.tile(order, (n - i - 1, 1))
-            for k, j in enumerate(range(i + 1, n)):
-                cands[k, i:j + 1] = order[i:j + 1][::-1]
-            cand_costs = tsp_cost_batch(instance, cands)
-            evaluations += len(cands)
-            k = int(np.argmin(cand_costs))
-            if cand_costs[k] < best:
-                order, best = cands[k].copy(), float(cand_costs[k])
-                improved = True
-        if not improved:
-            break
-    return OracleResult(value=best, minimizer=order, method="2-opt-heuristic",
-                        evaluations=evaluations)
 
 
 def write_tsp_instance(instance: TspInstance, path) -> None:

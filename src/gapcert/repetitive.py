@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Collection, Iterator
 
 from . import _rng
@@ -201,12 +200,3 @@ def certificate_from_json(text: str) -> RepetitiveCertificate:
         gamma_star=float(raw["gamma_star"]), r=int(raw["r"]),
         epsilon=float(raw["epsilon"]), confidence=float(raw["confidence"]),
         n_p=int(raw["n_p"]), family=str(raw["family"]), seed=int(raw["seed"]))
-
-
-def write_gap_samples_csv(samples: list[GapSample], path) -> None:
-    """CSV dump ``trial,instance_seed,solution_cost,oracle_value,gamma``."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write("trial,instance_seed,solution_cost,oracle_value,gamma\n")
-        for i, s in enumerate(samples):
-            fh.write(f"{i},{s.instance_seed},{s.solution_cost!r},"
-                     f"{s.oracle_value!r},{s.gamma!r}\n")

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from gapcert import (
+    BENCHMARK_NAMES,
     CapacityError,
     DomainError,
     Problem,
+    _rng,
     certify_gap,
+    certify_solution,
     exhaustive_min,
     exceedance_probability,
     level_set_report,
+    make_benchmark,
     min_samples,
     percentile_solve,
     subsample_info,
@@ -21,8 +25,9 @@ from gapcert import (
 from gapcert.certifier import (
     certificate_from_json,
     certificate_to_json,
+    certify_model,
+    solution_model,
     variance_of_costs,
-    write_level_set_sweep,
 )
 from gapcert.problems import make_tsp_problem, random_tsp_instance
 from gapcert.spaces import BoxSpace, PermutationSpace
@@ -53,14 +58,14 @@ class TestSubsample:
     def test_chi_one_keeps_everything(self):
         sol = percentile_solve(linear_problem(), 37, seed=1)
         model = subsample_info(sol.info, 1.0, seed=5)
-        assert model.d_size == 37
+        assert len(model.d_costs) == 37
         assert np.array_equal(np.sort(model.d_costs), np.sort(sol.info.costs))
 
     def test_sizes(self):
         sol100 = percentile_solve(linear_problem(), 100, seed=2)
-        assert subsample_info(sol100.info, 0.05, seed=1).d_size == 5
+        assert len(subsample_info(sol100.info, 0.05, seed=1).d_costs) == 5
         sol10 = percentile_solve(linear_problem(), 10, seed=2)
-        assert subsample_info(sol10.info, 0.01, seed=1).d_size == 1
+        assert len(subsample_info(sol10.info, 0.01, seed=1).d_costs) == 1
 
     def test_deterministic_and_a_subset(self):
         sol = percentile_solve(linear_problem(), 64, seed=9)
@@ -180,6 +185,41 @@ class TestCertifyGap:
         assert lo <= truth.value <= hi
 
 
+class TestCertifySolution:
+    """The one certify pipeline draws D and the certify samples at the
+    SUBSAMPLE and CERTIFY children of the solve seed."""
+
+    @staticmethod
+    def explicit(problem, sol, chi, n_v, epsilon):
+        seed = sol.info.seed
+        model = subsample_info(sol.info, chi, _rng.child_seed(seed, _rng.SUBSAMPLE),
+                               problem=problem)
+        return model, certify_gap(model, n_v, epsilon,
+                                  _rng.child_seed(seed, _rng.CERTIFY))
+
+    @pytest.mark.parametrize("name, solve_seed", [
+        ("rastrigrin2", 7),  # the README certify config
+        *[(name, _rng.child_seed(11, _rng.TABLE1_TRIAL, trial))  # README table1
+          for name in BENCHMARK_NAMES for trial in (0, 1)],
+    ])
+    def test_matches_explicit_seeds(self, name, solve_seed):
+        problem = make_benchmark(name)
+        sol = percentile_solve(problem, 300, solve_seed)
+        model, cert = certify_solution(problem, sol, 0.1, 300, 0.01)
+        ref_model, ref = self.explicit(problem, sol, 0.1, 300, 0.01)
+        assert np.array_equal(model.d_indices, ref_model.d_indices)
+        assert (cert.d_indices, cert.v_star, cert.seed) == \
+            (ref.d_indices, ref.v_star, ref.seed)
+        assert cert == ref
+
+    def test_steps_match_explicit_seeds(self):
+        problem = make_tsp_problem(random_tsp_instance(6, seed=3))
+        sol = percentile_solve(problem, 200, _rng.child_seed(3, _rng.TSP_FIG2_TRIAL, 0))
+        model = solution_model(problem, sol, 0.1)
+        ref_model, ref = self.explicit(problem, sol, 0.1, 50, 0.2)
+        assert np.array_equal(model.d_indices, ref_model.d_indices)
+        assert certify_model(model, sol, 50, 0.2) == ref
+
 class TestExceedanceAndLevelSets:
     def test_all_variances_positive_at_zero_threshold(self):
         problem = make_tsp_problem(random_tsp_instance(5, seed=3))
@@ -246,16 +286,6 @@ class TestExceedanceAndLevelSets:
         assert rep.fraction == pytest.approx(expected, abs=0)
         assert rep.mode == "exact"
 
-    def test_sweep_csv(self, tmp_path):
-        problem = linear_problem()
-        sol = percentile_solve(problem, 30, seed=2)
-        model = subsample_info(sol.info, 0.2, seed=1, problem=problem)
-        path = tmp_path / "sweep.csv"
-        write_level_set_sweep(model, [0.0, 0.5, 1.0], path,
-                              mode="monte-carlo", m=500, seed=3)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "r,fraction"
-        assert len(lines) == 4
 
 
 def test_theorem2_coverage_small_scale():

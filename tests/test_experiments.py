@@ -6,7 +6,8 @@ import pytest
 
 from gapcert import CapacityError, exhaustive_min
 from gapcert.cli import main
-from gapcert.experiments import ConfigError, ExperimentConfig, apply_check, run
+from gapcert.experiments import ConfigError, ExperimentConfig, _RecordSink, \
+    apply_check, run
 from gapcert.problems import make_tsp_problem, random_tsp_instance, \
     write_tsp_instance
 from gapcert.spaces import PermutationSpace
@@ -140,7 +141,11 @@ class TestMpcFig4:
         cert = json.loads((tmp_path / "certificate_np40.json").read_text())
         assert cert["r"] == 6
         assert (tmp_path / "fig4_markers.csv").exists()
-        assert (tmp_path / "fig4_hist_np40.csv").exists()
+        header, *rows = (tmp_path / "fig4_hist_np40.csv").read_text().splitlines()
+        assert header == "bin_left,bin_right,count" and len(rows) == 40
+        for row in rows:  # plain numbers, not numpy reprs
+            left, right, count = row.split(",")
+            assert float(left) < float(right) and int(count) >= 0
         cov = report.summary["by_n_p"]["40"]["coverage"]
         assert cov is not None and 0.0 <= cov <= 1.0
 
@@ -314,6 +319,35 @@ class TestReproducibilityAndResume:
         assert calls["n"] == 60  # only the missing samples were recomputed
         for name, data in fresh.items():
             assert (tmp_path / name).read_bytes() == data
+
+    def test_resume_after_a_torn_last_row(self, tmp_path):
+        """A crash mid-row leaves a torn last line.  Resuming cuts it off,
+        redoes that row, and writes the fresh run's bytes."""
+        cfg = {"experiment": "chi-sweep", "seed": 4, "benchmark": "beale",
+               "n_p": 50, "trials": 2, "chis": [0.5], "mc_samples": 200,
+               "out_dir": "runs"}
+        fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+        run(cfg, out_dir=fresh)
+        expected = (fresh / "records.csv").read_text(encoding="utf-8")
+        complete = expected[:expected.rstrip("\n").rfind("\n") + 1]
+
+        def crash(cut: int) -> None:
+            resumed.mkdir(exist_ok=True)
+            (resumed / "config.json").write_bytes((fresh / "config.json").read_bytes())
+            (resumed / "records.partial.csv").write_text(
+                expected[:len(expected) - 1 - cut], encoding="utf-8")
+
+        # every comma present but the last field cut short; a bare fragment
+        for cut in (3, len(expected) - len(complete) - 3):
+            crash(cut)
+            run(cfg, out_dir=resumed)
+            assert (resumed / "records.csv").read_text(encoding="utf-8") == expected
+            crash(cut)
+            sink = _RecordSink(resumed, ExperimentConfig.from_dict(cfg),
+                               ["trial", "chi", "gap", "p"], ["trial", "chi"])
+            sink._fh.close()
+            assert (resumed / "records.partial.csv").read_text(
+                encoding="utf-8") == complete
 
     def test_changed_config_discards_stale_records(self, tmp_path):
         base = {"experiment": "table1", "trials": 3, "n_p": 30, "n_v": 30,

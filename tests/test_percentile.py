@@ -9,7 +9,6 @@ import pytest
 
 from gapcert import (
     CapacityError,
-    ConfidenceSpec,
     DomainError,
     EvaluationError,
     Problem,
@@ -96,14 +95,6 @@ class TestMinSamples:
             min_samples(0.0, 0.5)
         with pytest.raises(DomainError):
             min_samples(0.5, 1.0)
-
-
-def test_confidence_spec_validation():
-    ConfidenceSpec(0.01, 0.99)
-    with pytest.raises(DomainError):
-        ConfidenceSpec(1.5, 0.5)
-    with pytest.raises(DomainError):
-        ConfidenceSpec(0.5, 1.0)
 
 
 class TestPercentileSolve:
@@ -222,9 +213,3 @@ def test_infoset_csv_roundtrip_box(tmp_path):
     back = read_infoset_csv(tmp_path / "box.csv")
     assert np.array_equal(back.decisions, sol.info.decisions)
     assert back.n_p == 9
-
-
-def test_infoset_points_view():
-    sol = percentile_solve(constant_problem(1.0), 4, seed=0)
-    pts = sol.info.points
-    assert len(pts) == 4 and all(p.cost == 1.0 for p in pts)

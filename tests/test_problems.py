@@ -12,7 +12,6 @@ from gapcert.problems import (
     TspInstance,
     make_benchmark,
     make_tsp_family,
-    make_tsp_problem,
     random_tsp_instance,
     read_tsp_instance,
     tsp_cost,
@@ -110,31 +109,6 @@ class TestBenchmarks:
         batch = problem.evaluate_batch(pts)
         direct = [problem.cost(p) for p in pts]
         assert np.allclose(batch, direct, atol=0)
-
-
-class TestTwoOptHeuristic:
-    def test_matches_exhaustive_on_small_instances(self):
-        from gapcert.problems import two_opt_min
-        hits = 0
-        for seed in range(5):
-            inst = random_tsp_instance(7, seed=100 + seed)
-            truth = exhaustive_min(make_tsp_problem(inst))
-            heur = two_opt_min(inst, n0=50, seed=seed)
-            assert heur.value >= truth.value - 1e-12
-            assert heur.method == "2-opt-heuristic"
-            hits += heur.value <= truth.value + 1e-9
-        assert hits >= 4  # 2-opt almost always finds tiny instances' optima
-
-    def test_never_above_best_sampled_tour(self):
-        from gapcert import _rng
-        from gapcert.problems import tsp_cost_batch, two_opt_min
-        inst = random_tsp_instance(9, seed=3)
-        problem = make_tsp_problem(inst)
-        tours = problem.space.sample(5, 200, path=(_rng.ORACLE,))
-        best0 = tsp_cost_batch(inst, tours).min()
-        res = two_opt_min(inst, n0=200, seed=5)
-        assert res.value <= best0
-        assert res.value == make_tsp_problem(inst).cost(res.minimizer)
 
 
 class TestTspFamily:

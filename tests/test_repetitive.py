@@ -20,7 +20,6 @@ from gapcert.repetitive import (
     sample_gap,
     sample_gaps,
     validate_coverage,
-    write_gap_samples_csv,
 )
 from gapcert.problems import make_tsp_family, make_tsp_problem, random_tsp_instance
 from gapcert.spaces import BoxSpace
@@ -142,14 +141,6 @@ class TestCertificates:
                                      confidence=0.65, n_p=3, family="f", seed=1)
         assert certificate_from_json(certificate_to_json(cert)) == cert
 
-    def test_csv_dump(self, tmp_path):
-        family = uniform_gap_family()
-        samples = sample_gaps(family, r=5, n_p=1, oracle_cfg=DECLARED, seed=6)
-        path = tmp_path / "gaps.csv"
-        write_gap_samples_csv(samples, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "trial,instance_seed,solution_cost,oracle_value,gamma"
-        assert len(lines) == 6
 
 
 class TestValidateCoverage:

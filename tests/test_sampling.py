@@ -1,11 +1,14 @@
 """Decision spaces and the seeded stream discipline."""
 
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapcert
 from gapcert import _rng
 from gapcert.spaces import BoxSpace, PermutationSpace, SpaceError
 
@@ -48,6 +51,40 @@ def test_child_seed_stable():
     assert _rng.child_seed(3, 1, 4) != _rng.child_seed(3, 1, 5)
     assert _rng.child_seed(3, 1, 4) != _rng.child_seed(4, 1, 4)
 
+
+def test_stream_tags_are_distinct():
+    tags = {name: value for name, value in vars(_rng).items()
+            if name.isupper() and isinstance(value, int)}
+    assert "SUBSAMPLE" in tags and "MPC_FIG4_BASE" in tags
+    assert len(set(tags.values())) == len(tags), tags
+
+
+def _seed_calls(tree):
+    """(name, line, tag arguments) of every child_seed/stream call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in ("child_seed", "stream"):
+                yield name, node.lineno, node.args[1:]
+
+
+def test_no_literal_stream_tags_in_the_package():
+    """Tags are named _rng constants, and only certifier derives the
+    SUBSAMPLE and CERTIFY children of a solve seed."""
+    literals, pipeline = [], []
+    for path in sorted(Path(gapcert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, line, tags in _seed_calls(tree):
+            literals += [f"{path.name}:{line}" for t in tags
+                         if isinstance(t, ast.Constant) and isinstance(t.value, int)]
+            if name == "child_seed" and any(
+                    isinstance(t, ast.Attribute) and t.attr in ("SUBSAMPLE", "CERTIFY")
+                    for t in tags):
+                pipeline.append(path.name)
+    assert literals == []
+    assert pipeline == ["certifier.py"] * 2  # its model and certify steps
 
 def test_permutations_are_valid_and_deterministic():
     space = PermutationSpace(7)
