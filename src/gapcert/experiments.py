@@ -366,15 +366,19 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
             if solution is None:
                 solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
                     cfg.seed, _rng.CHI_SWEEP_SOLVE, trial))
+                subsample_seed = _rng.child_seed(
+                    cfg.seed, _rng.CHI_SWEEP_SUBSAMPLE, trial)
+                exceedance_seed = _rng.child_seed(
+                    cfg.seed, _rng.CHI_SWEEP_EXCEEDANCE, trial)
                 gap = solution.best.cost - j_star
-            model = subsample_info(solution.info, chi, _rng.child_seed(
-                cfg.seed, _rng.CHI_SWEEP_SUBSAMPLE, trial), problem=problem)
+            model = subsample_info(solution.info, chi, subsample_seed,
+                                   problem=problem)
             if exact:
                 p = float((variance_of_costs(model, all_costs) > max(gap, 0.0)).mean())
             else:
                 p = exceedance_probability(
                     model, max(gap, 0.0), mode="monte-carlo", m=cfg.mc_samples,
-                    seed=_rng.child_seed(cfg.seed, _rng.CHI_SWEEP_EXCEEDANCE, trial))
+                    seed=exceedance_seed)
             sink.add({"trial": trial, "chi": float(chi), "gap": gap, "p": p})
     records = sink.finish()
     by_chi = {}

@@ -80,8 +80,10 @@ def cell_of(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     inside = (x >= X_MIN) & (x <= X_MAX) & (y >= Y_MIN) & (y <= Y_MAX)
-    col = np.clip(np.ceil((x - X_MIN) / CELL_W).astype(np.intp) - 1, 0, COLS - 1)
-    row = np.clip(np.ceil((y - Y_MIN) / CELL_H).astype(np.intp) - 1, 0, ROWS - 1)
+    col = np.minimum(np.maximum(np.ceil((x - X_MIN) / CELL_W).astype(np.intp) - 1, 0),
+                     COLS - 1)
+    row = np.minimum(np.maximum(np.ceil((y - Y_MIN) / CELL_H).astype(np.intp) - 1, 0),
+                     ROWS - 1)
     col = np.where(inside, col, -1)
     row = np.where(inside, row, -1)
     if col.ndim == 0:
@@ -156,8 +158,10 @@ def _control(x, y, theta, wx, wy, params):
     dy = wy - y
     dist = np.hypot(dx, dy)
     e = _wrap_pi(np.arctan2(dy, dx) - theta)
-    v = np.clip(params.k_v * dist * np.cos(e), -params.v_max, params.v_max)
-    om = np.clip(params.k_omega * e, -params.omega_max, params.omega_max)
+    v = np.minimum(np.maximum(params.k_v * dist * np.cos(e), -params.v_max),
+                   params.v_max)
+    om = np.minimum(np.maximum(params.k_omega * e, -params.omega_max),
+                    params.omega_max)
     hold = dist < 1e-6
     return np.where(hold, 0.0, v), np.where(hold, 0.0, om)
 
@@ -341,7 +345,7 @@ class AnnulusSpace:
         if r < 1e-12:
             v, r = np.array([1.0, 0.0]), 1.0
         scaled = self.center + v * (min(max(r, self.r_min), self.r_max) / r)
-        return np.clip(scaled, [X_MIN, Y_MIN], [X_MAX, Y_MAX])
+        return np.minimum(np.maximum(scaled, (X_MIN, Y_MIN)), (X_MAX, Y_MAX))
 
 
 def waypoint_sampler(x_k, seed: int, n: int = 1,

@@ -51,6 +51,9 @@ class Problem:
     ``cost`` maps one decision to a float.  ``batch_cost`` optionally maps an
     (n, ...) array of decisions to an (n,) cost array; the solver uses it when
     present.  Both must be pure functions, safe to call concurrently.
+    ``batch_cost`` must also be row-independent: each row's value is the same,
+    bit for bit, whatever other rows share its batch, so callers may merge or
+    split batches freely (``refine_min`` evaluates many stencils at once).
     ``declared_optimum`` carries an analytically known minimum where one
     exists (used by synthetic families and tests, never inferred).
     """

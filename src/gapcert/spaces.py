@@ -63,7 +63,8 @@ class BoxSpace:
             (d >= self.lower).all() and (d <= self.upper).all())
 
     def project(self, point) -> np.ndarray:
-        return np.clip(np.asarray(point, dtype=float), self.lower, self.upper)
+        return np.minimum(np.maximum(np.asarray(point, dtype=float), self.lower),
+                          self.upper)
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

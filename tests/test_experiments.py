@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gapcert import CapacityError, exhaustive_min
+from gapcert import CapacityError, _rng, exhaustive_min
 from gapcert.cli import main
 from gapcert.experiments import ConfigError, ExperimentConfig, _RecordSink, \
     apply_check, run
@@ -200,6 +200,22 @@ class TestChiSweep:
         assert report.summary["mode"] == "monte-carlo(400)"
         assert report.summary["oracle_value"] == pytest.approx(0.0, abs=1e-3)
 
+
+    def test_trial_seeds_derived_once_per_trial(self, tmp_path, monkeypatch):
+        tags = []
+        child_seed = _rng.child_seed
+
+        def counted(seed, *path):
+            tags.append(path[0])
+            return child_seed(seed, *path)
+
+        monkeypatch.setattr(_rng, "child_seed", counted)
+        run({"experiment": "chi-sweep", "seed": 3, "benchmark": "beale",
+             "n_p": 40, "trials": 5, "mc_samples": 100, "oracle": {"n0": 200},
+             "out_dir": str(tmp_path)})
+        for tag in (_rng.CHI_SWEEP_SOLVE, _rng.CHI_SWEEP_SUBSAMPLE,
+                    _rng.CHI_SWEEP_EXCEEDANCE):
+            assert tags.count(tag) == 5, tag
 
 class TestValidate:
     def test_validates_against_stored_certificate(self, tmp_path):

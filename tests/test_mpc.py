@@ -96,6 +96,28 @@ class TestController:
         assert u.v == pytest.approx(-0.2)       # cos(pi) = -1, clamped
         assert abs(u.omega) == pytest.approx(math.pi)  # error pi, clamped
 
+    def test_exact_saturation_and_signed_zero_pinned(self):
+        def control(state, waypoint, params=PARAMS):
+            v, om = mpc._control(*(np.array([c]) for c in (*state, *waypoint)),
+                                 params)
+            return float(v[0]), float(om[0])
+
+        # 2.0 * 0.1 is exactly v_max; 4.0 * atan2(1, 1) is exactly pi
+        assert control((0.0, 0.0, 0.0), (0.1, 0.0)) == (0.2, 0.0)
+        assert control((0.0, 0.0, 0.0), (-0.1, 0.0)) == (-0.2, math.pi)
+        assert control((0.0, 0.0, 0.0), (0.1, 0.1)) == (0.2, math.pi)
+        assert control((0.0, 0.0, 0.0), (0.1, -0.1)) == (0.2, -math.pi)
+        assert control((0.0, 0.0, 0.0), (-0.0, 0.1)) == (
+            1.2246467991473533e-17, math.pi)
+        held = control((-0.0, -0.0, 0.0), (0.0, -0.0))
+        assert held == (0.0, 0.0)
+        assert [math.copysign(1.0, u) for u in held] == [1.0, 1.0]
+        # a -0.0 input to the saturation keeps its sign
+        signed = control((0.0, 0.0, 0.0), (0.1, 0.05),
+                         WaypointProblemParams(k_v=-0.0, k_omega=-0.0))
+        assert signed == (0.0, 0.0)
+        assert [math.copysign(1.0, u) for u in signed] == [-1.0, -1.0]
+
     def test_inputs_always_within_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
@@ -121,6 +143,24 @@ class TestGridAndBarrier:
     def test_outside_is_flagged(self):
         assert cell_of(1.7, 0.0) == (-1, -1)
         assert cell_of(0.0, -1.3) == (-1, -1)
+
+    def test_grid_lines_corners_and_outside_pinned(self):
+        # decimal grid lines land where their float rounding puts them
+        xs = [-1.6, -1.2, -0.8, -0.4, 0.0, 0.4, 0.8, 1.2, 1.6]
+        ys = [-1.2, -0.72, -0.24, 0.24, 0.72, 1.2]
+        col, _ = cell_of(np.array(xs), np.zeros(len(xs)))
+        _, row = cell_of(np.zeros(len(ys)), np.array(ys))
+        assert col.tolist() == [0, 1, 1, 3, 3, 4, 6, 6, 7]
+        assert row.tolist() == [0, 0, 1, 2, 3, 4]
+        assert [cell_of(x, y) for x, y in zip(xs, ys)] == [
+            (0, 0), (1, 0), (1, 1), (3, 2), (3, 3), (4, 4)]
+        assert [cell_of(x, y) for x in (-1.6, 1.6) for y in (-1.2, 1.2)] == [
+            (0, 0), (0, 4), (7, 0), (7, 4)]
+        outside = [(math.nextafter(1.6, 2.0), 0.0), (math.nextafter(-1.6, -2.0), 0.0),
+                   (0.0, math.nextafter(1.2, 2.0)), (0.0, math.nextafter(-1.2, -2.0)),
+                   (-5.0, -5.0), (5.0, 5.0)]
+        assert [cell_of(x, y) for x, y in outside] == [(-1, -1)] * 6
+        assert cell_of(-0.0, -0.0) == (3, 2)
 
     def test_cell_center_roundtrip(self):
         for col in range(8):

@@ -17,7 +17,9 @@ from gapcert.oracles import (
     refine_min,
 )
 from gapcert import _rng
+from gapcert.mpc import mpc_family
 from gapcert.problems import (
+    BENCHMARK_NAMES,
     TspInstance,
     make_benchmark,
     make_tsp_problem,
@@ -184,6 +186,112 @@ class TestRefineMin:
         d = res.to_dict()
         assert set(d) == {"value", "minimizer", "method", "evaluations",
                           "converged"}
+
+
+# refine_min results recorded before its stencils were batched across
+# levels: (value, minimizer, converged).  Benchmarks at n0 = 2000; waypoint
+# instances at n0 = 2000 (several with failed line searches), and at n0 = 3
+# on instances where the descent moves.
+BENCHMARK_PINS = {
+    ('rastrigrin2', 0): (0.0, [5.547975048891745e-10, 7.43175870184242e-10], True),
+    ('rastrigrin2', 1): (0.0, [1.8369841313075107e-13, 2.4009192912475343e-15], True),
+    ('rastrigrin10', 0): (0.0, [-1.6551955346038062e-17, 4.9533442295985443e-17, 1.6685012708388644e-17, 1.745771577959727e-19, -3.4428457173253114e-09, -2.5495914816586306e-17, 1.5440465609820714e-17, -1.5440465609820714e-17, -6.520774104554859e-17, 6.145973620542873e-17], True),
+    ('rastrigrin10', 1): (0.0, [-1.2478835746749368e-16, 6.153589031032534e-16, 5.992359366915683e-15, -2.6078651401365513e-12, -2.0180625085914074e-15, -3.970213934717638e-15, -2.3334530881085714e-15, -1.0038039589450052e-14, -2.7241207361276645e-16, 2.4186502822870284e-15], True),
+    ('ackley', 0): (0.0, [8.066422063254417e-17, 2.3582946686386057e-16], True),
+    ('ackley', 1): (0.0, [-2.0572228915551084e-16, 1.786475001951252e-16], True),
+    ('beale', 0): (2.3854727096532778e-08, [2.9996341370459, 0.4998990158618064], False),
+    ('beale', 1): (3.801326900440042e-07, [2.9985405475114537, 0.49959690528403566], False),
+    ('levi13', 0): (1.3497838043956716e-31, [1.0, 1.0], True),
+    ('levi13', 1): (1.3497838043956716e-31, [1.0, 1.0], True),
+    ('himmelblau', 0): (2.1865773344018918e-20, [3.584428340314893, -1.8481265269355], True),
+    ('himmelblau', 1): (2.718287708442379e-20, [-3.7793102533597263, -3.283185991265516], True),
+}
+MPC_PINS = {
+    (0, 2000): (1.28, [-0.16352834009179498, -0.6185518985655643], True),
+    (1, 2000): (0.96, [-0.2703406523680624, 0.14821843399537543], True),
+    (2, 2000): (0.0, [0.7985445082624404, -0.8265851625299963], True),
+    (3, 2000): (0.4, [0.5611758959181354, 0.833217860778855], True),
+    (4, 2000): (0.0, [-1.1212243522732248, -0.28612454083474503], True),
+    (5, 2000): (1.28, [-0.6804404789125746, -0.471540997189903], True),
+    (6, 2000): (0.8, [-0.76294204534469, 1.062292718747241], True),
+    (7, 2000): (1.3599999999999999, [0.6390387060713918, 1.1545695846632908], True),
+    (8, 2000): (0.88, [-0.6863575722028091, 0.28127141553416135], True),
+    (9, 2000): (0.0, [0.007493744260955587, -0.24678211940459838], True),
+    (10, 2000): (1.8399999999999999, [-1.4320796599166774, 0.3426176332514581], True),
+    (11, 2000): (1.6, [0.3572674978467732, 0.39414068051721785], True),
+    (12, 2000): (0.4, [-0.3580038375744022, -0.6907528697802409], True),
+    (13, 2000): (0.0, [-0.06463262223467743, -0.6905484532795308], True),
+    (14, 2000): (100.0, [0.3928082414473845, -0.05806665619030836], True),
+    (25, 3): (0.0, [-0.8191871542029397, 0.9829333447898734], True),
+    (56, 3): (1.3599999999999999, [1.1800220133426123, 0.7688591925483955], True),
+    (113, 3): (1.6800000000000002, [0.3691352616364174, -1.1263282653672626], True),
+    (114, 3): (0.0, [1.2062520253876583, 1.108657896416958], True),
+    (183, 3): (0.0, [-1.0246683531444112, 0.6947488308622706], True),
+}
+
+
+class TestRefineMinPinned:
+    @pytest.mark.parametrize("name,seed", list(BENCHMARK_PINS))
+    def test_benchmark(self, name, seed):
+        res = refine_min(make_benchmark(name), n0=2000, seed=seed)
+        assert (res.value, res.minimizer.tolist(), res.converged) == \
+            BENCHMARK_PINS[name, seed]
+
+    def test_waypoint_instances(self):
+        family = mpc_family()
+        for (seed, n0), pin in MPC_PINS.items():
+            res = refine_min(family.instance(seed), n0=n0, seed=seed)
+            assert (res.value, res.minimizer.tolist(), res.converged) == pin, seed
+
+    def test_one_stencil_batch_per_incumbent(self):
+        # every stencil of this instance sees a flat cost, so the descent
+        # never moves: the n0 samples, then all 17 levels' stencils at once
+        problem = mpc_family().instance(0)
+        rows = []
+
+        def counted(w):
+            rows.append(len(w))
+            return problem.batch_cost(w)
+
+        res = refine_min(Problem(space=problem.space, cost=problem.cost,
+                                 batch_cost=counted), n0=2000, seed=0)
+        assert rows == [2000, 17 * 4]
+        assert res.evaluations == 2068 and res.converged
+
+
+def _assert_row_independent(problem, rows):
+    whole = problem.evaluate_batch(rows)
+    n = len(rows)
+    for sizes in ([1] * n, [1, n - 2, 1], [3, 1, 17, n - 21]):
+        parts = [problem.evaluate_batch(p)
+                 for p in np.split(rows, np.cumsum(sizes)[:-1])]
+        assert np.array_equal(np.concatenate(parts).view(np.int64),
+                              whole.view(np.int64))
+
+
+class TestBatchContract:
+    """Cost kernels are row-independent: a batch's values equal, bit for bit,
+    those of its pieces evaluated separately (refine_min relies on this)."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_benchmarks(self, name):
+        problem = make_benchmark(name)
+        lo, hi = problem.space.bounds
+        rows = problem.space.sample(3, 60)
+        rows[:5] = lo            # stencil rows pinned to the bounds
+        rows[5:10] = hi
+        rows[10:15] = rows[20] + 1e-7 * (hi - lo)
+        _assert_row_independent(problem, rows)
+
+    @pytest.mark.parametrize("env_seed", [0, 9, 12, 113])
+    def test_waypoint_kernel(self, env_seed):
+        problem = mpc_family().instance(env_seed)
+        space = problem.space
+        rows = space.sample(env_seed, 60)
+        rows[:3] = space.center                  # the agent's own position
+        rows[3:6] = [[-0.8, 0.0], [0.0, 0.24], [1.6, 1.2]]   # cell lines
+        rows[6:9] = [[1.7, 0.0], [0.0, -1.3], [-1.6, -1.2]]  # outside and corner
+        _assert_row_independent(problem, rows)
 
 
 def test_declared_min():
