@@ -36,7 +36,7 @@ from .certifier import (
     subsample_info,
     variance_at,
 )
-from .oracles import DescentConfig, OracleError, OracleResult, exhaustive_min, refine_min
+from .oracles import OracleError, OracleResult, exhaustive_min, refine_min
 from .repetitive import (
     GapSample,
     OracleConfig,
@@ -61,7 +61,6 @@ from .mpc import (
     ControlInput,
     Environment,
     UnicycleState,
-    WaypointProblemParams,
     augmented_cost,
     barrier,
     dynamics_step,

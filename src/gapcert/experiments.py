@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -25,13 +26,14 @@ from ._version import __version__
 from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, certificate_to_json, \
     certify_model, certify_solution, exceedance_probability, solution_model, \
     subsample_info, variance_of_costs
-from .mpc import WaypointProblemParams, mpc_family
+from .mpc import mpc_family
 from .oracles import refine_min
 from .percentile import Problem, confidence_of, enumerate_costs, min_samples, \
     percentile_solve, write_infoset_csv
 from .problems import BENCHMARK_NAMES, make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance
-from .repetitive import OracleConfig, ProblemFamily, iter_gap_samples
+from .repetitive import ORACLE_METHODS, OracleConfig, ProblemFamily, \
+    iter_gap_samples
 from .spaces import BoxSpace
 
 EXPERIMENTS = ("solve", "certify", "chi-sweep", "table1", "tsp-fig2",
@@ -87,25 +89,25 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
-        try:
-            self.seed = int(self.seed)
-        except (TypeError, ValueError):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        _check_integer("seed", self.seed)
         for name in ("n_p", "n_v", "trials", "r", "mc_samples"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if not 0.0 < self.chi <= 1.0:
-            raise ConfigError(f"chi must be in (0, 1], got {self.chi}")
-        if not all(0.0 < chi <= 1.0 for chi in self.chis):
-            raise ConfigError(f"chis must all be in (0, 1], got {self.chis}")
-        if not all(int(n_p) >= 1 for n_p in self.n_p_list):
-            raise ConfigError(f"n_p_list entries must be >= 1, got {self.n_p_list}")
-        if int(self.m_validate) < 0:
-            raise ConfigError(f"m_validate must be >= 0, got {self.m_validate}")
-        if not 0.0 <= self.confidence < 1.0:
-            raise ConfigError(f"confidence must be in [0, 1), got {self.confidence}")
+            _check_integer(name, getattr(self, name), 1)
+        _check_integer("m_validate", self.m_validate, 0)
+        if self.tsp_random is not None:
+            _check_integer("tsp_random", self.tsp_random, 2)
+        _check_real("epsilon", self.epsilon, lambda v: 0.0 < v <= 1.0, "(0, 1]")
+        _check_real("chi", self.chi, lambda v: 0.0 < v <= 1.0, "(0, 1]")
+        _check_real("confidence", self.confidence, lambda v: 0.0 <= v < 1.0,
+                    "[0, 1)")
+        if not isinstance(self.chis, list):
+            raise ConfigError(f"chis must be a list, got {self.chis!r}")
+        for chi in self.chis:
+            _check_real("chis", chi, lambda v: 0.0 < v <= 1.0, "(0, 1]")
+        if not isinstance(self.n_p_list, list):
+            raise ConfigError(f"n_p_list must be a list, got {self.n_p_list!r}")
+        for n_p in self.n_p_list:
+            _check_integer("n_p_list", n_p, 1)
+        self._validate_oracle()
         needs_problem = self.experiment in ("solve", "certify", "chi-sweep",
                                             "tsp-fig2")
         if needs_problem and not (self.benchmark or self.tsp_file
@@ -114,14 +116,47 @@ class ExperimentConfig:
                               "set 'benchmark', 'tsp_file', or 'tsp_random'")
         if self.experiment in ("mpc-fig4", "validate") and self.family is None:
             self.family = "mpc"
+        if self.family is not None:
+            _resolve_family(self)  # builds nothing yet; checks the name
         if self.benchmark is not None and self.benchmark not in BENCHMARK_NAMES:
             from .problems import _ALIASES
             if self.benchmark not in _ALIASES:
                 raise ConfigError(f"benchmark must be one of {BENCHMARK_NAMES}, "
                                   f"got {self.benchmark!r}")
 
+    def _validate_oracle(self) -> None:
+        oracle = self.oracle or {}
+        if not isinstance(oracle, dict):
+            raise ConfigError(f"oracle must be an object, got {oracle!r}")
+        unknown = set(oracle) - {"method", "n0", "gap_tolerance"}
+        if unknown:
+            raise ConfigError(f"unknown oracle fields: {sorted(unknown)}")
+        if oracle.get("method", "refine-min") not in ORACLE_METHODS:
+            raise ConfigError(f"oracle.method must be one of {ORACLE_METHODS}, "
+                              f"got {oracle['method']!r}")
+        if "n0" in oracle:
+            _check_integer("oracle.n0", oracle["n0"], 1)
+        if oracle.get("gap_tolerance") is not None:
+            _check_real("oracle.gap_tolerance", oracle["gap_tolerance"],
+                        lambda v: v >= 0.0, "[0, inf)")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
+    """JSON integers only: a float such as 2.7, a string or a boolean is
+    refused, never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_real(name: str, value, in_range, interval: str) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not in_range(value)):
+        raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
 
 
 @dataclass
@@ -144,20 +179,21 @@ def _resolve_problem(cfg: ExperimentConfig) -> Problem:
     if cfg.tsp_file:
         return make_tsp_problem(read_tsp_instance(cfg.tsp_file))
     if cfg.tsp_random:
-        return make_tsp_problem(random_tsp_instance(int(cfg.tsp_random), cfg.seed))
+        return make_tsp_problem(random_tsp_instance(cfg.tsp_random, cfg.seed))
     raise ConfigError("no problem selector present")
 
 
 def _resolve_family(cfg: ExperimentConfig) -> ProblemFamily:
-    name = cfg.family or ""
+    name = str(cfg.family)
     if name == "mpc":
-        return mpc_family(WaypointProblemParams())
+        return mpc_family()
     if name == "uniform-gaps":
         return uniform_gap_family()
-    if name.startswith("tsp:"):
-        return make_tsp_family(int(name.split(":", 1)[1]))
-    raise ConfigError(f"unknown family {name!r}; expected 'mpc', "
-                      "'uniform-gaps', or 'tsp:<n>'")
+    n = name.removeprefix("tsp:")
+    if name.startswith("tsp:") and n.isdecimal() and int(n) >= 2:
+        return make_tsp_family(int(n))
+    raise ConfigError(f"family must be 'mpc', 'uniform-gaps' or 'tsp:<n>' "
+                      f"with n >= 2, got {cfg.family!r}")
 
 
 def _resolve_gap_sampling(cfg: ExperimentConfig
@@ -170,7 +206,7 @@ def _resolve_gap_sampling(cfg: ExperimentConfig
     if family.description == "uniform-gaps" and not raw:
         return family, OracleConfig(method="declared")
     return family, OracleConfig(
-        method=raw.get("method", "refine-min"), n0=int(raw.get("n0", 2000)),
+        method=raw.get("method", "refine-min"), n0=raw.get("n0", 2000),
         gap_tolerance=raw.get("gap_tolerance",
                               1.0 if cfg.family == "mpc" else None))
 
@@ -346,7 +382,7 @@ def _ground_truth(cfg: ExperimentConfig, problem: Problem
     if problem.space.cardinality is not None:
         all_costs = np.concatenate([c for _, c in enumerate_costs(problem)])
         return float(all_costs.min()), "exhaustive", all_costs
-    res = refine_min(problem, n0=int((cfg.oracle or {}).get("n0", 20000)),
+    res = refine_min(problem, n0=(cfg.oracle or {}).get("n0", 20000),
                      seed=_rng.child_seed(cfg.seed, _rng.ORACLE))
     return res.value, res.method, None
 

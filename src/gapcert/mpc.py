@@ -9,6 +9,13 @@ position.  A candidate waypoint is scored by the grid shortest-path distance
 from its cell to the nearest goal, replaced by a flat penalty of 100 whenever
 driving toward it with the waypoint controller would break the safety barrier
 within the next 5 steps.
+
+The planner is fixed in module constants: a ``HORIZON`` of 5 steps of
+``DT`` = 0.033 s, the flat ``PENALTY``, the waypoint ring from
+``ANNULUS_MIN`` to ``ANNULUS_MAX`` around the agent, the ``SAFETY_RADIUS``
+around the uncontrolled agent and the ``OBSTACLE_BARRIER`` value inside an
+obstacle cell, and the controller gains ``K_V`` and ``K_OMEGA`` saturated at
+``V_MAX`` and ``OMEGA_MAX``.
 """
 
 from __future__ import annotations
@@ -32,24 +39,24 @@ CELL_W = (X_MAX - X_MIN) / COLS   # 0.4
 CELL_H = (Y_MAX - Y_MIN) / ROWS   # 0.48
 N_OBSTACLES = 8
 N_GOALS = 3
+MAX_REJECTIONS = 10_000   # environment draws before declaring a bug
 UNREACHABLE = 1e6
 
+HORIZON = 5
+DT = 0.033
+PENALTY = 100.0
+ANNULUS_MIN = 0.05
+ANNULUS_MAX = 0.2
+SAFETY_RADIUS = 0.18
+OBSTACLE_BARRIER = -5.0
+K_V = 2.0
+K_OMEGA = 4.0
+V_MAX = 0.2
+OMEGA_MAX = math.pi
+MAX_ANNULUS_ROUNDS = 256  # refill rounds before declaring the ring off-map
+RADIUS_TOL = 1e-9         # ring membership slack for projected points
+
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class WaypointProblemParams:
-    horizon: int = 5
-    dt: float = 0.033
-    penalty: float = 100.0
-    annulus_min: float = 0.05
-    annulus_max: float = 0.2
-    safety_radius: float = 0.18
-    obstacle_barrier: float = -5.0
-    k_v: float = 2.0
-    k_omega: float = 4.0
-    v_max: float = 0.2
-    omega_max: float = math.pi
 
 
 @dataclass(frozen=True)
@@ -146,37 +153,34 @@ def _goal_distance_field(so_mask: np.ndarray,
     return dist
 
 
-def _step(x, y, theta, v, omega, params):
-    return (x + v * np.cos(theta) * params.dt,
-            y + v * np.sin(theta) * params.dt,
-            np.mod(theta + omega * params.dt, TWO_PI))
+def _step(x, y, theta, v, omega):
+    return (x + v * np.cos(theta) * DT,
+            y + v * np.sin(theta) * DT,
+            np.mod(theta + omega * DT, TWO_PI))
 
 
-def _control(x, y, theta, wx, wy, params):
+def _control(x, y, theta, wx, wy):
     """Controller inputs (v, omega) driving each state toward its waypoint."""
     dx = wx - x
     dy = wy - y
     dist = np.hypot(dx, dy)
     e = _wrap_pi(np.arctan2(dy, dx) - theta)
-    v = np.minimum(np.maximum(params.k_v * dist * np.cos(e), -params.v_max),
-                   params.v_max)
-    om = np.minimum(np.maximum(params.k_omega * e, -params.omega_max),
-                    params.omega_max)
+    v = np.minimum(np.maximum(K_V * dist * np.cos(e), -V_MAX), V_MAX)
+    om = np.minimum(np.maximum(K_OMEGA * e, -OMEGA_MAX), OMEGA_MAX)
     hold = dist < 1e-6
     return np.where(hold, 0.0, v), np.where(hold, 0.0, om)
 
 
-def _barrier(x, y, x_o, so_mask, params) -> np.ndarray:
+def _barrier(x, y, x_o, so_mask) -> np.ndarray:
     col, row = cell_of(x, y)
     valid = col >= 0
     in_so = np.zeros_like(valid)
     in_so[valid] = so_mask[row[valid], col[valid]]
-    d = np.hypot(x - x_o[0], y - x_o[1]) - params.safety_radius
-    return np.where(in_so, params.obstacle_barrier, d)
+    d = np.hypot(x - x_o[0], y - x_o[1]) - SAFETY_RADIUS
+    return np.where(in_so, OBSTACLE_BARRIER, d)
 
 
-def _rollout(x_k, waypoints: np.ndarray, env: Environment,
-             params: WaypointProblemParams):
+def _rollout(x_k, waypoints: np.ndarray, env: Environment):
     """Simulate the controller toward each of m waypoints; yield, per step,
     the m-arrays (x, y, theta, v, omega, h): the predicted state, the input
     that led to it, and its barrier value (uncontrolled agent held static).
@@ -187,24 +191,19 @@ def _rollout(x_k, waypoints: np.ndarray, env: Environment,
     x = np.full(m, float(x_k[0]))
     y = np.full(m, float(x_k[1]))
     th = np.full(m, float(x_k[2]))
-    for _ in range(params.horizon):
-        v, om = _control(x, y, th, waypoints[:, 0], waypoints[:, 1], params)
-        x, y, th = _step(x, y, th, v, om, params)
-        yield x, y, th, v, om, _barrier(x, y, env.x_o, env.so_mask, params)
+    for _ in range(HORIZON):
+        v, om = _control(x, y, th, waypoints[:, 0], waypoints[:, 1])
+        x, y, th = _step(x, y, th, v, om)
+        yield x, y, th, v, om, _barrier(x, y, env.x_o, env.so_mask)
 
 
-def dynamics_step(state: UnicycleState, control: ControlInput,
-                  params: WaypointProblemParams = WaypointProblemParams()
-                  ) -> UnicycleState:
+def dynamics_step(state: UnicycleState, control: ControlInput) -> UnicycleState:
     """One forward-Euler unicycle step; heading wraps, position is unclamped."""
-    x, y, th = _step(state.x, state.y, state.theta, control.v, control.omega,
-                     params)
+    x, y, th = _step(state.x, state.y, state.theta, control.v, control.omega)
     return UnicycleState(float(x), float(y), float(th))
 
 
-def lyapunov_controller(state: UnicycleState, waypoint,
-                        params: WaypointProblemParams = WaypointProblemParams()
-                        ) -> ControlInput:
+def lyapunov_controller(state: UnicycleState, waypoint) -> ControlInput:
     """Proportional heading/velocity law saturated to the input bounds.
 
     Forward speed scales with distance and the cosine of the heading error
@@ -212,26 +211,22 @@ def lyapunov_controller(state: UnicycleState, waypoint,
     heading error.  At the waypoint the input is identically zero.
     """
     v, omega = _control(state.x, state.y, state.theta, float(waypoint[0]),
-                        float(waypoint[1]), params)
+                        float(waypoint[1]))
     return ControlInput(float(v), float(omega))
 
 
-def barrier(x_a, x_o, env: Environment,
-            params: WaypointProblemParams = WaypointProblemParams()) -> float:
+def barrier(x_a, x_o, env: Environment) -> float:
     """Safety margin: the obstacle value inside a static-obstacle cell, else
     planar distance to the uncontrolled agent minus the safety radius."""
     a = np.asarray(x_a, dtype=float).ravel()
     return float(_barrier(a[:1], a[1:2], np.asarray(x_o, dtype=float).ravel(),
-                          env.so_mask, params)[0])
+                          env.so_mask)[0])
 
 
-def rollout_feasible(x_k, waypoint, env: Environment,
-                     params: WaypointProblemParams = WaypointProblemParams()
-                     ) -> bool:
+def rollout_feasible(x_k, waypoint, env: Environment) -> bool:
     """True iff the barrier stays nonnegative at every predicted step."""
     w = np.asarray(waypoint, dtype=float)[None, :]
-    return all(h[0] >= 0.0
-               for *_, h in _rollout(_state_array(x_k), w, env, params))
+    return all(h[0] >= 0.0 for *_, h in _rollout(_state_array(x_k), w, env))
 
 
 def shortest_goal_distance(waypoint, env: Environment) -> float:
@@ -244,29 +239,26 @@ def shortest_goal_distance(waypoint, env: Environment) -> float:
     return float(env.goal_dist[row, col])
 
 
-def augmented_cost(waypoint, env: Environment, x_k=None,
-                   params: WaypointProblemParams = WaypointProblemParams()
-                   ) -> float:
+def augmented_cost(waypoint, env: Environment, x_k=None) -> float:
     """Shortest-path-to-goal score, replaced by the flat penalty when the
     rollout is unsafe or the waypoint's cell is unreachable.  Always in
     [0, penalty]."""
     return float(augmented_cost_batch(
-        np.asarray(waypoint, dtype=float)[None, :], env, x_k, params)[0])
+        np.asarray(waypoint, dtype=float)[None, :], env, x_k)[0])
 
 
-def augmented_cost_batch(waypoints: np.ndarray, env: Environment, x_k=None,
-                         params: WaypointProblemParams = WaypointProblemParams()
-                         ) -> np.ndarray:
+def augmented_cost_batch(waypoints: np.ndarray, env: Environment,
+                         x_k=None) -> np.ndarray:
     w = np.atleast_2d(np.asarray(waypoints, dtype=float))
     x_k = env.x_a if x_k is None else _state_array(x_k)
     feasible = np.logical_and.reduce(
-        [h >= 0.0 for *_, h in _rollout(x_k, w, env, params)])
+        [h >= 0.0 for *_, h in _rollout(x_k, w, env)])
     col, row = cell_of(w[:, 0], w[:, 1])
     s = np.full(len(w), UNREACHABLE)
     ok = col >= 0
     s[ok] = env.goal_dist[row[ok], col[ok]]
     feasible &= s < UNREACHABLE
-    return np.where(feasible, s, params.penalty)
+    return np.where(feasible, s, PENALTY)
 
 
 def _state_array(state) -> np.ndarray:
@@ -277,7 +269,8 @@ def _state_array(state) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnnulusSpace:
-    """Waypoint ring around a planar point, intersected with the workspace.
+    """Waypoint ring from ``ANNULUS_MIN`` to ``ANNULUS_MAX`` around a planar
+    point, intersected with the workspace.
 
     Radius is drawn by the inverse transform on radius squared (uniform by
     area) and the angle uniformly; draws falling outside the workspace box are
@@ -286,16 +279,10 @@ class AnnulusSpace:
     """
 
     center: np.ndarray
-    r_min: float = 0.05
-    r_max: float = 0.2
 
-    def __init__(self, center, r_min: float = 0.05, r_max: float = 0.2):
-        c = np.asarray(center, dtype=float).ravel()[:2]
-        if not (0.0 <= r_min < r_max):
-            raise DomainError("need 0 <= r_min < r_max")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "r_min", float(r_min))
-        object.__setattr__(self, "r_max", float(r_max))
+    def __init__(self, center):
+        object.__setattr__(self, "center",
+                           np.asarray(center, dtype=float).ravel()[:2])
 
     @property
     def cardinality(self) -> None:
@@ -303,12 +290,12 @@ class AnnulusSpace:
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.maximum(self.center - self.r_max, [X_MIN, Y_MIN])
-        hi = np.minimum(self.center + self.r_max, [X_MAX, Y_MAX])
+        lo = np.maximum(self.center - ANNULUS_MAX, [X_MIN, Y_MIN])
+        hi = np.minimum(self.center + ANNULUS_MAX, [X_MAX, Y_MAX])
         return lo, hi
 
     def _candidates(self, u: np.ndarray) -> np.ndarray:
-        r = np.sqrt(self.r_min**2 + u[:, 0] * (self.r_max**2 - self.r_min**2))
+        r = np.sqrt(ANNULUS_MIN**2 + u[:, 0] * (ANNULUS_MAX**2 - ANNULUS_MIN**2))
         phi = TWO_PI * u[:, 1]
         return self.center + np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
 
@@ -316,14 +303,13 @@ class AnnulusSpace:
         return ((w[:, 0] >= X_MIN) & (w[:, 0] <= X_MAX)
                 & (w[:, 1] >= Y_MIN) & (w[:, 1] <= Y_MAX))
 
-    def sample(self, seed: int, n: int, path: tuple[int, ...] = (),
-               max_rounds: int = 256) -> np.ndarray:
+    def sample(self, seed: int, n: int, path: tuple[int, ...] = ()) -> np.ndarray:
         out = self._candidates(_rng.uniform_block(seed, path, n, 2))
         pending = ~self._in_box(out)
         round_no = 0
         while pending.any():
             round_no += 1
-            if round_no >= max_rounds:
+            if round_no >= MAX_ANNULUS_ROUNDS:
                 raise RuntimeError("annulus sampler exceeded its rejection cap; "
                                    "the ring barely intersects the workspace")
             refill = self._candidates(
@@ -332,10 +318,10 @@ class AnnulusSpace:
             pending &= ~self._in_box(out)
         return out
 
-    def contains(self, decision, tol: float = 1e-9) -> bool:
+    def contains(self, decision) -> bool:
         w = np.asarray(decision, dtype=float).ravel()
         r = math.hypot(w[0] - self.center[0], w[1] - self.center[1])
-        return (self.r_min - tol <= r <= self.r_max + tol
+        return (ANNULUS_MIN - RADIUS_TOL <= r <= ANNULUS_MAX + RADIUS_TOL
                 and X_MIN <= w[0] <= X_MAX and Y_MIN <= w[1] <= Y_MAX)
 
     def project(self, point) -> np.ndarray:
@@ -344,32 +330,26 @@ class AnnulusSpace:
         r = math.hypot(v[0], v[1])
         if r < 1e-12:
             v, r = np.array([1.0, 0.0]), 1.0
-        scaled = self.center + v * (min(max(r, self.r_min), self.r_max) / r)
+        scaled = self.center + v * (min(max(r, ANNULUS_MIN), ANNULUS_MAX) / r)
         return np.minimum(np.maximum(scaled, (X_MIN, Y_MIN)), (X_MAX, Y_MAX))
 
 
-def waypoint_sampler(x_k, seed: int, n: int = 1,
-                     params: WaypointProblemParams = WaypointProblemParams()
-                     ) -> np.ndarray:
+def waypoint_sampler(x_k, seed: int, n: int = 1) -> np.ndarray:
     """n waypoints uniform by area over the ring around the agent's position
     intersected with the workspace."""
-    s = _state_array(x_k)
-    space = AnnulusSpace(s[:2], params.annulus_min, params.annulus_max)
-    return space.sample(seed, n)
+    return AnnulusSpace(_state_array(x_k)[:2]).sample(seed, n)
 
 
-def sample_environment(seed: int, max_rejections: int = 10_000,
-                       n_obstacles: int = N_OBSTACLES,
-                       n_goals: int = N_GOALS) -> Environment:
+def sample_environment(seed: int) -> Environment:
     """Rejection-sample world configurations until the invariants hold:
     distinct obstacle/goal cells, both agents outside them, and a 4-connected
     obstacle-free path from the controlled agent's cell to some goal."""
     rng = _rng.stream(seed, _rng.ENVIRONMENT)
-    for attempt in range(max_rejections):
-        flat = rng.choice(ROWS * COLS, size=n_obstacles + n_goals, replace=False)
+    for attempt in range(MAX_REJECTIONS):
+        flat = rng.choice(ROWS * COLS, size=N_OBSTACLES + N_GOALS, replace=False)
         cells = [(int(f) % COLS, int(f) // COLS) for f in flat]
-        so = tuple(cells[:n_obstacles])
-        goals = tuple(cells[n_obstacles:])
+        so = tuple(cells[:N_OBSTACLES])
+        goals = tuple(cells[N_OBSTACLES:])
         blocked = set(so) | set(goals)
         ax = rng.uniform(X_MIN, X_MAX)
         ay = rng.uniform(Y_MIN, Y_MAX)
@@ -384,22 +364,20 @@ def sample_environment(seed: int, max_rejections: int = 10_000,
         acol, arow = cell_of(ax, ay)
         if env.goal_dist[arow, acol] < UNREACHABLE:
             return env
-    raise RuntimeError(f"no feasible environment after {max_rejections} draws; "
+    raise RuntimeError(f"no feasible environment after {MAX_REJECTIONS} draws; "
                        "this indicates a configuration bug")
 
 
-def mpc_family(params: WaypointProblemParams = WaypointProblemParams()
-               ) -> ProblemFamily:
+def mpc_family() -> ProblemFamily:
     """Waypoint problems over freshly sampled environments, ready for
     amortized gap certification."""
 
     def build(instance_seed: int) -> Problem:
         env = sample_environment(instance_seed)
-        space = AnnulusSpace(env.x_a[:2], params.annulus_min, params.annulus_max)
         return Problem(
-            space=space,
-            cost=lambda w: augmented_cost(w, env, env.x_a, params),
-            batch_cost=lambda w: augmented_cost_batch(w, env, env.x_a, params),
+            space=AnnulusSpace(env.x_a[:2]),
+            cost=lambda w: augmented_cost(w, env, env.x_a),
+            batch_cost=lambda w: augmented_cost_batch(w, env, env.x_a),
             name=f"mpc-waypoint-{instance_seed}",
         )
 
@@ -427,13 +405,11 @@ def read_environment(path) -> Environment:
     )
 
 
-def write_rollout_trace(x_k, waypoint, env: Environment, path,
-                        params: WaypointProblemParams = WaypointProblemParams()
-                        ) -> None:
+def write_rollout_trace(x_k, waypoint, env: Environment, path) -> None:
     """Debug CSV ``j,x,y,theta,v,omega,h`` of one predicted rollout, exactly
     as the cost kernel computes it."""
     w = np.asarray(waypoint, dtype=float)[None, :]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("j,x,y,theta,v,omega,h\n")
-        for j, row in enumerate(_rollout(_state_array(x_k), w, env, params), 1):
+        for j, row in enumerate(_rollout(_state_array(x_k), w, env), 1):
             fh.write(f"{j}," + ",".join(repr(float(a[0])) for a in row) + "\n")

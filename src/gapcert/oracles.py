@@ -11,6 +11,14 @@ The stencils of all remaining levels at an incumbent are built and evaluated
 as one batch, which the next levels reuse until a move is accepted.  Because
 cost kernels are row-independent, this gives the same result as evaluating
 one level at a time.  ``evaluations`` counts the rows actually evaluated.
+
+The descent's tuning is fixed in module constants.  Difference steps run
+from ``FD_START`` halving down to ``FD_FLOOR``, and the first line-search
+step is ``INITIAL_STEP``, all fractions of box width.  The coarse ladder
+backtracks by ``BACKTRACK``; the fine ladder, by ``FINE_BACKTRACK``, is the
+last-resort scan before declaring a stall.  Ladders stop at ``MIN_STEP`` of
+the box width, curvatures at or below ``CURVATURE_FLOOR`` count as flat, and
+the descent stops unconverged after ``MAX_ITERS`` stencils.
 """
 
 from __future__ import annotations
@@ -22,6 +30,15 @@ import numpy as np
 
 from . import _rng
 from .percentile import DomainError, OracleError, Problem, enumerate_costs
+
+FD_START = 0.05
+FD_FLOOR = 1e-6
+INITIAL_STEP = 1.0
+BACKTRACK = 0.5
+FINE_BACKTRACK = 0.85
+MIN_STEP = 1e-12
+MAX_ITERS = 2000
+CURVATURE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,20 +55,6 @@ class OracleResult:
                 "minimizer": m.tolist() if isinstance(m, np.ndarray) else m,
                 "method": self.method, "evaluations": self.evaluations,
                 "converged": self.converged}
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    """Tuning for the finite-difference descent phase (fractions of box width)."""
-
-    fd_start: float = 0.05
-    fd_floor: float = 1e-6
-    initial_step: float = 1.0
-    backtrack: float = 0.5
-    fine_backtrack: float = 0.85   # last-resort scan before declaring a stall
-    min_step: float = 1e-12
-    max_iters: int = 2000
-    curvature_floor: float = 1e-12
 
 
 def exhaustive_min(problem: Problem) -> OracleResult:
@@ -73,8 +76,7 @@ def exhaustive_min(problem: Problem) -> OracleResult:
                         method="exhaustive", evaluations=evaluations)
 
 
-def refine_min(problem: Problem, n0: int = 2000, seed: int = 0,
-               config: DescentConfig = DescentConfig()) -> OracleResult:
+def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
     """Best of n0 uniform samples, then projected finite-difference descent.
 
     Works on any space exposing per-axis ``bounds`` and a ``project`` method
@@ -116,14 +118,14 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0,
         return True
 
     def ladder(x, g, gmax, ratio) -> list[np.ndarray]:
-        t0 = config.initial_step * wmax / gmax
-        steps = math.log(t0 * gmax / (config.min_step * wmax)) / math.log(1 / ratio)
+        t0 = INITIAL_STEP * wmax / gmax
+        steps = math.log(t0 * gmax / (MIN_STEP * wmax)) / math.log(1 / ratio)
         count = min(max(int(math.ceil(steps)), 1), 400)
         return [x - (t0 * ratio**j) * g for j in range(count)]
 
-    fds = [config.fd_start]
-    while fds[-1] > config.fd_floor:
-        fds.append(max(fds[-1] * 0.5, config.fd_floor))
+    fds = [FD_START]
+    while fds[-1] > FD_FLOOR:
+        fds.append(max(fds[-1] * 0.5, FD_FLOOR))
     d = lower.size
     eye = np.eye(d, dtype=bool)
 
@@ -131,7 +133,7 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0,
         """Stencils of levels k.. at the incumbent, as many as the remaining
         iterations can consume (this one included), evaluated as one batch."""
         x = state["x"]
-        levels = fds[k:k + config.max_iters - state["iters"] + 1]
+        levels = fds[k:k + MAX_ITERS - state["iters"] + 1]
         h = np.asarray(levels)[:, None] * width
         up = np.minimum(x + h, upper)
         dn = np.maximum(x - h, lower)
@@ -143,7 +145,7 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0,
 
     def level_pass(k: int) -> bool:
         improved = False
-        while state["iters"] < config.max_iters:
+        while state["iters"] < MAX_ITERS:
             state["iters"] += 1
             x, fx = state["x"], state["fx"]
             scan_x, k0, ups, dns, scs = state["scan"]
@@ -157,29 +159,29 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0,
             if gmax == 0.0 or not math.isfinite(gmax):
                 return improved
             # curvature-informed first trials, then plain backtracking
-            newton = -g / np.maximum(curv, config.curvature_floor)
-            flat = curv <= config.curvature_floor
+            newton = -g / np.maximum(curv, CURVATURE_FLOOR)
+            flat = curv <= CURVATURE_FLOOR
             newton[flat] = (-g[flat] / gmax) * 0.1 * width[flat]
             trials = [x + tau * newton for tau in (1.0, 0.5, 0.25)]
             if try_candidates(trials) or try_candidates(
-                    ladder(x, g, gmax, config.backtrack)):
+                    ladder(x, g, gmax, BACKTRACK)):
                 improved = True
                 continue
-            if try_candidates(ladder(x, g, gmax, config.fine_backtrack)):
+            if try_candidates(ladder(x, g, gmax, FINE_BACKTRACK)):
                 improved = True
                 continue
             return improved
         return improved
 
-    while state["iters"] < config.max_iters:
+    while state["iters"] < MAX_ITERS:
         progressed = False
         for k in range(len(fds)):
             progressed |= level_pass(k)
-            if state["iters"] >= config.max_iters:
+            if state["iters"] >= MAX_ITERS:
                 break
         if not progressed:
             break
-    converged = state["iters"] < config.max_iters
+    converged = state["iters"] < MAX_ITERS
     return OracleResult(value=state["fx"], minimizer=state["x"],
                         method="refine-min", evaluations=state["evals"],
                         converged=converged)

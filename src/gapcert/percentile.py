@@ -206,11 +206,11 @@ def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
     return float((costs < threshold).mean())
 
 
-def write_infoset_csv(info: InfoSet, csv_path, manifest_path=None) -> None:
+def write_infoset_csv(info: InfoSet, csv_path) -> None:
     """Write ``index,cost,decision`` rows; decisions are JSON-encoded arrays.
 
-    The seed and sample count go to a sidecar JSON manifest (defaults to the
-    CSV path with a .manifest.json suffix).
+    The seed, sample count and decision dtype go to a sidecar JSON manifest,
+    the CSV path with a .manifest.json suffix.
     """
     csv_path = Path(csv_path)
     integer = np.issubdtype(info.decisions.dtype, np.integer)
@@ -220,19 +220,16 @@ def write_infoset_csv(info: InfoSet, csv_path, manifest_path=None) -> None:
             dec = info.decisions[i].tolist()
             dec = [int(v) for v in dec] if integer else [float(v) for v in dec]
             fh.write(f'{i},{float(info.costs[i])!r},"{json.dumps(dec)}"\n')
-    if manifest_path is None:
-        manifest_path = csv_path.with_suffix(".manifest.json")
-    Path(manifest_path).write_text(
+    csv_path.with_suffix(".manifest.json").write_text(
         json.dumps({"seed": info.seed, "n_p": info.n_p,
                     "decision_dtype": "int" if integer else "float"}, indent=2),
         encoding="utf-8")
 
 
-def read_infoset_csv(csv_path, manifest_path=None) -> InfoSet:
+def read_infoset_csv(csv_path) -> InfoSet:
     csv_path = Path(csv_path)
-    if manifest_path is None:
-        manifest_path = csv_path.with_suffix(".manifest.json")
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    manifest = json.loads(csv_path.with_suffix(".manifest.json").read_text(
+        encoding="utf-8"))
     costs, decisions = [], []
     with csv_path.open("r", encoding="utf-8") as fh:
         header = fh.readline()

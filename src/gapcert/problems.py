@@ -65,23 +65,18 @@ def make_tsp_problem(instance: TspInstance) -> Problem:
     )
 
 
-def random_tsp_instance(n_waypoints: int, seed: int,
-                        box=((0.0, 0.0), (1.0, 1.0))) -> TspInstance:
+def random_tsp_instance(n_waypoints: int, seed: int) -> TspInstance:
+    """n waypoints uniform in the unit square."""
     if n_waypoints < 2:
         raise DomainError("a tour needs at least 2 waypoints")
-    (x0, y0), (x1, y1) = box
-    u = _rng.stream(seed, _rng.FAMILY).random((n_waypoints, 2))
-    pts = np.array([x0, y0]) + u * np.array([x1 - x0, y1 - y0])
-    return TspInstance(pts)
+    return TspInstance(_rng.stream(seed, _rng.FAMILY).random((n_waypoints, 2)))
 
 
-def make_tsp_family(n_waypoints: int, box=((0.0, 0.0), (1.0, 1.0)),
-                    description: str | None = None) -> ProblemFamily:
-    """Random instances with n waypoints uniform in the box."""
-    label = description or f"tsp-{n_waypoints}-uniform"
+def make_tsp_family(n_waypoints: int) -> ProblemFamily:
+    """Random instances with n waypoints uniform in the unit square."""
     return ProblemFamily(
-        build=lambda s: make_tsp_problem(random_tsp_instance(n_waypoints, s, box)),
-        description=label,
+        build=lambda s: make_tsp_problem(random_tsp_instance(n_waypoints, s)),
+        description=f"tsp-{n_waypoints}-uniform",
     )
 
 

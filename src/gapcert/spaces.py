@@ -106,10 +106,10 @@ class PermutationSpace:
         return d.shape == (self.n_items,) and np.array_equal(
             np.sort(d), np.arange(self.n_items))
 
-    def enumerate(self, chunk: int = 10000) -> Iterator[np.ndarray]:
-        """Yield all permutations in lexicographic order, as (chunk, n) arrays
-        (the last block may be shorter)."""
-        return _rechunk(_lex_blocks(np.arange(self.n_items), ()), chunk)
+    def enumerate(self) -> Iterator[np.ndarray]:
+        """Yield all permutations in lexicographic order, in (k, n) blocks of
+        at most 7! rows."""
+        return _lex_blocks(np.arange(self.n_items), ())
 
 
 class TourSpace(PermutationSpace):
@@ -177,19 +177,3 @@ def _lex_blocks(items: np.ndarray, prefix: tuple[int, ...]) -> Iterator[np.ndarr
     for i, first in enumerate(items):
         yield from _lex_blocks(np.delete(items, i), prefix + (int(first),))
 
-
-def _rechunk(blocks: Iterator[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
-    """Re-cut a stream of row blocks into blocks of exactly ``chunk`` rows,
-    except a shorter last one."""
-    if chunk < 1:
-        raise SpaceError(f"chunk must be a positive integer, got {chunk}")
-    pending = None
-    for block in blocks:
-        if pending is not None:
-            block = np.concatenate([pending, block])
-        full = len(block) - len(block) % chunk
-        for start in range(0, full, chunk):
-            yield block[start:start + chunk]
-        pending = block[full:] if full < len(block) else None
-    if pending is not None:
-        yield pending

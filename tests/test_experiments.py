@@ -20,6 +20,22 @@ def forbid_enumeration(monkeypatch):
     monkeypatch.setattr(PermutationSpace, "enumerate", never)
 
 
+BAD_VALUES = [
+    ("epsilon", 0.0), ("chi", 2.0), ("chis", [0.5, 0.0]), ("chis", [1.5]),
+    ("n_p_list", [200, 0]), ("m_validate", -1),
+    ("n_p", "abc"), ("n_p", 2.7), ("n_p", True), ("n_v", 3.0), ("r", None),
+    ("trials", "5"), ("mc_samples", False), ("m_validate", 1.5),
+    ("seed", 2.7), ("seed", True), ("seed", "7"), ("n_p_list", [200, 2.5]),
+    ("n_p_list", 300), ("epsilon", "0.1"), ("epsilon", True), ("chi", None),
+    ("confidence", "high"), ("chis", ["0.1"]), ("chis", 0.1),
+    ("tsp_random", 1), ("tsp_random", 2.5), ("family", "tsp:1"),
+    ("family", "tsp:x"), ("family", "tsp:"), ("family", "mcp"),
+    ("oracle", {"method": "exhuastive"}), ("oracle", {"n0": 2.5}),
+    ("oracle", {"nzero": 2000}), ("oracle", {"gap_tolerance": "1"}),
+    ("oracle", [2000]),
+]
+
+
 class TestConfig:
     def test_requires_experiment_and_seed(self):
         with pytest.raises(ConfigError, match="experiment"):
@@ -43,14 +59,8 @@ class TestConfig:
                                     "benchmark": "beale"})
 
     def test_range_checks(self):
-        with pytest.raises(ConfigError, match="epsilon"):
-            ExperimentConfig.from_dict({"experiment": "solve", "seed": 1,
-                                        "benchmark": "beale", "epsilon": 0.0})
-        with pytest.raises(ConfigError, match="chi"):
-            ExperimentConfig.from_dict({"experiment": "solve", "seed": 1,
-                                        "benchmark": "beale", "chi": 2.0})
-        for field, value in (("chis", [0.5, 0.0]), ("chis", [1.5]),
-                             ("n_p_list", [200, 0]), ("m_validate", -1)):
+        # wrong types are refused, never truncated or coerced
+        for field, value in BAD_VALUES:
             with pytest.raises(ConfigError, match=field):
                 ExperimentConfig.from_dict({"experiment": "chi-sweep",
                                             "seed": 1, "benchmark": "beale",
@@ -429,6 +439,23 @@ class TestCli:
                                    "trials": 1, "out_dir": str(tmp_path)}))
         assert main([experiment, "--config", str(cfg)]) == 2
         assert "enumeration limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_p", "abc"), ("n_p", 2.7), ("epsilon", "0.1"), ("tsp_random", 1),
+        ("family", "tsp:1"), ("family", "tsp:x"),
+        ("oracle", {"method": "exhuastive"}), ("oracle", {"nzero": 5})])
+    def test_bad_field_exit_code(self, tmp_path, capsys, field, value):
+        raw = {"seed": 1, "benchmark": "beale", "out_dir": str(tmp_path)}
+        experiment = "solve"
+        if field in ("family", "oracle"):
+            raw = {"seed": 1, "r": 2, "n_p_list": [5], "out_dir": str(tmp_path)}
+            experiment = "mpc-fig4"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**raw, field: value}))
+        assert main([experiment, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2

@@ -1,5 +1,6 @@
 """Ground-truth oracles: exact enumeration and sampled local refinement."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from gapcert import CapacityError, DomainError, Problem, \
     estimate_better_fraction, percentile_solve
 from gapcert.certifier import exceedance_probability, level_set_report, \
     subsample_info, variance_of_costs
+from gapcert import oracles
 from gapcert.oracles import (
-    DescentConfig,
     OracleError,
     declared_min,
     exhaustive_min,
@@ -57,6 +58,29 @@ class TestExhaustiveMin:
                           batch_cost=lambda d: np.ones(len(d)))
         res = exhaustive_min(problem)
         assert np.array_equal(res.minimizer, [0, 1, 2, 3])
+
+    def test_tie_across_enumeration_blocks(self):
+        # the only minima sit mid-block in the blocks of orderings that start
+        # with 1 and with 5; the earlier one must win
+        targets = np.array([[1, 0, 3, 2, 5, 4, 7, 6], [5, 7, 0, 2, 4, 6, 1, 3]])
+
+        def costs(rows):
+            rows = np.atleast_2d(rows)
+            return (rows[:, None, :] != targets).sum(axis=2).min(axis=1) * 1.0
+
+        problem = Problem(space=PermutationSpace(8),
+                          cost=lambda d: float(costs(d)[0]), batch_cost=costs)
+        blocks = list(problem.space.enumerate())
+        assert [i for i, b in enumerate(blocks) if (costs(b) == 0).any()] == [1, 5]
+        res = exhaustive_min(problem)
+        assert (res.value, res.evaluations) == (0.0, math.factorial(8))
+        assert np.array_equal(res.minimizer, targets[0])
+        brute = [costs(np.array(p))[0] for p in itertools.permutations(range(8))]
+        for candidate in (targets[1], [0, 1, 2, 3, 4, 5, 6, 7],
+                          [1, 0, 3, 2, 5, 4, 6, 7]):
+            threshold = problem.evaluate(candidate)
+            assert estimate_better_fraction(problem, candidate, exact=True) == \
+                sum(c < threshold for c in brute) / len(brute)
 
     def test_capacity_error(self):
         problem = Problem(space=PermutationSpace(11), cost=lambda d: 0.0)
@@ -163,10 +187,10 @@ class TestRefineMin:
             best0 = problem.evaluate_batch(samples).min()
             assert res.value <= best0
 
-    def test_iteration_cap_reports_best_so_far(self):
-        cfg = DescentConfig(max_iters=2)
+    def test_iteration_cap_reports_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_ITERS", 2)
         problem = make_benchmark("beale")
-        res = refine_min(problem, n0=100, seed=4, config=cfg)
+        res = refine_min(problem, n0=100, seed=4)
         assert not res.converged
         samples = problem.space.sample(4, 100, path=(_rng.ORACLE,))
         assert res.value <= problem.evaluate_batch(samples).min()
@@ -180,9 +204,9 @@ class TestRefineMin:
         with pytest.raises(DomainError):
             refine_min(make_benchmark("beale"), n0=0, seed=0)
 
-    def test_result_dict(self):
-        res = refine_min(make_benchmark("levi13"), n0=200, seed=6,
-                         config=DescentConfig(max_iters=50))
+    def test_result_dict(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_ITERS", 50)
+        res = refine_min(make_benchmark("levi13"), n0=200, seed=6)
         d = res.to_dict()
         assert set(d) == {"value", "minimizer", "method", "evaluations",
                           "converged"}
