@@ -118,6 +118,12 @@ class ExperimentConfig:
             self.family = "mpc"
         if self.family is not None:
             _resolve_family(self)  # builds nothing yet; checks the name
+            methods = _oracle_methods(self.family)
+            method = (self.oracle or {}).get("method", methods[0])
+            if method not in methods:
+                raise ConfigError(f"oracle.method {method!r} cannot run on "
+                                  f"family {self.family!r}; use one of "
+                                  f"{methods}")
         if self.benchmark is not None and self.benchmark not in BENCHMARK_NAMES:
             from .problems import _ALIASES
             if self.benchmark not in _ALIASES:
@@ -196,17 +202,30 @@ def _resolve_family(cfg: ExperimentConfig) -> ProblemFamily:
                       f"with n >= 2, got {cfg.family!r}")
 
 
+def _oracle_methods(family: str) -> tuple[str, ...]:
+    """The oracle methods that can run on a family's instances, the default
+    first: tour spaces have no bounds for refine-min, only enumeration, and
+    only uniform-gaps declares its optimum."""
+    if family.startswith("tsp:"):
+        return ("exhaustive",)
+    if family == "uniform-gaps":
+        return ("refine-min", "declared")
+    return ("refine-min",)
+
+
 def _resolve_gap_sampling(cfg: ExperimentConfig
                           ) -> tuple[ProblemFamily, OracleConfig]:
     """The family and its ground-truth oracle for gap sampling.  Defaults:
-    the declared optimum for uniform-gaps, else refine-min with n0 = 2000 and,
-    for mpc (its cost takes grid-distance steps), a gap tolerance of 1.0."""
+    the declared optimum for uniform-gaps without oracle fields, exhaustive
+    enumeration for tsp:<n>, else refine-min with n0 = 2000 and, for mpc (its
+    cost takes grid-distance steps), a gap tolerance of 1.0."""
     family = _resolve_family(cfg)
     raw = cfg.oracle or {}
     if family.description == "uniform-gaps" and not raw:
         return family, OracleConfig(method="declared")
     return family, OracleConfig(
-        method=raw.get("method", "refine-min"), n0=raw.get("n0", 2000),
+        method=raw.get("method", _oracle_methods(cfg.family)[0]),
+        n0=raw.get("n0", 2000),
         gap_tolerance=raw.get("gap_tolerance",
                               1.0 if cfg.family == "mpc" else None))
 

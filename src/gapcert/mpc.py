@@ -16,6 +16,15 @@ The planner is fixed in module constants: a ``HORIZON`` of 5 steps of
 around the uncontrolled agent and the ``OBSTACLE_BARRIER`` value inside an
 obstacle cell, and the controller gains ``K_V`` and ``K_OMEGA`` saturated at
 ``V_MAX`` and ``OMEGA_MAX``.
+
+The controller saturates |v| at ``V_MAX``, so over the horizon the agent
+moves at most ``REACH`` = ``HORIZON * V_MAX * DT`` (0.033 m) plus
+``REACH_SLACK`` for rounding.  When the uncontrolled agent is at least
+``SAFETY_RADIUS + REACH`` from the start and no obstacle cell lies within
+``REACH`` of it (``_horizon_clear``), no waypoint's rollout can break the
+barrier, so the cost kernel skips the rollout; the costs are the same bits.
+About 91% of sampled environments are clear.  ``rollout_feasible`` and
+``write_rollout_trace`` always run the rollout.
 """
 
 from __future__ import annotations
@@ -55,6 +64,9 @@ V_MAX = 0.2
 OMEGA_MAX = math.pi
 MAX_ANNULUS_ROUNDS = 256  # refill rounds before declaring the ring off-map
 RADIUS_TOL = 1e-9         # ring membership slack for projected points
+REACH_SLACK = 1e-9        # floating-point rounding allowance on the reach
+# farthest the agent can move over the horizon: |v| <= V_MAX in every step
+REACH = HORIZON * V_MAX * DT + REACH_SLACK
 
 TWO_PI = 2.0 * math.pi
 
@@ -249,16 +261,47 @@ def augmented_cost(waypoint, env: Environment, x_k=None) -> float:
 
 def augmented_cost_batch(waypoints: np.ndarray, env: Environment,
                          x_k=None) -> np.ndarray:
+    """``augmented_cost`` of each waypoint row; the rollout is skipped when
+    ``_horizon_clear`` proves that it is feasible for every waypoint."""
     w = np.atleast_2d(np.asarray(waypoints, dtype=float))
     x_k = env.x_a if x_k is None else _state_array(x_k)
-    feasible = np.logical_and.reduce(
-        [h >= 0.0 for *_, h in _rollout(x_k, w, env)])
+    if _horizon_clear(x_k, env):
+        feasible = np.ones(len(w), dtype=bool)
+    else:
+        feasible = np.logical_and.reduce(
+            [h >= 0.0 for *_, h in _rollout(x_k, w, env)])
     col, row = cell_of(w[:, 0], w[:, 1])
     s = np.full(len(w), UNREACHABLE)
     ok = col >= 0
     s[ok] = env.goal_dist[row[ok], col[ok]]
     feasible &= s < UNREACHABLE
     return np.where(feasible, s, PENALTY)
+
+
+def _horizon_clear(x_k, env: Environment) -> bool:
+    """True when the barrier provably holds over the whole rollout from x_k,
+    whatever the waypoint.
+
+    ``_control`` saturates |v| at ``V_MAX``, so every predicted position lies
+    within ``REACH`` of the start.  The barrier then cannot fail when the
+    uncontrolled agent is at least ``SAFETY_RADIUS + REACH`` away and no
+    obstacle cell meets the cells covering [x +- REACH] x [y +- REACH].  That
+    cell rectangle uses ``cell_of``'s ceil/clamp arithmetic on its corners,
+    clamped into the workspace; cell indices are monotone in x and y and
+    points outside the workspace are never obstacle cells, so it holds every
+    cell a rollout can visit.  A non-finite start is never clear.
+    """
+    x, y, theta = x_k[:3].tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+        return False
+    ox, oy = env.x_o[:2].tolist()
+    if not math.hypot(x - ox, y - oy) >= SAFETY_RADIUS + REACH:
+        return False
+    c0, c1 = (min(max(math.ceil((min(max(v, X_MIN), X_MAX) - X_MIN) / CELL_W)
+                      - 1, 0), COLS - 1) for v in (x - REACH, x + REACH))
+    r0, r1 = (min(max(math.ceil((min(max(v, Y_MIN), Y_MAX) - Y_MIN) / CELL_H)
+                      - 1, 0), ROWS - 1) for v in (y - REACH, y + REACH))
+    return not env.so_mask[r0:r1 + 1, c0:c1 + 1].any()
 
 
 def _state_array(state) -> np.ndarray:
@@ -318,20 +361,36 @@ class AnnulusSpace:
             pending &= ~self._in_box(out)
         return out
 
-    def contains(self, decision) -> bool:
-        w = np.asarray(decision, dtype=float).ravel()
-        r = math.hypot(w[0] - self.center[0], w[1] - self.center[1])
-        return (ANNULUS_MIN - RADIUS_TOL <= r <= ANNULUS_MAX + RADIUS_TOL
-                and X_MIN <= w[0] <= X_MAX and Y_MIN <= w[1] <= Y_MAX)
+    def _radii(self, w: np.ndarray) -> np.ndarray:
+        """Distance of each (k, 2) row from the center, by ``math.hypot``
+        (``np.hypot`` can differ from it in the last bit)."""
+        v = w - self.center
+        return np.fromiter(map(math.hypot, *v.T.tolist()), dtype=float,
+                           count=len(v))
+
+    def contains(self, decision):
+        """Membership of a waypoint (2,) as a bool, or of each row of a
+        (k, 2) array as a (k,) bool array."""
+        w = np.asarray(decision, dtype=float)
+        rows = w[:, :2] if w.ndim == 2 else w.ravel()[None, :2]
+        r = self._radii(rows)
+        inside = ((ANNULUS_MIN - RADIUS_TOL <= r) & (r <= ANNULUS_MAX + RADIUS_TOL)
+                  & self._in_box(rows))
+        return inside if w.ndim == 2 else bool(inside[0])
 
     def project(self, point) -> np.ndarray:
-        w = np.asarray(point, dtype=float).ravel()[:2]
-        v = w - self.center
-        r = math.hypot(v[0], v[1])
-        if r < 1e-12:
-            v, r = np.array([1.0, 0.0]), 1.0
-        scaled = self.center + v * (min(max(r, ANNULUS_MIN), ANNULUS_MAX) / r)
-        return np.minimum(np.maximum(scaled, (X_MIN, Y_MIN)), (X_MAX, Y_MAX))
+        """Nearest-radius point of the ring, clipped to the workspace, for a
+        point (2,) or for each row of a (k, 2) array."""
+        w = np.asarray(point, dtype=float)
+        rows = w[:, :2] if w.ndim == 2 else w.ravel()[None, :2]
+        v = rows - self.center
+        r = self._radii(rows)
+        at_center = r < 1e-12
+        v[at_center], r[at_center] = (1.0, 0.0), 1.0
+        scale = np.minimum(np.maximum(r, ANNULUS_MIN), ANNULUS_MAX) / r
+        scaled = self.center + v * scale[:, None]
+        out = np.minimum(np.maximum(scaled, (X_MIN, Y_MIN)), (X_MAX, Y_MAX))
+        return out if w.ndim == 2 else out[0]
 
 
 def waypoint_sampler(x_k, seed: int, n: int = 1) -> np.ndarray:

@@ -10,7 +10,10 @@ cost, so the refined value never exceeds the best sampled one.
 The stencils of all remaining levels at an incumbent are built and evaluated
 as one batch, which the next levels reuse until a move is accepted.  Because
 cost kernels are row-independent, this gives the same result as evaluating
-one level at a time.  ``evaluations`` counts the rows actually evaluated.
+one level at a time.  Each line search likewise projects, evaluates and
+checks the membership of its candidate rows (the curvature trials, then each
+backtracking ladder) as one batch.  ``evaluations`` counts the rows actually
+evaluated.
 
 The descent's tuning is fixed in module constants.  Difference steps run
 from ``FD_START`` halving down to ``FD_FLOOR``, and the first line-search
@@ -99,17 +102,15 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
     state = {"x": np.array(samples[i], dtype=float), "fx": float(costs[i]),
              "evals": n0, "iters": 0, "scan": (None, 0, (), (), ())}
 
-    def try_candidates(cands: list[np.ndarray]) -> bool:
-        """Accept the first strict improvement, in candidate order (identical
-        result to sequential backtracking; evaluated as one batch)."""
-        if not cands:
-            return False
-        projected = np.asarray([space.project(c) for c in cands])
+    def try_candidates(cands: np.ndarray) -> bool:
+        """Accept the first strict improvement among the (k, d) candidate
+        rows, in row order (identical result to sequential backtracking;
+        projected, evaluated and checked as one batch)."""
+        projected = space.project(cands)
         values = problem.evaluate_batch(projected)
         state["evals"] += len(values)
         ok = np.isfinite(values) & (values < state["fx"])
-        ok &= np.fromiter((space.contains(p) for p in projected),
-                          dtype=bool, count=len(projected))
+        ok &= space.contains(projected)
         hits = np.nonzero(ok)[0]
         if hits.size == 0:
             return False
@@ -117,11 +118,12 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
         state["x"], state["fx"] = projected[j].copy(), float(values[j])
         return True
 
-    def ladder(x, g, gmax, ratio) -> list[np.ndarray]:
+    def ladder(x, g, gmax, ratio) -> np.ndarray:
         t0 = INITIAL_STEP * wmax / gmax
         steps = math.log(t0 * gmax / (MIN_STEP * wmax)) / math.log(1 / ratio)
         count = min(max(int(math.ceil(steps)), 1), 400)
-        return [x - (t0 * ratio**j) * g for j in range(count)]
+        ts = np.array([t0 * ratio**j for j in range(count)])
+        return x - ts[:, None] * g
 
     fds = [FD_START]
     while fds[-1] > FD_FLOOR:
@@ -162,7 +164,7 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
             newton = -g / np.maximum(curv, CURVATURE_FLOOR)
             flat = curv <= CURVATURE_FLOOR
             newton[flat] = (-g[flat] / gmax) * 0.1 * width[flat]
-            trials = [x + tau * newton for tau in (1.0, 0.5, 0.25)]
+            trials = x + np.array([1.0, 0.5, 0.25])[:, None] * newton
             if try_candidates(trials) or try_candidates(
                     ladder(x, g, gmax, BACKTRACK)):
                 improved = True

@@ -57,12 +57,19 @@ class BoxSpace:
         u = _rng.uniform_block(seed, path, n, self.dim)
         return self.lower + u * (self.upper - self.lower)
 
-    def contains(self, decision) -> bool:
+    def contains(self, decision):
+        """Membership of a decision (dim,) as a bool, or of each row of a
+        (k, dim) array as a (k,) bool array."""
         d = np.asarray(decision, dtype=float)
-        return d.shape == self.lower.shape and bool(
-            (d >= self.lower).all() and (d <= self.upper).all())
+        rows = d if d.ndim == 2 else d[None]
+        inside = np.zeros(len(rows), dtype=bool)
+        if rows.shape[1:] == self.lower.shape:
+            inside = ((rows >= self.lower) & (rows <= self.upper)).all(axis=1)
+        return inside if d.ndim == 2 else bool(inside[0])
 
     def project(self, point) -> np.ndarray:
+        """Nearest point of the box, for a point (dim,) or for each row of a
+        (k, dim) array."""
         return np.minimum(np.maximum(np.asarray(point, dtype=float), self.lower),
                           self.upper)
 

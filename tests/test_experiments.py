@@ -8,8 +8,8 @@ from gapcert import CapacityError, _rng, exhaustive_min
 from gapcert.cli import main
 from gapcert.experiments import ConfigError, ExperimentConfig, _RecordSink, \
     apply_check, run
-from gapcert.problems import make_tsp_problem, random_tsp_instance, \
-    write_tsp_instance
+from gapcert.problems import make_tsp_family, make_tsp_problem, \
+    random_tsp_instance, write_tsp_instance
 from gapcert.spaces import PermutationSpace
 
 
@@ -443,7 +443,8 @@ class TestCli:
     @pytest.mark.parametrize("field, value", [
         ("n_p", "abc"), ("n_p", 2.7), ("epsilon", "0.1"), ("tsp_random", 1),
         ("family", "tsp:1"), ("family", "tsp:x"),
-        ("oracle", {"method": "exhuastive"}), ("oracle", {"nzero": 5})])
+        ("oracle", {"method": "exhuastive"}), ("oracle", {"nzero": 5}),
+        ("oracle", {"method": "declared"}), ("oracle", {"method": "exhaustive"})])
     def test_bad_field_exit_code(self, tmp_path, capsys, field, value):
         raw = {"seed": 1, "benchmark": "beale", "out_dir": str(tmp_path)}
         experiment = "solve"
@@ -456,6 +457,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and field in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("oracle", [{"method": "refine-min"},
+                                        {"method": "declared"}])
+    def test_oracle_method_the_family_cannot_run_exit_code(self, tmp_path,
+                                                           capsys, oracle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "family": "tsp:5", "r": 2,
+                                   "n_p_list": [5], "oracle": oracle,
+                                   "out_dir": str(tmp_path)}))
+        assert main(["mpc-fig4", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "oracle.method" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_tour_family_defaults_to_exhaustive(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "family": "tsp:5", "r": 2,
+                                   "n_p_list": [5], "out_dir": str(tmp_path)}))
+        assert main(["mpc-fig4", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "records.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        family = make_tsp_family(5)
+        for row in rows:
+            _, _, _, seed, _, oracle_value, _ = row.split(",")
+            exact = exhaustive_min(family.instance(int(seed))).value
+            assert float(oracle_value) == exact
 
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2

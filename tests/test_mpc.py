@@ -395,3 +395,197 @@ class TestSingleKernel:
             assert rows == [[float(a[k]) for a in step] for step in steps]
             if min(row[-1] for row in rows) < 0.0:
                 assert costs[k] == mpc.PENALTY
+
+
+def full_rollout_cost(w, env, x_k):
+    """The waypoint cost with the rollout always run: the reference that the
+    horizon skip must reproduce bit for bit."""
+    feasible = np.ones(len(w), dtype=bool)
+    for *_, h in mpc._rollout(x_k, w, env):
+        feasible &= h >= 0.0
+    col, row = cell_of(w[:, 0], w[:, 1])
+    s = np.full(len(w), UNREACHABLE)
+    ok = col >= 0
+    s[ok] = env.goal_dist[row[ok], col[ok]]
+    return np.where(feasible & (s < UNREACHABLE), s, mpc.PENALTY)
+
+
+def count_rollouts(monkeypatch) -> list:
+    calls = []
+    rollout = mpc._rollout
+
+    def counted(*args):
+        calls.append(1)
+        return rollout(*args)
+
+    monkeypatch.setattr(mpc, "_rollout", counted)
+    return calls
+
+
+class TestHorizonSkip:
+    """``augmented_cost_batch`` skips the rollout only where no rollout can
+    break the barrier within the horizon, and gives the same bits."""
+
+    def test_one_step_never_exceeds_the_speed_limit(self):
+        rng = np.random.default_rng(41)
+        n = 100_000
+        x = rng.uniform(-1.8, 1.8, n)
+        y = rng.uniform(-1.4, 1.4, n)
+        th = rng.uniform(-10.0, 10.0, n)
+        wx = x + rng.uniform(-3.0, 3.0, n)
+        wy = y + rng.uniform(-3.0, 3.0, n)
+        wx[:1000] = x[:1000] + rng.uniform(-1e-6, 1e-6, 1000)  # near hold
+        v, om = mpc._control(x, y, th, wx, wy)
+        assert (np.abs(v) <= mpc.V_MAX).all()
+        nx, ny, _ = mpc._step(x, y, th, v, om)
+        move = np.hypot(nx - x, ny - y)
+        # rounding adds at most a few ulps per step, far inside the slack
+        assert move.max() <= mpc.V_MAX * mpc.DT + 1e-15
+        assert mpc.HORIZON * 1e-15 < mpc.REACH_SLACK
+
+    def test_rollout_stays_within_reach(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x_k = np.array([*rng.uniform(-1.6, 1.6, 1), *rng.uniform(-1.2, 1.2, 1),
+                            rng.uniform(0.0, 2 * math.pi)])
+            w = x_k[:2] + rng.uniform(-0.3, 0.3, (200, 2))
+            env = open_environment(x_a=x_k)
+            for x, y, *_ in mpc._rollout(x_k, w, env):
+                reach = np.hypot(x - x_k[0], y - x_k[1])
+                assert reach.max() <= mpc.REACH
+
+    def test_batch_equals_full_rollout_over_many_environments(self):
+        rng = np.random.default_rng(2024)
+        edge = np.array([[mpc.X_MIN, 0.0], [mpc.X_MAX, 0.0], [0.0, mpc.Y_MIN],
+                         [0.0, mpc.Y_MAX], [mpc.X_MIN, mpc.Y_MIN],
+                         [mpc.X_MAX, mpc.Y_MAX], [mpc.X_MAX + 1e-9, 0.5],
+                         [-0.3, mpc.Y_MIN - 1e-9]])
+        mismatches = clear = refused = infeasible_refused = 0
+        for seed in range(1000):
+            env = sample_environment(seed)
+            ring = AnnulusSpace(env.x_a[:2]).sample(seed, 16)
+            box = env.x_a[:2] + rng.uniform(-0.25, 0.25, (16, 2))
+            w = np.concatenate([ring, box, edge])
+            # the sampled start, and a random start that often sits near a
+            # hazard, so both paths run
+            starts = [env.x_a, np.array([rng.uniform(-1.6, 1.6),
+                                         rng.uniform(-1.2, 1.2),
+                                         rng.uniform(0.0, 2 * math.pi)])]
+            for x_k in starts:
+                want = full_rollout_cost(w, env, x_k)
+                got = augmented_cost_batch(w, env, x_k)
+                mismatches += not np.array_equal(got.view(np.int64),
+                                                 want.view(np.int64))
+                if mpc._horizon_clear(x_k, env):
+                    clear += 1
+                else:
+                    refused += 1
+                    infeasible_refused += not rollout_feasible(x_k, w[0], env)
+        assert mismatches == 0
+        assert clear > 1000 and refused > 200 and infeasible_refused > 0
+
+    @pytest.mark.parametrize("x_a, x_o", [
+        ((0.0, 0.0, 0.0), (0.2, 0.0)),           # agent within 0.18 + REACH
+        ((0.0, 0.0, 1.0), (0.0, -0.21)),
+        ((-0.02, 0.22, 0.5), (-1.5, -1.1)),      # obstacle (4, 3) within REACH
+        ((0.41, 0.21, 2.0), (-1.5, -1.1)),       # obstacle (4, 3) diagonally
+    ])
+    def test_hazard_within_reach_runs_the_rollout(self, monkeypatch, x_a, x_o):
+        env = open_environment(x_a=x_a, x_o=x_o)
+        assert not mpc._horizon_clear(env.x_a, env)
+        calls = count_rollouts(monkeypatch)
+        w = np.concatenate([AnnulusSpace(env.x_a[:2]).sample(1, 64),
+                            env.x_a[:2] + [[0.2, 0.0], [0.0, 0.2]]])
+        got = augmented_cost_batch(w, env)
+        assert len(calls) == 1
+        assert np.array_equal(got, full_rollout_cost(w, env, env.x_a))
+
+    def test_hazard_just_beyond_reach_is_skipped(self):
+        gap = mpc.SAFETY_RADIUS + mpc.REACH
+        env = open_environment(x_a=(0.0, 0.0, 0.0), x_o=(gap + 1e-12, 0.0))
+        assert mpc._horizon_clear(env.x_a, env)
+        near = open_environment(x_a=(0.0, 0.0, 0.0), x_o=(gap - 1e-12, 0.0))
+        assert not mpc._horizon_clear(near.x_a, near)
+
+    def test_clear_environment_skips_the_rollout(self, monkeypatch):
+        env = open_environment()
+        calls = count_rollouts(monkeypatch)
+        w = AnnulusSpace(env.x_a[:2]).sample(4, 200)
+        got = augmented_cost_batch(w, env)
+        assert calls == []
+        monkeypatch.undo()
+        assert np.array_equal(got, full_rollout_cost(w, env, env.x_a))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("x_k", [
+        (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan),
+        (0.0, 0.0, -math.inf)])
+    def test_non_finite_start_runs_the_rollout(self, monkeypatch, x_k):
+        env = open_environment()
+        calls = count_rollouts(monkeypatch)
+        w = AnnulusSpace(env.x_a[:2]).sample(6, 20)
+        got = augmented_cost_batch(w, env, x_k)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        want = full_rollout_cost(w, env, np.asarray(x_k))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_uncontrolled_agent_runs_the_rollout(self, monkeypatch):
+        env = open_environment(x_o=(math.nan, 0.0))
+        calls = count_rollouts(monkeypatch)
+        w = AnnulusSpace(env.x_a[:2]).sample(6, 20)
+        assert (augmented_cost_batch(w, env) == mpc.PENALTY).all()
+        assert len(calls) == 1
+
+
+def scalar_project(space, point):
+    """The per-point projection written out with ``math.hypot``, the
+    reference the row form must match bit for bit."""
+    v = np.asarray(point, dtype=float) - space.center
+    r = math.hypot(v[0], v[1])
+    if r < 1e-12:
+        v, r = np.array([1.0, 0.0]), 1.0
+    scaled = space.center + v * (min(max(r, mpc.ANNULUS_MIN), mpc.ANNULUS_MAX) / r)
+    return np.minimum(np.maximum(scaled, (mpc.X_MIN, mpc.Y_MIN)),
+                      (mpc.X_MAX, mpc.Y_MAX))
+
+
+def scalar_contains(space, point):
+    w = np.asarray(point, dtype=float)
+    r = math.hypot(w[0] - space.center[0], w[1] - space.center[1])
+    return (mpc.ANNULUS_MIN - mpc.RADIUS_TOL <= r <= mpc.ANNULUS_MAX + mpc.RADIUS_TOL
+            and mpc.X_MIN <= w[0] <= mpc.X_MAX and mpc.Y_MIN <= w[1] <= mpc.Y_MAX)
+
+
+class TestAnnulusRows:
+    """``project`` and ``contains`` on (k, 2) rows equal the per-point
+    formulas bit for bit, and the single-point calls are views of them."""
+
+    def points(self, space):
+        rng = np.random.default_rng(8)
+        c = space.center
+        return np.concatenate([
+            rng.uniform(-2.0, 2.0, (2000, 2)),
+            c + rng.uniform(-0.25, 0.25, (2000, 2)),
+            [c, c + [1e-13, 0.0], c + [0.05, 0.0], c + [0.2, 0.0],
+             c + [0.2 + 1e-9, 0.0], c + [0.0, 0.05 - 2e-9],
+             [mpc.X_MAX, c[1]], [math.nan, 0.0], [math.inf, 0.0]]])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (1.55, 1.15), (-1.6, 0.3)])
+    def test_rows_equal_single_points(self, center):
+        space = AnnulusSpace(center)
+        pts = self.points(space)
+        proj = space.project(pts)
+        want = np.array([scalar_project(space, p) for p in pts])
+        assert proj.shape == pts.shape
+        assert np.array_equal(proj.view(np.int64), want.view(np.int64))
+        one = np.array([space.project(p) for p in pts])
+        assert np.array_equal(one.view(np.int64), want.view(np.int64))
+        for rows in (pts, proj):
+            inside = space.contains(rows)
+            assert inside.dtype == bool
+            assert inside.tolist() == [scalar_contains(space, p) for p in rows]
+            assert inside.tolist() == [space.contains(p) for p in rows]
+        assert isinstance(space.contains(pts[0]), bool)

@@ -40,6 +40,25 @@ def test_box_prefix_property():
     assert np.array_equal(small, large[:100])
 
 
+def test_box_rows_equal_single_points():
+    space = BoxSpace([-2.0, 0.0, 10.0], [-1.0, 5.0, 11.0])
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([rng.uniform(-3.0, 12.0, (200, 3)),
+                          [space.lower, space.upper, [-2.0, 5.0, 11.0 + 1e-12],
+                           [math.nan, 1.0, 10.5], [-math.inf, 1.0, 10.5]]])
+    proj = space.project(pts)
+    assert np.array_equal(proj, np.array([space.project(p) for p in pts]),
+                          equal_nan=True)
+    for rows in (pts, proj):
+        inside = space.contains(rows)
+        assert inside.dtype == bool
+        assert inside.tolist() == [space.contains(p) for p in rows]
+    assert space.contains(proj[:-2]).all() and not space.contains(pts[-3:]).any()
+    assert isinstance(space.contains(pts[0]), bool)
+    assert not space.contains([-1.5, 1.0])              # wrong length
+    assert not space.contains(np.zeros((4, 2))).any()   # rows of wrong length
+
+
 def test_distinct_tags_give_distinct_streams():
     space = BoxSpace([0.0], [1.0])
     a = space.sample(7, 50, path=(_rng.SOLVE,))
