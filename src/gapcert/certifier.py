@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _rng
 from .percentile import DomainError, InfoSet, PercentileSolution, Problem, \
-    confidence_of, enumerate_costs, min_samples
+    confidence_of, min_samples
 
 DEFAULT_CHI = 0.1
 DEFAULT_EPSILON = 0.01  # safe when the unknown exceedance probability p >= 1e-2
@@ -167,9 +167,7 @@ def _variance_sample(model: VarianceModel, mode: str, m: int | None,
                      seed: int | None) -> tuple[np.ndarray, str]:
     problem = model.problem
     if mode == "exact":
-        chunks = [variance_of_costs(model, costs)
-                  for _, costs in enumerate_costs(problem)]
-        return np.concatenate(chunks), "exact"
+        return variance_of_costs(model, problem.enumeration[0]), "exact"
     if mode == "monte-carlo":
         if m is None or m < 1:
             raise DomainError("monte-carlo mode needs a positive sample count m")

@@ -25,19 +25,18 @@ from . import _rng, repetitive
 from ._version import __version__
 from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, certificate_to_json, \
     certify_model, certify_solution, exceedance_probability, solution_model, \
-    subsample_info, variance_of_costs
+    subsample_info
 from .mpc import mpc_family
-from .oracles import refine_min
-from .percentile import Problem, confidence_of, enumerate_costs, min_samples, \
+from .percentile import Problem, confidence_of, min_samples, \
     percentile_solve, write_infoset_csv
 from .problems import BENCHMARK_NAMES, make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance
-from .repetitive import ORACLE_METHODS, OracleConfig, ProblemFamily, \
-    iter_gap_samples
+from .repetitive import OracleConfig, ProblemFamily, iter_gap_samples
 from .spaces import BoxSpace
 
 EXPERIMENTS = ("solve", "certify", "chi-sweep", "table1", "tsp-fig2",
                "mpc-fig4", "validate")
+GAP_EXPERIMENTS = ("mpc-fig4", "validate")  # sample a family's gaps
 
 
 class ConfigError(ValueError):
@@ -107,23 +106,18 @@ class ExperimentConfig:
             raise ConfigError(f"n_p_list must be a list, got {self.n_p_list!r}")
         for n_p in self.n_p_list:
             _check_integer("n_p_list", n_p, 1)
-        self._validate_oracle()
         needs_problem = self.experiment in ("solve", "certify", "chi-sweep",
                                             "tsp-fig2")
         if needs_problem and not (self.benchmark or self.tsp_file
                                   or self.tsp_random):
             raise ConfigError(f"experiment {self.experiment!r} needs a problem: "
                               "set 'benchmark', 'tsp_file', or 'tsp_random'")
-        if self.experiment in ("mpc-fig4", "validate") and self.family is None:
+        if self.experiment in GAP_EXPERIMENTS and self.family is None:
             self.family = "mpc"
         if self.family is not None:
             _resolve_family(self)  # builds nothing yet; checks the name
-            methods = _oracle_methods(self.family)
-            method = (self.oracle or {}).get("method", methods[0])
-            if method not in methods:
-                raise ConfigError(f"oracle.method {method!r} cannot run on "
-                                  f"family {self.family!r}; use one of "
-                                  f"{methods}")
+        if self.oracle:
+            self._validate_oracle()
         if self.benchmark is not None and self.benchmark not in BENCHMARK_NAMES:
             from .problems import _ALIASES
             if self.benchmark not in _ALIASES:
@@ -131,20 +125,34 @@ class ExperimentConfig:
                                   f"got {self.benchmark!r}")
 
     def _validate_oracle(self) -> None:
-        oracle = self.oracle or {}
+        oracle = self.oracle
         if not isinstance(oracle, dict):
             raise ConfigError(f"oracle must be an object, got {oracle!r}")
         unknown = set(oracle) - {"method", "n0", "gap_tolerance"}
         if unknown:
             raise ConfigError(f"unknown oracle fields: {sorted(unknown)}")
-        if oracle.get("method", "refine-min") not in ORACLE_METHODS:
-            raise ConfigError(f"oracle.method must be one of {ORACLE_METHODS}, "
-                              f"got {oracle['method']!r}")
+        methods = _oracle_methods(self)
+        if not methods:
+            raise ConfigError(f"oracle: experiment {self.experiment!r} uses "
+                              f"no oracle, got fields {sorted(oracle)}")
+        method = oracle.get("method", methods[0])
+        if method not in methods:
+            on = (f"family {self.family!r}" if self.experiment in
+                  GAP_EXPERIMENTS else f"the {self.experiment} problem")
+            raise ConfigError(f"oracle.method {method!r} cannot run on {on}; "
+                              f"use one of {methods}")
         if "n0" in oracle:
+            if method != "refine-min":
+                raise ConfigError(f"oracle.n0 applies only to method "
+                                  f"'refine-min', not {method!r}")
             _check_integer("oracle.n0", oracle["n0"], 1)
-        if oracle.get("gap_tolerance") is not None:
-            _check_real("oracle.gap_tolerance", oracle["gap_tolerance"],
-                        lambda v: v >= 0.0, "[0, inf)")
+        if "gap_tolerance" in oracle:
+            if self.experiment not in GAP_EXPERIMENTS:
+                raise ConfigError(f"oracle.gap_tolerance applies only to "
+                                  f"{GAP_EXPERIMENTS}, not {self.experiment!r}")
+            if oracle["gap_tolerance"] is not None:
+                _check_real("oracle.gap_tolerance", oracle["gap_tolerance"],
+                            lambda v: v >= 0.0, "[0, inf)")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -202,32 +210,40 @@ def _resolve_family(cfg: ExperimentConfig) -> ProblemFamily:
                       f"with n >= 2, got {cfg.family!r}")
 
 
-def _oracle_methods(family: str) -> tuple[str, ...]:
-    """The oracle methods that can run on a family's instances, the default
-    first: tour spaces have no bounds for refine-min, only enumeration, and
-    only uniform-gaps declares its optimum."""
-    if family.startswith("tsp:"):
-        return ("exhaustive",)
-    if family == "uniform-gaps":
-        return ("refine-min", "declared")
-    return ("refine-min",)
+# The oracle methods each kind of problem can run, the default first: tour
+# spaces have no bounds for refine-min, and mpc declares no optimum.
+ORACLE_METHODS = {"mpc": ("refine-min",), "tsp": ("exhaustive",),
+                  "uniform-gaps": ("declared", "refine-min"),
+                  "benchmark": ("refine-min", "declared")}
 
 
-def _resolve_gap_sampling(cfg: ExperimentConfig
-                          ) -> tuple[ProblemFamily, OracleConfig]:
-    """The family and its ground-truth oracle for gap sampling.  Defaults:
-    the declared optimum for uniform-gaps without oracle fields, exhaustive
-    enumeration for tsp:<n>, else refine-min with n0 = 2000 and, for mpc (its
-    cost takes grid-distance steps), a gap tolerance of 1.0."""
-    family = _resolve_family(cfg)
+def _oracle_methods(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The run's oracle methods: its family's for gap sampling, else its
+    problem's; none for solve and certify."""
+    if cfg.experiment in ("solve", "certify"):
+        return ()
+    if cfg.experiment in GAP_EXPERIMENTS:
+        return ORACLE_METHODS[cfg.family.split(":")[0]]
+    kind = "benchmark" if cfg.benchmark or cfg.experiment == "table1" else "tsp"
+    return ORACLE_METHODS[kind]
+
+
+def _oracle(cfg: ExperimentConfig) -> OracleConfig:
+    """The run's ground-truth oracle.  Defaults: the first of its methods,
+    n0 = 2000 for gap sampling and 20000 on one problem, and a gap tolerance
+    of 1.0 on mpc, whose cost takes grid-distance steps."""
     raw = cfg.oracle or {}
-    if family.description == "uniform-gaps" and not raw:
-        return family, OracleConfig(method="declared")
-    return family, OracleConfig(
-        method=raw.get("method", _oracle_methods(cfg.family)[0]),
-        n0=raw.get("n0", 2000),
+    gaps = cfg.experiment in GAP_EXPERIMENTS
+    return OracleConfig(
+        method=raw.get("method", _oracle_methods(cfg)[0]),
+        n0=raw.get("n0", 2000 if gaps else 20000),
         gap_tolerance=raw.get("gap_tolerance",
-                              1.0 if cfg.family == "mpc" else None))
+                              1.0 if gaps and cfg.family == "mpc" else None))
+
+
+def _ground_truth(cfg: ExperimentConfig, problem: Problem):
+    """The run's oracle result on one problem, at the seed's ORACLE child."""
+    return _oracle(cfg).run(problem, _rng.child_seed(cfg.seed, _rng.ORACLE))
 
 
 def uniform_gap_family() -> ProblemFamily:
@@ -393,25 +409,12 @@ def _run_certify(cfg: ExperimentConfig, out: Path):
     return records, summary, {"certify_s": certify_s}
 
 
-def _ground_truth(cfg: ExperimentConfig, problem: Problem
-                  ) -> tuple[float, str, np.ndarray | None]:
-    """Ground truth for gap measurement as (value, method, all_costs): one
-    enumeration of a finite space (the minimum equals exhaustive_min's), else
-    strong refine-min (n0 from the oracle config, default 20000), no costs."""
-    if problem.space.cardinality is not None:
-        all_costs = np.concatenate([c for _, c in enumerate_costs(problem)])
-        return float(all_costs.min()), "exhaustive", all_costs
-    res = refine_min(problem, n0=(cfg.oracle or {}).get("n0", 20000),
-                     seed=_rng.child_seed(cfg.seed, _rng.ORACLE))
-    return res.value, res.method, None
-
-
 def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     problem = _resolve_problem(cfg)
     t0 = time.perf_counter()
-    j_star, method, all_costs = _ground_truth(cfg, problem)
+    truth = _ground_truth(cfg, problem)
     oracle_s = time.perf_counter() - t0
-    exact = all_costs is not None
+    exact = problem.space.cardinality is not None
     sink = _RecordSink(out, cfg, ["trial", "chi", "gap", "p"], ["trial", "chi"])
     for trial in range(cfg.trials):
         solution = None
@@ -425,15 +428,12 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
                     cfg.seed, _rng.CHI_SWEEP_SUBSAMPLE, trial)
                 exceedance_seed = _rng.child_seed(
                     cfg.seed, _rng.CHI_SWEEP_EXCEEDANCE, trial)
-                gap = solution.best.cost - j_star
+                gap = solution.best.cost - truth.value
             model = subsample_info(solution.info, chi, subsample_seed,
                                    problem=problem)
-            if exact:
-                p = float((variance_of_costs(model, all_costs) > max(gap, 0.0)).mean())
-            else:
-                p = exceedance_probability(
-                    model, max(gap, 0.0), mode="monte-carlo", m=cfg.mc_samples,
-                    seed=exceedance_seed)
+            p = exceedance_probability(
+                model, max(gap, 0.0), mode="exact" if exact else "monte-carlo",
+                m=cfg.mc_samples, seed=exceedance_seed)
             sink.add({"trial": trial, "chi": float(chi), "gap": gap, "p": p})
     records = sink.finish()
     by_chi = {}
@@ -442,8 +442,8 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     mean_p = {chi: float(np.mean(ps)) for chi, ps in sorted(by_chi.items())}
     _write_csv(out / "chi_p.csv", "chi,mean_p",
                (f"{chi!r},{p!r}" for chi, p in mean_p.items()))
-    summary = {"problem": problem.name, "oracle_value": j_star,
-               "oracle_method": method, "mode": "exact" if exact else
+    summary = {"problem": problem.name, "oracle_value": truth.value,
+               "oracle_method": truth.method, "mode": "exact" if exact else
                f"monte-carlo({cfg.mc_samples})", "mean_p_by_chi": mean_p}
     return records, summary, {"oracle_s": oracle_s}
 
@@ -459,7 +459,7 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
     for name in names:
         problem = make_benchmark(name)
         t0 = time.perf_counter()
-        j_star, _, _ = _ground_truth(cfg, problem)
+        j_star = _ground_truth(cfg, problem).value
         timings[f"oracle_{name}_s"] = time.perf_counter() - t0
         oracle_values[name] = j_star
         for trial in range(cfg.trials):
@@ -501,7 +501,7 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     if problem.space.cardinality is None:
         raise ConfigError("tsp-fig2 needs a finite (tour) problem")
     t0 = time.perf_counter()
-    j_star, _, all_costs = _ground_truth(cfg, problem)
+    j_star = _ground_truth(cfg, problem).value
     enumerate_s = time.perf_counter() - t0
     sink = _RecordSink(out, cfg,
                        ["trial", "zeta", "gap", "p", "n_v", "v_star", "success"],
@@ -513,7 +513,7 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
             cfg.seed, _rng.TSP_FIG2_TRIAL, trial))
         gap = solution.best.cost - j_star
         model = solution_model(problem, solution, cfg.chi)
-        p = float((variance_of_costs(model, all_costs) > gap).mean())
+        p = exceedance_probability(model, gap)
         n_v, v_star = 0, float("nan")  # no certificate when p = 0
         if p > 0.0:
             n_v = min_samples(p, cfg.confidence)
@@ -541,7 +541,7 @@ _GAP_COLUMNS = ["instance_seed", "solution_cost", "oracle_value", "gamma"]
 
 
 def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
-    family, oracle = _resolve_gap_sampling(cfg)
+    family, oracle = _resolve_family(cfg), _oracle(cfg)
     sink = _RecordSink(out, cfg, ["phase", "n_p", "trial", *_GAP_COLUMNS],
                        ["phase", "n_p", "trial"])
 
@@ -591,7 +591,7 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
 
 
 def _run_validate(cfg: ExperimentConfig, out: Path):
-    family, oracle = _resolve_gap_sampling(cfg)
+    family, oracle = _resolve_family(cfg), _oracle(cfg)
     cert_path = Path(cfg.certificate) if cfg.certificate \
         else out / f"certificate_np{cfg.n_p}.json"
     if not cert_path.exists():

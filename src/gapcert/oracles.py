@@ -1,7 +1,8 @@
 """Ground-truth optima for measuring true optimality gaps.
 
-Two routes: exact enumeration for finite spaces, and best-of-n0 uniform
-sampling followed by projected finite-difference descent for continuous ones.
+Three routes, all reached through ``OracleConfig.run``: the problem's cached
+enumeration for finite spaces, best-of-n0 uniform sampling followed by
+projected finite-difference descent for continuous ones, and a declared optimum.
 The descent cycles a coarse-to-fine difference step: coarse stencils smooth
 high-frequency ripple so the search can cross shallow local basins, fine
 stencils polish the result.  Every accepted step strictly decreases the true
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .percentile import DomainError, OracleError, Problem, enumerate_costs
+from .percentile import DomainError, OracleError, Problem
 
 FD_START = 0.05
 FD_FLOOR = 1e-6
@@ -61,22 +62,13 @@ class OracleResult:
 
 
 def exhaustive_min(problem: Problem) -> OracleResult:
-    """Exact minimum by enumeration (one tour per rotation/reversal class on
-    tour spaces, see ``enumerate_costs``); first minimizer in lexicographic
-    order.  ``evaluations`` counts the decisions actually evaluated.
+    """Exact minimum and its first minimizer in enumeration order, from the
+    problem's cached ``enumeration``; ``evaluations`` counts its rows.
 
     Raises CapacityError, an OracleError, beyond the enumeration limit."""
-    best_value = math.inf
-    best_decision = None
-    evaluations = 0
-    for block, costs in enumerate_costs(problem):
-        evaluations += len(costs)
-        i = int(np.argmin(costs))
-        if costs[i] < best_value:
-            best_value = float(costs[i])
-            best_decision = np.array(block[i])
-    return OracleResult(value=best_value, minimizer=best_decision,
-                        method="exhaustive", evaluations=evaluations)
+    costs, minimizer = problem.enumeration
+    return OracleResult(value=float(costs.min()), minimizer=minimizer,
+                        method="exhaustive", evaluations=len(costs))
 
 
 def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:

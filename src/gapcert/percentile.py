@@ -3,16 +3,19 @@
 The best of N independent uniform samples lands in the 100(1-eps) percentile
 of the decision space with confidence 1-(1-eps)^N.  This module provides the
 problem abstraction, the seeded solver, and the exact eps/N/confidence
-calculus that every other module builds on.
+calculus that every other module builds on.  Every exact quantity (true
+minimum, exceedance and level-set fractions, better-fractions) reads one
+cached enumeration of a finite space, ``Problem.enumeration``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +66,36 @@ class Problem:
     batch_cost: Callable | None = None
     name: str = ""
     declared_optimum: float | None = None
+
+    @functools.cached_property
+    def enumeration(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cost of a finite space in enumeration order, and the first
+        minimizer, cached on first use.  The size is checked before anything
+        is enumerated; a failed enumeration caches nothing.
+
+        A tour space enumerates one tour per rotation/reversal class (see
+        ``TourSpace.enumerate_canonical``).  The classes have one size and one
+        cost each, so minima, first minimizers and fractions equal those over
+        all orderings; count rows, never divide by the cardinality."""
+        space = self.space
+        card = space.cardinality
+        if card is None:
+            raise DomainError("exact enumeration requires a finite decision space")
+        if card > ENUMERATION_LIMIT:
+            raise CapacityError(f"space cardinality {card} exceeds the "
+                                f"enumeration limit {ENUMERATION_LIMIT}")
+        blocks = (space.enumerate_canonical() if isinstance(space, TourSpace)
+                  else space.enumerate())
+        chunks, best, minimizer = [], math.inf, None
+        for block in blocks:
+            costs = self.evaluate_batch(block)
+            i = int(np.argmin(costs))
+            if costs[i] < best:
+                best, minimizer = costs[i], np.array(block[i])
+            chunks.append(costs)
+        costs = np.concatenate(chunks)
+        costs.flags.writeable = minimizer.flags.writeable = False  # shared
+        return costs, minimizer
 
     def evaluate(self, decision) -> float:
         value = float(self.cost(decision))
@@ -163,28 +196,6 @@ def percentile_solve(problem: Problem, n_p: int, seed: int) -> PercentileSolutio
     return PercentileSolution(best=info[i], best_index=i, info=info)
 
 
-def enumerate_costs(problem: Problem) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every decision of a finite space with its cost, as (block, costs)
-    pairs in enumeration order.  The size is checked at the call, before
-    anything is enumerated.
-
-    A tour space yields one tour per rotation/reversal class instead (see
-    ``TourSpace.enumerate_canonical``).  Every class has the same size and
-    one cost, so minima, first minimizers and fractions over the yielded rows
-    equal those over the whole space; count rows, never divide by the
-    cardinality."""
-    space = problem.space
-    card = space.cardinality
-    if card is None:
-        raise DomainError("exact enumeration requires a finite decision space")
-    if card > ENUMERATION_LIMIT:
-        raise CapacityError(f"space cardinality {card} exceeds the "
-                            f"enumeration limit {ENUMERATION_LIMIT}")
-    blocks = (space.enumerate_canonical() if isinstance(space, TourSpace)
-              else space.enumerate())
-    return ((block, problem.evaluate_batch(block)) for block in blocks)
-
-
 def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
                              seed: int = 0, exact: bool = False) -> float:
     """Fraction of the decision space strictly cheaper than ``candidate``.
@@ -194,11 +205,8 @@ def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
     """
     threshold = problem.evaluate(candidate)
     if exact:
-        better = rows = 0
-        for _, costs in enumerate_costs(problem):
-            better += int((costs < threshold).sum())
-            rows += len(costs)
-        return better / rows
+        costs, _ = problem.enumeration
+        return int((costs < threshold).sum()) / len(costs)
     if m < 1:
         raise DomainError(f"m must be a positive integer, got {m}")
     samples = problem.space.sample(seed, m, path=(_rng.BETTER_FRACTION,))

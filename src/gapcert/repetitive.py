@@ -21,7 +21,6 @@ from .percentile import DomainError, Problem, confidence_of, percentile_solve
 
 log = logging.getLogger(__name__)
 
-ORACLE_METHODS = ("exhaustive", "refine-min", "declared")
 EXHAUSTIVE_GAP_TOLERANCE = 1e-9
 REFINE_GAP_TOLERANCE = 1e-6
 
@@ -42,7 +41,7 @@ class OracleConfig:
     """How to compute an instance's ground-truth optimum, and how far below
     zero a measured gap may fall before the oracle is considered broken."""
 
-    method: str = "refine-min"  # one of ORACLE_METHODS
+    method: str = "refine-min"  # or "exhaustive" or "declared"
     n0: int = 2000
     gap_tolerance: float | None = None  # None: method default
 

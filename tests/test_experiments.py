@@ -8,8 +8,8 @@ from gapcert import CapacityError, _rng, exhaustive_min
 from gapcert.cli import main
 from gapcert.experiments import ConfigError, ExperimentConfig, _RecordSink, \
     apply_check, run
-from gapcert.problems import make_tsp_family, make_tsp_problem, \
-    random_tsp_instance, write_tsp_instance
+from gapcert.problems import make_benchmark, make_tsp_family, \
+    make_tsp_problem, random_tsp_instance, write_tsp_instance
 from gapcert.spaces import PermutationSpace
 
 
@@ -470,6 +470,59 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "oracle.method" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("experiment, problem, oracle, field", [
+        ("table1", {"benchmark": "beale"},
+         {"method": "exhaustive", "gap_tolerance": 5.0}, "oracle.method"),
+        ("chi-sweep", {"tsp_random": 6}, {"method": "refine-min", "n0": 7},
+         "oracle.method"),
+        ("tsp-fig2", {"tsp_random": 6}, {"method": "declared"},
+         "oracle.method"),
+        ("chi-sweep", {"benchmark": "beale"}, {"method": "declared", "n0": 7},
+         "oracle.n0"),
+        ("mpc-fig4", {"family": "uniform-gaps"}, {"n0": 7}, "oracle.n0"),
+        ("table1", {}, {"gap_tolerance": 1.0}, "oracle.gap_tolerance"),
+        ("tsp-fig2", {"tsp_random": 6}, {"gap_tolerance": 1.0},
+         "oracle.gap_tolerance"),
+        ("solve", {"benchmark": "beale"}, {"n0": 7}, "oracle"),
+        ("certify", {"benchmark": "beale"}, {"method": "refine-min"},
+         "oracle")])
+    def test_oracle_field_the_run_would_ignore_exit_code(
+            self, tmp_path, capsys, experiment, problem, oracle, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "trials": 2, "n_p": 20, "r": 2,
+                                   "n_p_list": [5], **problem,
+                                   "oracle": oracle, "out_dir": str(tmp_path)}))
+        assert main([experiment, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_oracle_method_is_honoured(self, tmp_path):
+        summary = run({"experiment": "table1", "seed": 1, "benchmark": "beale",
+                       "trials": 2, "n_p": 20, "n_v": 20,
+                       "oracle": {"method": "declared"},
+                       "out_dir": str(tmp_path)}).summary
+        assert summary["benchmarks"]["beale"]["oracle_value"] == \
+            make_benchmark("beale").declared_optimum
+        # the benchmark's own oracle settings stay valid
+        ExperimentConfig.from_dict({
+            "experiment": "mpc-fig4", "seed": 1, "family": "mpc",
+            "oracle": {"method": "refine-min", "n0": 2000,
+                       "gap_tolerance": 1.0}})
+
+    def test_uniform_gaps_oracle_follows_method_alone(self, tmp_path):
+        # a tolerance alone keeps the declared optimum: every gap is the
+        # instance's constant cost u
+        run({"experiment": "mpc-fig4", "seed": 1, "family": "uniform-gaps",
+             "r": 3, "n_p_list": [5], "oracle": {"gap_tolerance": 0.5},
+             "out_dir": str(tmp_path)})
+        rows = (tmp_path / "records.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            *_, cost, oracle_value, gamma = row.split(",")
+            assert float(oracle_value) == 0.0
+            assert float(gamma) == float(cost) > 0.0
 
     def test_tour_family_defaults_to_exhaustive(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

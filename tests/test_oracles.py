@@ -155,6 +155,50 @@ class TestTourQuotient:
             exhaustive_min(problem)
 
 
+class TestEnumerationCache:
+    @staticmethod
+    def exact_values(problem_for):
+        """The four exact quantities, each on the problem problem_for()
+        returns for it."""
+        truth = exhaustive_min(problem_for())
+        sol = percentile_solve(problem_for(), 30, seed=4)
+        gap = sol.best.cost - truth.value
+
+        def model():
+            return subsample_info(sol.info, 0.2, seed=1, problem=problem_for())
+
+        return (truth.value, truth.minimizer.tolist(), truth.evaluations,
+                exceedance_probability(model(), gap),
+                level_set_report(model(), gap).fraction,
+                estimate_better_fraction(problem_for(), sol.best.decision,
+                                         exact=True))
+
+    def test_one_enumeration_per_problem(self, monkeypatch):
+        instance = random_tsp_instance(6, seed=3)
+        calls = []
+        enumerate_ = PermutationSpace.enumerate
+
+        def counted(space):
+            calls.append(space.n_items)
+            return enumerate_(space)
+
+        monkeypatch.setattr(PermutationSpace, "enumerate", counted)
+        problem = make_tsp_problem(instance)
+        shared = self.exact_values(lambda: problem)
+        assert len(calls) == 1
+        calls.clear()
+        fresh = self.exact_values(lambda: make_tsp_problem(instance))
+        assert len(calls) == 4
+        assert repr(shared) == repr(fresh)
+
+    def test_failed_enumeration_caches_nothing(self):
+        problem = make_tsp_problem(random_tsp_instance(11, seed=1))
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                exhaustive_min(problem)
+        assert "enumeration" not in vars(problem)
+
+
 class TestRefineMin:
     def test_rastrigin2(self):
         res = refine_min(make_benchmark("rastrigrin2"), n0=2000, seed=0)
