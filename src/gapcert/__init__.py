@@ -27,14 +27,11 @@ from .percentile import (
 from .spaces import BoxSpace, PermutationSpace, SpaceError, TourSpace
 from .certifier import (
     GapCertificate,
-    LevelSetReport,
     VarianceModel,
     certify_gap,
     certify_solution,
     exceedance_probability,
-    level_set_report,
     subsample_info,
-    variance_at,
 )
 from .oracles import OracleError, OracleResult, exhaustive_min, refine_min
 from .repetitive import (
@@ -69,7 +66,6 @@ from .mpc import (
     rollout_feasible,
     sample_environment,
     shortest_goal_distance,
-    waypoint_sampler,
 )
 from .experiments import ExperimentConfig, RunReport, run
 

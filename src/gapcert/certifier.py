@@ -58,20 +58,14 @@ class GapCertificate:
         return self.solution_cost - self.v_star, self.solution_cost
 
 
-@dataclass(frozen=True)
-class LevelSetReport:
-    radius: float
-    fraction: float
-    mode: str  # "exact" or "monte-carlo(m)"
-
-
 def subsample_info(info: InfoSet, chi: float, seed: int,
                    problem: Problem | None = None) -> VarianceModel:
     """Retain a uniform without-replacement subset of max(1, floor(chi*|info|))
     points; chi = 1 retains everything.
 
     Pass the originating problem so the model can evaluate fresh decisions
-    (certify_gap, variance_at); omit it only for cost-only inspection.
+    (certify_gap, exceedance_probability); omit it only for cost-only
+    inspection.
     """
     if not 0.0 < chi <= 1.0:
         raise DomainError(f"chi must be in (0, 1], got {chi}")
@@ -101,12 +95,6 @@ def variance_of_costs(model: VarianceModel, costs: np.ndarray) -> np.ndarray:
     left = d[np.clip(pos - 1, 0, len(d) - 1)]
     right = d[np.clip(pos, 0, len(d) - 1)]
     return np.minimum(np.abs(costs - left), np.abs(costs - right))
-
-
-def variance_at(model: VarianceModel, decision) -> float:
-    """Variance of one decision; evaluates the cost oracle exactly once."""
-    cost = model.problem.evaluate(decision)
-    return float(variance_of_costs(model, cost)[0])
 
 
 def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
@@ -163,21 +151,6 @@ def certify_solution(problem: Problem, solution: PercentileSolution, chi: float,
     return model, certify_model(model, solution, n_v, epsilon)
 
 
-def _variance_sample(model: VarianceModel, mode: str, m: int | None,
-                     seed: int | None) -> tuple[np.ndarray, str]:
-    problem = model.problem
-    if mode == "exact":
-        return variance_of_costs(model, problem.enumeration[0]), "exact"
-    if mode == "monte-carlo":
-        if m is None or m < 1:
-            raise DomainError("monte-carlo mode needs a positive sample count m")
-        decisions = problem.space.sample(0 if seed is None else seed, m,
-                                         path=(_rng.LEVEL_SET,))
-        costs = problem.evaluate_batch(decisions)
-        return variance_of_costs(model, costs), f"monte-carlo({m})"
-    raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'monte-carlo'")
-
-
 def exceedance_probability(model: VarianceModel, threshold: float,
                            mode: str = "exact", m: int | None = None,
                            seed: int | None = None) -> float:
@@ -189,33 +162,22 @@ def exceedance_probability(model: VarianceModel, threshold: float,
     """
     if threshold < 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
-    variances, _ = _variance_sample(model, mode, m, seed)
-    return float((variances > threshold).mean())
+    problem = model.problem
+    if mode == "exact":
+        costs = problem.enumeration[0]
+    elif mode == "monte-carlo":
+        if m is None or m < 1:
+            raise DomainError("monte-carlo mode needs a positive sample count m")
+        decisions = problem.space.sample(0 if seed is None else seed, m,
+                                         path=(_rng.LEVEL_SET,))
+        costs = problem.evaluate_batch(decisions)
+    else:
+        raise DomainError(f"unknown mode {mode!r}; expected 'exact' or "
+                          "'monte-carlo'")
+    return float((variance_of_costs(model, costs) > threshold).mean())
 
 
-def level_set_report(model: VarianceModel, r: float, mode: str = "exact",
-                     m: int | None = None, seed: int | None = None
-                     ) -> LevelSetReport:
-    """Volume fraction of decisions whose variance is at most r, on the same
-    sample set exceedance_probability uses for the given mode and seed."""
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    variances, mode_label = _variance_sample(model, mode, m, seed)
-    return LevelSetReport(radius=float(r),
-                          fraction=float((variances <= r).mean()),
-                          mode=mode_label)
-
-
-def certificate_to_json(cert: GapCertificate) -> str:
+def certificate_to_json(cert) -> str:
+    """A GapCertificate or RepetitiveCertificate as indented JSON, one key
+    per field."""
     return json.dumps(asdict(cert), indent=2)
-
-
-def certificate_from_json(text: str) -> GapCertificate:
-    raw = json.loads(text)
-    return GapCertificate(
-        v_star=float(raw["v_star"]), n_v=int(raw["n_v"]),
-        epsilon=float(raw["epsilon"]), confidence=float(raw["confidence"]),
-        solution_cost=float(raw["solution_cost"]), chi=float(raw["chi"]),
-        seed=int(raw["seed"]), d_indices=tuple(int(i) for i in raw["d_indices"]),
-        low_sample_warning=bool(raw.get("low_sample_warning", False)),
-    )

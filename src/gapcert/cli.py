@@ -41,6 +41,8 @@ def main(argv=None) -> int:
         raw = {}
         if args.config is not None:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            if not isinstance(raw, dict):
+                raise ConfigError("the config file must hold a JSON object")
         raw["experiment"] = args.experiment
         if args.seed is not None:
             raw["seed"] = args.seed

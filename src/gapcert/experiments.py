@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import numbers
 import os
 import time
@@ -89,6 +90,17 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
         _check_integer("seed", self.seed)
+        for name in ("out_dir", "benchmark", "tsp_file", "certificate"):
+            value = getattr(self, name)
+            if not (isinstance(value, str)
+                    or (value is None and name != "out_dir")):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        selectors = [name for name in ("benchmark", "tsp_file", "tsp_random")
+                     if getattr(self, name)]
+        if len(selectors) > 1:
+            raise ConfigError(f"set at most one problem selector, got "
+                              f"{selectors}")
+        _check_bounds(self.check)
         for name in ("n_p", "n_v", "trials", "r", "mc_samples"):
             _check_integer(name, getattr(self, name), 1)
         _check_integer("m_validate", self.m_validate, 0)
@@ -108,8 +120,7 @@ class ExperimentConfig:
             _check_integer("n_p_list", n_p, 1)
         needs_problem = self.experiment in ("solve", "certify", "chi-sweep",
                                             "tsp-fig2")
-        if needs_problem and not (self.benchmark or self.tsp_file
-                                  or self.tsp_random):
+        if needs_problem and not selectors:
             raise ConfigError(f"experiment {self.experiment!r} needs a problem: "
                               "set 'benchmark', 'tsp_file', or 'tsp_random'")
         if self.experiment in GAP_EXPERIMENTS and self.family is None:
@@ -171,6 +182,18 @@ def _check_real(name: str, value, in_range, interval: str) -> None:
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not in_range(value)):
         raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
+
+
+def _check_bounds(check) -> list[tuple[str, str, float]]:
+    """The (summary field, "min" or "max", bound) of each ``check`` entry;
+    each key ends in ``_min`` or ``_max`` and each bound is a finite number."""
+    if not isinstance(check, dict):
+        raise ConfigError(f"check must be an object, got {check!r}")
+    for key, bound in check.items():
+        if not (isinstance(key, str) and key.endswith(("_min", "_max"))):
+            raise ConfigError(f"check key {key!r} must end with _min or _max")
+        _check_real(f"check.{key}", bound, math.isfinite, "(-inf, inf)")
+    return [(key[:-4], key[-3:], bound) for key, bound in check.items()]
 
 
 @dataclass
@@ -565,7 +588,7 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
             gammas, cfg.epsilon, n_p, family.description, base)
         timings[f"certify_np{n_p}_s"] = time.perf_counter() - t0
         (out / f"certificate_np{n_p}.json").write_text(
-            repetitive.certificate_to_json(cert), encoding="utf-8")
+            certificate_to_json(cert), encoding="utf-8")
         coverage = None
         if cfg.m_validate > 0:
             t1 = time.perf_counter()
@@ -635,14 +658,7 @@ def apply_check(report: RunReport) -> list[str]:
     bound).  Returns human-readable failure strings, empty when all pass.
     """
     failures = []
-    for key, bound in (report.config.check or {}).items():
-        if key.endswith("_min"):
-            name, op = key[:-4], "min"
-        elif key.endswith("_max"):
-            name, op = key[:-4], "max"
-        else:
-            failures.append(f"check key {key!r} must end with _min or _max")
-            continue
+    for name, op, bound in _check_bounds(report.config.check):
         value = report.summary.get(name)
         if value is None:
             failures.append(f"check field {name!r} absent from summary")

@@ -30,7 +30,6 @@ About 91% of sampled environments are clear.  ``rollout_feasible`` and
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,10 +107,6 @@ def cell_of(x, y):
     if col.ndim == 0:
         return int(col), int(row)
     return col, row
-
-
-def cell_center(col: int, row: int) -> tuple[float, float]:
-    return (X_MIN + (col + 0.5) * CELL_W, Y_MIN + (row + 0.5) * CELL_H)
 
 
 @dataclass(frozen=True)
@@ -393,12 +388,6 @@ class AnnulusSpace:
         return out if w.ndim == 2 else out[0]
 
 
-def waypoint_sampler(x_k, seed: int, n: int = 1) -> np.ndarray:
-    """n waypoints uniform by area over the ring around the agent's position
-    intersected with the workspace."""
-    return AnnulusSpace(_state_array(x_k)[:2]).sample(seed, n)
-
-
 def sample_environment(seed: int) -> Environment:
     """Rejection-sample world configurations until the invariants hold:
     distinct obstacle/goal cells, both agents outside them, and a 4-connected
@@ -441,27 +430,6 @@ def mpc_family() -> ProblemFamily:
         )
 
     return ProblemFamily(build=build, description="mpc-waypoint")
-
-
-def write_environment(env: Environment, path) -> None:
-    Path(path).write_text(json.dumps({
-        "x_a": env.x_a.tolist(),
-        "x_o": env.x_o.tolist(),
-        "so_cells": [list(c) for c in env.so_cells],
-        "goal_cells": [list(c) for c in env.goal_cells],
-        "seed": env.seed,
-    }, indent=2), encoding="utf-8")
-
-
-def read_environment(path) -> Environment:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Environment(
-        x_a=np.asarray(raw["x_a"], dtype=float),
-        x_o=np.asarray(raw["x_o"], dtype=float),
-        so_cells=tuple((int(c), int(r)) for c, r in raw["so_cells"]),
-        goal_cells=tuple((int(c), int(r)) for c, r in raw["goal_cells"]),
-        seed=int(raw["seed"]),
-    )
 
 
 def write_rollout_trace(x_k, waypoint, env: Environment, path) -> None:

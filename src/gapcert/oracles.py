@@ -53,13 +53,6 @@ class OracleResult:
     evaluations: int
     converged: bool = True
 
-    def to_dict(self) -> dict:
-        m = self.minimizer
-        return {"value": self.value,
-                "minimizer": m.tolist() if isinstance(m, np.ndarray) else m,
-                "method": self.method, "evaluations": self.evaluations,
-                "converged": self.converged}
-
 
 def exhaustive_min(problem: Problem) -> OracleResult:
     """Exact minimum and its first minimizer in enumeration order, from the

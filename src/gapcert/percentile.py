@@ -4,8 +4,8 @@ The best of N independent uniform samples lands in the 100(1-eps) percentile
 of the decision space with confidence 1-(1-eps)^N.  This module provides the
 problem abstraction, the seeded solver, and the exact eps/N/confidence
 calculus that every other module builds on.  Every exact quantity (true
-minimum, exceedance and level-set fractions, better-fractions) reads one
-cached enumeration of a finite space, ``Problem.enumeration``.
+minimum, exceedance probabilities, better-fractions) reads one cached
+enumeration of a finite space, ``Problem.enumeration``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterator
 
 from . import _rng
@@ -188,10 +188,6 @@ def validate_coverage(family: ProblemFamily, certificate: RepetitiveCertificate,
                   iter_gap_samples(family, n_p, oracle_cfg, seed,
                                    _rng.VALIDATE, m))
     return covered / m
-
-
-def certificate_to_json(cert: RepetitiveCertificate) -> str:
-    return json.dumps(asdict(cert), indent=2)
 
 
 def certificate_from_json(text: str) -> RepetitiveCertificate:

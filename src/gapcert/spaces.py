@@ -49,10 +49,6 @@ class BoxSpace:
     def cardinality(self) -> int | None:
         return None
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
-
     def sample(self, seed: int, n: int, path: tuple[int, ...] = ()) -> np.ndarray:
         u = _rng.uniform_block(seed, path, n, self.dim)
         return self.lower + u * (self.upper - self.lower)

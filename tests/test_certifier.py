@@ -1,4 +1,4 @@
-"""Variance models, level sets, and gap certificates."""
+"""Variance models, exceedance probabilities, and gap certificates."""
 
 import json
 
@@ -15,15 +15,13 @@ from gapcert import (
     certify_solution,
     exhaustive_min,
     exceedance_probability,
-    level_set_report,
     make_benchmark,
     min_samples,
     percentile_solve,
     subsample_info,
-    variance_at,
 )
 from gapcert.certifier import (
-    certificate_from_json,
+    GapCertificate,
     certificate_to_json,
     certify_model,
     solution_model,
@@ -89,15 +87,16 @@ class TestVarianceAt:
         sol = percentile_solve(problem, 20, seed=4)
         model = subsample_info(sol.info, 0.5, seed=1, problem=problem)
         i = int(model.d_indices[0])
-        assert variance_at(model, sol.info.decisions[i]) == 0.0
+        cost = problem.evaluate(sol.info.decisions[i])
+        assert variance_of_costs(model, cost).tolist() == [0.0]
 
     def test_single_element(self):
         model = model_with_costs(linear_problem(), [3.0])
-        assert variance_at(model, np.array([5.0])) == 2.0
+        assert variance_of_costs(model, 5.0).tolist() == [2.0]
 
     def test_two_elements(self):
         model = model_with_costs(linear_problem(), [1.0, 4.0])
-        assert variance_at(model, np.array([3.0])) == 1.0
+        assert variance_of_costs(model, 3.0).tolist() == [1.0]
 
     def test_batch_matches_scalar(self):
         problem = linear_problem()
@@ -167,11 +166,11 @@ class TestCertifyGap:
         sol = percentile_solve(problem, 12, seed=4)
         model = subsample_info(sol.info, 0.25, seed=3, problem=problem)
         cert = certify_gap(model, 20, 0.1, seed=5)
-        back = certificate_from_json(certificate_to_json(cert))
-        assert back == cert
         raw = json.loads(certificate_to_json(cert))
         assert set(raw) >= {"v_star", "n_v", "epsilon", "confidence",
                             "solution_cost", "chi", "seed", "d_indices"}
+        back = GapCertificate(**{**raw, "d_indices": tuple(raw["d_indices"])})
+        assert back == cert
 
     def test_interval_contains_optimum_for_finite_problem(self):
         problem = make_tsp_problem(random_tsp_instance(6, seed=8))
@@ -252,26 +251,16 @@ class TestExceedanceAndLevelSets:
         with pytest.raises(CapacityError):
             exceedance_probability(model, 0.1, mode="exact")
 
-    def test_level_set_complements_exceedance_same_samples(self):
-        problem = linear_problem()
-        sol = percentile_solve(problem, 40, seed=5)
-        model = subsample_info(sol.info, 0.25, seed=1, problem=problem)
-        for r in (0.0, 0.3, 1.0):
-            p = exceedance_probability(model, r, mode="monte-carlo", m=2000, seed=9)
-            rep = level_set_report(model, r, mode="monte-carlo", m=2000, seed=9)
-            # same sample set: the counts complement exactly
-            assert round(rep.fraction * 2000) + round(p * 2000) == 2000
-            assert rep.mode == "monte-carlo(2000)"
-
     def test_level_set_fraction_monotone_in_radius(self):
+        # the level set {V <= r} is the complement of the exceedance set
         problem = linear_problem()
         sol = percentile_solve(problem, 60, seed=7)
         model = subsample_info(sol.info, 0.1, seed=2, problem=problem)
-        fractions = [level_set_report(model, r, mode="monte-carlo", m=3000,
-                                      seed=4).fraction
-                     for r in (0.0, 0.05, 0.2, 0.5, 2.0, 20.0)]
-        assert all(a <= b for a, b in zip(fractions, fractions[1:]))
-        assert fractions[-1] == 1.0
+        exceedances = [exceedance_probability(model, r, mode="monte-carlo",
+                                              m=3000, seed=4)
+                       for r in (0.0, 0.05, 0.2, 0.5, 2.0, 20.0)]
+        assert all(a >= b for a, b in zip(exceedances, exceedances[1:]))
+        assert exceedances[-1] == 0.0
 
     def test_zero_radius_exact_counts_d_cost_matches(self):
         # distinct integer waypoints: only tours sharing an edge multiset with
@@ -279,12 +268,10 @@ class TestExceedanceAndLevelSets:
         problem = make_tsp_problem(random_tsp_instance(5, seed=10))
         sol = percentile_solve(problem, 8, seed=3)
         model = subsample_info(sol.info, 1.0, seed=1, problem=problem)
-        rep = level_set_report(model, 0.0, mode="exact")
         costs = np.concatenate([problem.evaluate_batch(b)
                                 for b in problem.space.enumerate()])
-        expected = np.isin(costs, model.d_costs).mean()
-        assert rep.fraction == pytest.approx(expected, abs=0)
-        assert rep.mode == "exact"
+        assert exceedance_probability(model, 0.0, mode="exact") == \
+            (~np.isin(costs, model.d_costs)).mean()
 
 
 

@@ -32,7 +32,10 @@ BAD_VALUES = [
     ("family", "tsp:x"), ("family", "tsp:"), ("family", "mcp"),
     ("oracle", {"method": "exhuastive"}), ("oracle", {"n0": 2.5}),
     ("oracle", {"nzero": 2000}), ("oracle", {"gap_tolerance": "1"}),
-    ("oracle", [2000]),
+    ("oracle", [2000]), ("out_dir", None), ("certificate", 3),
+    ("tsp_file", "a.tsp"), ("check", {"v_star": 1.0}),
+    ("check", {"v_star_max": True}), ("check", {"v_star_min": float("nan")}),
+    ("check", None),
 ]
 
 
@@ -444,7 +447,9 @@ class TestCli:
         ("n_p", "abc"), ("n_p", 2.7), ("epsilon", "0.1"), ("tsp_random", 1),
         ("family", "tsp:1"), ("family", "tsp:x"),
         ("oracle", {"method": "exhuastive"}), ("oracle", {"nzero": 5}),
-        ("oracle", {"method": "declared"}), ("oracle", {"method": "exhaustive"})])
+        ("oracle", {"method": "declared"}), ("oracle", {"method": "exhaustive"}),
+        ("out_dir", 5), ("tsp_file", 7), ("benchmark", ["beale"]),
+        ("tsp_random", 6), ("check", {"v_star_max": "abc"}), ("check", ["x"])])
     def test_bad_field_exit_code(self, tmp_path, capsys, field, value):
         raw = {"seed": 1, "benchmark": "beale", "out_dir": str(tmp_path)}
         experiment = "solve"
@@ -536,6 +541,13 @@ class TestCli:
             _, _, _, seed, _, oracle_value, _ = row.split(",")
             exact = exhaustive_min(family.instance(int(seed))).value
             assert float(oracle_value) == exact
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"beale"'])
+    def test_config_not_an_object_exit_code(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["certify", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2

@@ -10,6 +10,8 @@ from gapcert.mpc import (
     CELL_H,
     CELL_W,
     UNREACHABLE,
+    X_MIN,
+    Y_MIN,
     AnnulusSpace,
     ControlInput,
     Environment,
@@ -17,19 +19,20 @@ from gapcert.mpc import (
     augmented_cost,
     augmented_cost_batch,
     barrier,
-    cell_center,
     cell_of,
     dynamics_step,
     lyapunov_controller,
     mpc_family,
-    read_environment,
     rollout_feasible,
     sample_environment,
     shortest_goal_distance,
-    waypoint_sampler,
-    write_environment,
     write_rollout_trace,
 )
+
+
+def center_of(col: int, row: int) -> tuple[float, float]:
+    """Centre of grid cell (col, row)."""
+    return X_MIN + (col + 0.5) * CELL_W, Y_MIN + (row + 0.5) * CELL_H
 
 
 def open_environment(x_a=(0.0, 0.0, 0.0), x_o=(1.5, 1.1)):
@@ -162,12 +165,12 @@ class TestGridAndBarrier:
     def test_cell_center_roundtrip(self):
         for col in range(8):
             for row in range(5):
-                cx, cy = cell_center(col, row)
+                cx, cy = center_of(col, row)
                 assert cell_of(cx, cy) == (col, row)
 
     def test_barrier_inside_obstacle(self):
         env = open_environment()
-        cx, cy = cell_center(6, 4)
+        cx, cy = center_of(6, 4)
         assert barrier([cx, cy, 0.0], env.x_o, env) == -5.0
 
     def test_barrier_coincident_agents(self):
@@ -180,16 +183,16 @@ class TestGridAndBarrier:
 
     def test_shortest_goal_distance_on_goal(self):
         env = open_environment()
-        assert shortest_goal_distance(cell_center(1, 0), env) == 0.0
+        assert shortest_goal_distance(center_of(1, 0), env) == 0.0
 
     def test_shortest_goal_distance_one_hop(self):
         env = open_environment()
-        assert shortest_goal_distance(cell_center(3, 0), env) == pytest.approx(CELL_W)
-        assert shortest_goal_distance(cell_center(0, 1), env) == pytest.approx(CELL_H)
+        assert shortest_goal_distance(center_of(3, 0), env) == pytest.approx(CELL_W)
+        assert shortest_goal_distance(center_of(0, 1), env) == pytest.approx(CELL_H)
 
     def test_obstacle_cell_is_sentinel(self):
         env = open_environment()
-        assert shortest_goal_distance(cell_center(6, 4), env) >= UNREACHABLE
+        assert shortest_goal_distance(center_of(6, 4), env) >= UNREACHABLE
 
     def test_distance_positive_off_goals(self):
         env = open_environment()
@@ -219,15 +222,15 @@ class TestRolloutAndCost:
 
     def test_waypoint_across_obstacle_cell_is_infeasible(self):
         # agent 5 mm from the obstacle boundary, heading straight in
-        env = open_environment(x_a=(cell_center(4, 3)[0] - CELL_W / 2 - 0.005,
-                                    cell_center(4, 3)[1], 0.0))
+        env = open_environment(x_a=(center_of(4, 3)[0] - CELL_W / 2 - 0.005,
+                                    center_of(4, 3)[1], 0.0))
         w = (env.x_a[0] + 0.1, env.x_a[1])
         assert not rollout_feasible(env.x_a, w, env)
         assert augmented_cost(w, env) == 100.0
 
     def test_goal_waypoint_costs_zero(self):
         env = open_environment(x_a=(*_near_goal_start(), 0.0))
-        w = cell_center(1, 0)
+        w = center_of(1, 0)
         w = (w[0], w[1] + 0.3 * CELL_H)  # stay inside the goal cell
         target = np.asarray(w)
         start = np.asarray(env.x_a[:2])
@@ -244,31 +247,31 @@ class TestRolloutAndCost:
 
     def test_infeasible_gets_exactly_the_penalty(self):
         env = open_environment(x_a=(0.0, 0.0, 0.0), x_o=(0.0, 0.0))
-        w = waypoint_sampler(env.x_a, seed=2, n=50)
+        w = AnnulusSpace(env.x_a[:2]).sample(2, 50)
         assert (augmented_cost_batch(w, env) == 100.0).all()
 
 
 def _near_goal_start():
-    gx, gy = cell_center(1, 0)
+    gx, gy = center_of(1, 0)
     return gx, gy + 0.55 * CELL_H  # just above the goal cell, 0.26 from target
 
 
 class TestWaypointSampler:
     def test_annulus_radii_at_origin(self):
-        w = waypoint_sampler((0.0, 0.0, 0.0), seed=5, n=5000)
+        w = AnnulusSpace((0.0, 0.0)).sample(5, 5000)
         r = np.linalg.norm(w, axis=1)
         assert (r >= 0.05 - 1e-12).all() and (r <= 0.2 + 1e-12).all()
 
     def test_area_uniform_radius_law(self):
         # CDF of r on an unclipped annulus: (r^2 - rmin^2) / (rmax^2 - rmin^2)
-        w = waypoint_sampler((0.0, 0.0, 0.0), seed=8, n=10_000)
+        w = AnnulusSpace((0.0, 0.0)).sample(8, 10_000)
         r = np.sort(np.linalg.norm(w, axis=1))
         cdf_model = (r**2 - 0.05**2) / (0.2**2 - 0.05**2)
         empirical = np.arange(1, len(r) + 1) / len(r)
         assert np.abs(empirical - cdf_model).max() <= 0.03
 
     def test_corner_agent_respects_box(self):
-        w = waypoint_sampler((1.55, 1.15, 0.0), seed=3, n=3000)
+        w = AnnulusSpace((1.55, 1.15)).sample(3, 3000)
         assert (w[:, 0] <= 1.6).all() and (w[:, 1] <= 1.2).all()
         r = np.linalg.norm(w - [1.55, 1.15], axis=1)
         assert (r >= 0.05 - 1e-12).all() and (r <= 0.2 + 1e-12).all()
@@ -318,16 +321,6 @@ class TestEnvironments:
             rejections.append(env.rejections)
         assert len(seen) == 300          # environments distinct
         assert np.mean(rejections) < 5   # acceptance rate comfortably positive
-
-    def test_json_roundtrip(self, tmp_path):
-        env = sample_environment(55)
-        write_environment(env, tmp_path / "env.json")
-        back = read_environment(tmp_path / "env.json")
-        assert np.array_equal(back.x_a, env.x_a)
-        assert np.array_equal(back.x_o, env.x_o)
-        assert back.so_cells == env.so_cells
-        assert back.goal_cells == env.goal_cells
-        assert np.array_equal(back.goal_dist, env.goal_dist)
 
 
 class TestFamily:

@@ -8,8 +8,8 @@ import pytest
 
 from gapcert import CapacityError, DomainError, Problem, \
     estimate_better_fraction, percentile_solve
-from gapcert.certifier import exceedance_probability, level_set_report, \
-    subsample_info, variance_of_costs
+from gapcert.certifier import exceedance_probability, subsample_info, \
+    variance_of_costs
 from gapcert import oracles
 from gapcert.oracles import (
     OracleError,
@@ -138,7 +138,6 @@ class TestTourQuotient:
         # decide the count
         for r in (sol.best.cost - truth.value, *np.unique(variances)[:3]):
             assert exceedance_probability(model, r) == (variances > r).mean()
-            assert level_set_report(model, r).fraction == (variances <= r).mean()
         for candidate in (sol.best.decision, rows[first], rows[-1]):
             threshold = problem.evaluate(candidate)
             assert estimate_better_fraction(problem, candidate, exact=True) == \
@@ -158,7 +157,7 @@ class TestTourQuotient:
 class TestEnumerationCache:
     @staticmethod
     def exact_values(problem_for):
-        """The four exact quantities, each on the problem problem_for()
+        """The three exact quantities, each on the problem problem_for()
         returns for it."""
         truth = exhaustive_min(problem_for())
         sol = percentile_solve(problem_for(), 30, seed=4)
@@ -169,7 +168,6 @@ class TestEnumerationCache:
 
         return (truth.value, truth.minimizer.tolist(), truth.evaluations,
                 exceedance_probability(model(), gap),
-                level_set_report(model(), gap).fraction,
                 estimate_better_fraction(problem_for(), sol.best.decision,
                                          exact=True))
 
@@ -188,7 +186,7 @@ class TestEnumerationCache:
         assert len(calls) == 1
         calls.clear()
         fresh = self.exact_values(lambda: make_tsp_problem(instance))
-        assert len(calls) == 4
+        assert len(calls) == 3
         assert repr(shared) == repr(fresh)
 
     def test_failed_enumeration_caches_nothing(self):
@@ -247,13 +245,6 @@ class TestRefineMin:
     def test_rejects_bad_n0(self):
         with pytest.raises(DomainError):
             refine_min(make_benchmark("beale"), n0=0, seed=0)
-
-    def test_result_dict(self, monkeypatch):
-        monkeypatch.setattr(oracles, "MAX_ITERS", 50)
-        res = refine_min(make_benchmark("levi13"), n0=200, seed=6)
-        d = res.to_dict()
-        assert set(d) == {"value", "minimizer", "method", "evaluations",
-                          "converged"}
 
 
 # refine_min results recorded before its stencils were batched across

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gapcert import DomainError, Problem
+from gapcert.certifier import certificate_to_json
 from gapcert.experiments import uniform_gap_family
 from gapcert.oracles import OracleError
 from gapcert.repetitive import (
@@ -16,7 +17,6 @@ from gapcert.repetitive import (
     build_certificate,
     certificate_from_json,
     certificate_from_samples,
-    certificate_to_json,
     sample_gap,
     sample_gaps,
     validate_coverage,

@@ -30,7 +30,6 @@ def test_box_samples_inside_and_deterministic():
     assert np.array_equal(a, b)
     assert (a >= space.lower).all() and (a <= space.upper).all()
     assert a.shape == (500, 3)
-    assert space.volume == pytest.approx(1.0 * 5.0 * 1.0)
 
 
 def test_box_prefix_property():
