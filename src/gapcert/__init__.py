@@ -58,7 +58,6 @@ from .mpc import (
     ControlInput,
     Environment,
     UnicycleState,
-    augmented_cost,
     barrier,
     dynamics_step,
     lyapunov_controller,

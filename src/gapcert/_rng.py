@@ -43,11 +43,14 @@ TSP_FIG2_TRIAL = 300
 MPC_FIG4_BASE = 400
 
 
+def _seed_sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed) & _SEED_MASK,
+                                  spawn_key=tuple(int(p) & _SEED_MASK for p in path))
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for (seed, path). Deterministic and platform-stable."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _SEED_MASK,
-                                spawn_key=tuple(int(p) & _SEED_MASK for p in path))
-    return np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def uniform_block(seed: int, path: tuple[int, ...], n: int, width: int) -> np.ndarray:
@@ -61,6 +64,4 @@ def uniform_block(seed: int, path: tuple[int, ...], n: int, width: int) -> np.nd
 
 def child_seed(seed: int, *path: int) -> int:
     """Derive a replayable 64-bit seed for a sub-task (e.g. one family instance)."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _SEED_MASK,
-                                spawn_key=tuple(int(p) & _SEED_MASK for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])

@@ -152,10 +152,10 @@ def certify_solution(problem: Problem, solution: PercentileSolution, chi: float,
 
 
 def exceedance_probability(model: VarianceModel, threshold: float,
-                           mode: str = "exact", m: int | None = None,
-                           seed: int | None = None) -> float:
+                           m: int | None = None, seed: int | None = None) -> float:
     """Probability that a uniform decision's variance strictly exceeds the
-    threshold: exact enumeration on finite spaces, sample fraction otherwise.
+    threshold: exact enumeration on finite spaces, the fraction of m samples
+    otherwise.
 
     With threshold set to the solution's true optimality gap this is the
     fairness probability p that caps the usable epsilon.
@@ -163,17 +163,15 @@ def exceedance_probability(model: VarianceModel, threshold: float,
     if threshold < 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
     problem = model.problem
-    if mode == "exact":
+    if problem.space.cardinality is not None:
         costs = problem.enumeration[0]
-    elif mode == "monte-carlo":
+    else:
         if m is None or m < 1:
-            raise DomainError("monte-carlo mode needs a positive sample count m")
+            raise DomainError("a continuous space needs a positive sample "
+                              "count m")
         decisions = problem.space.sample(0 if seed is None else seed, m,
                                          path=(_rng.LEVEL_SET,))
         costs = problem.evaluate_batch(decisions)
-    else:
-        raise DomainError(f"unknown mode {mode!r}; expected 'exact' or "
-                          "'monte-carlo'")
     return float((variance_of_costs(model, costs) > threshold).mean())
 
 

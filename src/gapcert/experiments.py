@@ -123,6 +123,9 @@ class ExperimentConfig:
         if needs_problem and not selectors:
             raise ConfigError(f"experiment {self.experiment!r} needs a problem: "
                               "set 'benchmark', 'tsp_file', or 'tsp_random'")
+        if self.experiment == "tsp-fig2" and self.benchmark:
+            raise ConfigError("experiment 'tsp-fig2' needs a finite (tour) "
+                              "problem: set 'tsp_file' or 'tsp_random'")
         if self.experiment in GAP_EXPERIMENTS and self.family is None:
             self.family = "mpc"
         if self.family is not None:
@@ -276,7 +279,6 @@ def uniform_gap_family() -> ProblemFamily:
     def build(instance_seed: int) -> Problem:
         u = float(_rng.stream(instance_seed, _rng.FAMILY).random())
         return Problem(space=BoxSpace([0.0], [1.0]),
-                       cost=lambda _d, _u=u: _u,
                        batch_cost=lambda d, _u=u: np.full(len(d), _u),
                        name=f"uniform-gap-{instance_seed}",
                        declared_optimum=0.0)
@@ -437,7 +439,6 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     t0 = time.perf_counter()
     truth = _ground_truth(cfg, problem)
     oracle_s = time.perf_counter() - t0
-    exact = problem.space.cardinality is not None
     sink = _RecordSink(out, cfg, ["trial", "chi", "gap", "p"], ["trial", "chi"])
     for trial in range(cfg.trials):
         solution = None
@@ -454,9 +455,8 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
                 gap = solution.best.cost - truth.value
             model = subsample_info(solution.info, chi, subsample_seed,
                                    problem=problem)
-            p = exceedance_probability(
-                model, max(gap, 0.0), mode="exact" if exact else "monte-carlo",
-                m=cfg.mc_samples, seed=exceedance_seed)
+            p = exceedance_probability(model, max(gap, 0.0), m=cfg.mc_samples,
+                                       seed=exceedance_seed)
             sink.add({"trial": trial, "chi": float(chi), "gap": gap, "p": p})
     records = sink.finish()
     by_chi = {}
@@ -466,8 +466,9 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     _write_csv(out / "chi_p.csv", "chi,mean_p",
                (f"{chi!r},{p!r}" for chi, p in mean_p.items()))
     summary = {"problem": problem.name, "oracle_value": truth.value,
-               "oracle_method": truth.method, "mode": "exact" if exact else
-               f"monte-carlo({cfg.mc_samples})", "mean_p_by_chi": mean_p}
+               "oracle_method": truth.method,
+               "mode": "exact" if problem.space.cardinality is not None
+               else f"monte-carlo({cfg.mc_samples})", "mean_p_by_chi": mean_p}
     return records, summary, {"oracle_s": oracle_s}
 
 
@@ -521,8 +522,6 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
 
 def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     problem = _resolve_problem(cfg)
-    if problem.space.cardinality is None:
-        raise ConfigError("tsp-fig2 needs a finite (tour) problem")
     t0 = time.perf_counter()
     j_star = _ground_truth(cfg, problem).value
     enumerate_s = time.perf_counter() - t0
@@ -655,7 +654,8 @@ def apply_check(report: RunReport) -> list[str]:
 
     Supported keys: ``<field>_min`` / ``<field>_max`` where field names a
     numeric summary entry or a dict of numeric entries (all must satisfy the
-    bound).  Returns human-readable failure strings, empty when all pass.
+    bound).  Returns human-readable failure strings, empty when all pass; a
+    value that is not a real number is a failure.
     """
     failures = []
     for name, op, bound in _check_bounds(report.config.check):
@@ -667,6 +667,8 @@ def apply_check(report: RunReport) -> list[str]:
         for label, v in items:
             if v is None:
                 failures.append(f"{label}: no value to check")
+            elif not isinstance(v, numbers.Real):
+                failures.append(f"{label}: {v!r} is not a number")
             elif op == "min" and float(v) < float(bound):
                 failures.append(f"{label}: {v} < required minimum {bound}")
             elif op == "max" and float(v) > float(bound):

@@ -246,18 +246,12 @@ def shortest_goal_distance(waypoint, env: Environment) -> float:
     return float(env.goal_dist[row, col])
 
 
-def augmented_cost(waypoint, env: Environment, x_k=None) -> float:
-    """Shortest-path-to-goal score, replaced by the flat penalty when the
-    rollout is unsafe or the waypoint's cell is unreachable.  Always in
-    [0, penalty]."""
-    return float(augmented_cost_batch(
-        np.asarray(waypoint, dtype=float)[None, :], env, x_k)[0])
-
-
 def augmented_cost_batch(waypoints: np.ndarray, env: Environment,
                          x_k=None) -> np.ndarray:
-    """``augmented_cost`` of each waypoint row; the rollout is skipped when
-    ``_horizon_clear`` proves that it is feasible for every waypoint."""
+    """Each waypoint row's shortest-path-to-goal score, replaced by the flat
+    penalty when the rollout is unsafe or the waypoint's cell is unreachable;
+    always in [0, penalty].  The rollout is skipped when ``_horizon_clear``
+    proves that it is feasible for every waypoint."""
     w = np.atleast_2d(np.asarray(waypoints, dtype=float))
     x_k = env.x_a if x_k is None else _state_array(x_k)
     if _horizon_clear(x_k, env):
@@ -424,7 +418,6 @@ def mpc_family() -> ProblemFamily:
         env = sample_environment(instance_seed)
         return Problem(
             space=AnnulusSpace(env.x_a[:2]),
-            cost=lambda w: augmented_cost(w, env, env.x_a),
             batch_cost=lambda w: augmented_cost_batch(w, env, env.x_a),
             name=f"mpc-waypoint-{instance_seed}",
         )

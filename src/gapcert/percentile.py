@@ -2,10 +2,11 @@
 
 The best of N independent uniform samples lands in the 100(1-eps) percentile
 of the decision space with confidence 1-(1-eps)^N.  This module provides the
-problem abstraction, the seeded solver, and the exact eps/N/confidence
-calculus that every other module builds on.  Every exact quantity (true
-minimum, exceedance probabilities, better-fractions) reads one cached
-enumeration of a finite space, ``Problem.enumeration``.
+problem abstraction (a bounded space plus one batched cost), the seeded
+solver, and the exact eps/N/confidence calculus that every other module
+builds on.  The space decides exactness: on a finite space every such
+quantity (true minimum, exceedance probabilities, better-fractions) is exact
+and reads one cached enumeration, ``Problem.enumeration``.
 """
 
 from __future__ import annotations
@@ -51,19 +52,18 @@ class EvaluationError(RuntimeError):
 class Problem:
     """A bounded decision space paired with a deterministic, bounded cost oracle.
 
-    ``cost`` maps one decision to a float.  ``batch_cost`` optionally maps an
-    (n, ...) array of decisions to an (n,) cost array; the solver uses it when
-    present.  Both must be pure functions, safe to call concurrently.
-    ``batch_cost`` must also be row-independent: each row's value is the same,
-    bit for bit, whatever other rows share its batch, so callers may merge or
-    split batches freely (``refine_min`` evaluates many stencils at once).
-    ``declared_optimum`` carries an analytically known minimum where one
-    exists (used by synthetic families and tests, never inferred).
+    ``batch_cost`` is the one cost: it maps an (n, ...) array of decisions to
+    an (n,) cost array.  It must be a pure function, safe to call
+    concurrently, and row-independent: each row's value is the same, bit for
+    bit, whatever other rows share its batch, so callers may merge or split
+    batches freely (``refine_min`` evaluates many stencils at once).
+    ``evaluate`` is its one-row view.  ``declared_optimum`` carries an
+    analytically known minimum where one exists (used by synthetic families
+    and tests, never inferred).
     """
 
     space: object
-    cost: Callable
-    batch_cost: Callable | None = None
+    batch_cost: Callable
     name: str = ""
     declared_optimum: float | None = None
 
@@ -98,16 +98,15 @@ class Problem:
         return costs, minimizer
 
     def evaluate(self, decision) -> float:
-        value = float(self.cost(decision))
-        if not math.isfinite(value):
-            raise EvaluationError(decision, value)
-        return value
+        """The cost of one decision of ``space``; anything else is refused."""
+        decision = np.asarray(decision)
+        if not self.space.contains(decision):
+            raise DomainError(f"decision {decision.tolist()!r} is outside the "
+                              "decision space")
+        return float(self.evaluate_batch(decision[None])[0])
 
     def evaluate_batch(self, decisions: np.ndarray) -> np.ndarray:
-        if self.batch_cost is not None:
-            values = np.asarray(self.batch_cost(decisions), dtype=float)
-        else:
-            values = np.array([float(self.cost(d)) for d in decisions], dtype=float)
+        values = np.asarray(self.batch_cost(decisions), dtype=float)
         bad = ~np.isfinite(values)
         if bad.any():
             i = int(np.argmax(bad))
@@ -197,14 +196,14 @@ def percentile_solve(problem: Problem, n_p: int, seed: int) -> PercentileSolutio
 
 
 def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
-                             seed: int = 0, exact: bool = False) -> float:
+                             seed: int = 0) -> float:
     """Fraction of the decision space strictly cheaper than ``candidate``.
 
-    Monte Carlo over m fresh uniform samples by default; ``exact=True``
-    enumerates a finite space instead (m and seed are then ignored).
+    Exact on a finite space, which is enumerated (m and seed are then
+    ignored); Monte Carlo over m fresh uniform samples otherwise.
     """
     threshold = problem.evaluate(candidate)
-    if exact:
+    if problem.space.cardinality is not None:
         costs, _ = problem.enumeration
         return int((costs < threshold).sum()) / len(costs)
     if m < 1:

@@ -40,11 +40,7 @@ def tsp_cost(instance: TspInstance, order) -> float:
     Edge lengths are summed in sorted order, so tours with identical edge
     multisets (rotations, reversals) compare exactly equal in floating point.
     """
-    order = np.asarray(order)
-    n = instance.count
-    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-        raise DomainError(f"order must be a permutation of 0..{n - 1}")
-    return float(tsp_cost_batch(instance, order[None, :])[0])
+    return make_tsp_problem(instance).evaluate(order)
 
 
 def tsp_cost_batch(instance: TspInstance, orders: np.ndarray) -> np.ndarray:
@@ -59,7 +55,6 @@ def tsp_cost_batch(instance: TspInstance, orders: np.ndarray) -> np.ndarray:
 def make_tsp_problem(instance: TspInstance) -> Problem:
     return Problem(
         space=TourSpace(instance.count),
-        cost=lambda order: tsp_cost(instance, order),
         batch_cost=lambda orders: tsp_cost_batch(instance, np.asarray(orders)),
         name=f"tsp-{instance.count}",
     )
@@ -166,7 +161,6 @@ def make_benchmark(name: str) -> Problem:
     space = BoxSpace([spec.lower] * spec.dims, [spec.upper] * spec.dims)
     return Problem(
         space=space,
-        cost=lambda x: float(fn(np.asarray(x, dtype=float))[0]),
         batch_cost=fn,
         name=spec.name,
         declared_optimum=0.0,

@@ -34,13 +34,11 @@ from gapcert.spaces import BoxSpace, PermutationSpace
 def linear_problem():
     # cost(s) = s on [0, 10]: easy to reason about variances of known D costs
     return Problem(space=BoxSpace([0.0], [10.0]),
-                   cost=lambda d: float(d[0]),
                    batch_cost=lambda d: np.asarray(d, dtype=float)[:, 0])
 
 
 def constant_problem(c=2.0):
     return Problem(space=BoxSpace([0.0], [1.0]),
-                   cost=lambda d: c,
                    batch_cost=lambda d: np.full(len(d), c))
 
 
@@ -224,7 +222,7 @@ class TestExceedanceAndLevelSets:
         problem = make_tsp_problem(random_tsp_instance(5, seed=3))
         # costs drawn away from any tour cost: every variance is positive
         model = model_with_costs(problem, [-1.0])
-        assert exceedance_probability(model, 0.0, mode="exact") == 1.0
+        assert exceedance_probability(model, 0.0) == 1.0
 
     def test_max_threshold_gives_zero(self):
         problem = make_tsp_problem(random_tsp_instance(5, seed=3))
@@ -233,12 +231,29 @@ class TestExceedanceAndLevelSets:
         costs = np.concatenate([problem.evaluate_batch(b)
                                 for b in problem.space.enumerate()])
         vmax = variance_of_costs(model, costs).max()
-        assert exceedance_probability(model, vmax, mode="exact") == 0.0
+        assert exceedance_probability(model, vmax) == 0.0
 
-    def test_exact_requires_finite_space(self):
+    def test_continuous_space_needs_m(self):
         model = model_with_costs(linear_problem(), [1.0])
-        with pytest.raises(DomainError):
-            exceedance_probability(model, 0.5, mode="exact")
+        for m in (None, 0):
+            with pytest.raises(DomainError):
+                exceedance_probability(model, 0.5, m=m)
+
+    def test_exact_on_tours_monte_carlo_on_box(self):
+        # the space decides: a tour space is enumerated whatever m and seed
+        # say; a box is sampled at (seed, LEVEL_SET)
+        problem = make_tsp_problem(random_tsp_instance(6, seed=2))
+        model = model_with_costs(problem, [3.0])
+        v = variance_of_costs(model, problem.enumeration[0])
+        for m, seed in ((None, None), (5, 1), (100, 7)):
+            assert exceedance_probability(model, 0.4, m=m, seed=seed) == \
+                (v > 0.4).mean()
+        problem = linear_problem()
+        model = model_with_costs(problem, [3.0])
+        costs = problem.evaluate_batch(
+            problem.space.sample(9, 500, path=(_rng.LEVEL_SET,)))
+        assert exceedance_probability(model, 2.0, m=500, seed=9) == \
+            (variance_of_costs(model, costs) > 2.0).mean()
 
     def test_capacity_error(self, monkeypatch):
         def never(*args, **kwargs):
@@ -249,15 +264,14 @@ class TestExceedanceAndLevelSets:
         model = subsample_info(sol.info, 1.0, seed=1, problem=problem)
         monkeypatch.setattr(PermutationSpace, "enumerate", never)
         with pytest.raises(CapacityError):
-            exceedance_probability(model, 0.1, mode="exact")
+            exceedance_probability(model, 0.1)
 
     def test_level_set_fraction_monotone_in_radius(self):
         # the level set {V <= r} is the complement of the exceedance set
         problem = linear_problem()
         sol = percentile_solve(problem, 60, seed=7)
         model = subsample_info(sol.info, 0.1, seed=2, problem=problem)
-        exceedances = [exceedance_probability(model, r, mode="monte-carlo",
-                                              m=3000, seed=4)
+        exceedances = [exceedance_probability(model, r, m=3000, seed=4)
                        for r in (0.0, 0.05, 0.2, 0.5, 2.0, 20.0)]
         assert all(a >= b for a, b in zip(exceedances, exceedances[1:]))
         assert exceedances[-1] == 0.0
@@ -270,7 +284,7 @@ class TestExceedanceAndLevelSets:
         model = subsample_info(sol.info, 1.0, seed=1, problem=problem)
         costs = np.concatenate([problem.evaluate_batch(b)
                                 for b in problem.space.enumerate()])
-        assert exceedance_probability(model, 0.0, mode="exact") == \
+        assert exceedance_probability(model, 0.0) == \
             (~np.isin(costs, model.d_costs)).mean()
 
 

@@ -69,6 +69,13 @@ class TestConfig:
                                             "seed": 1, "benchmark": "beale",
                                             field: value})
 
+    def test_tsp_fig2_refuses_a_continuous_problem(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="tsp_file.*tsp_random"):
+            run({"experiment": "tsp-fig2", "seed": 1, "benchmark": "beale",
+                 "out_dir": str(out)})
+        assert not out.exists()
+
     def test_unknown_benchmark(self):
         with pytest.raises(ConfigError, match="benchmark"):
             ExperimentConfig.from_dict({"experiment": "solve", "seed": 1,
@@ -560,6 +567,19 @@ class TestCli:
             "check": {"success_fraction_min": 1.5}}))
         assert main(["tsp-fig2", "--config", str(cfg), "--check"]) == 3
         assert "check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, shown", [
+        ("problem", "'beale'"), ("optimum_interval", "[")])
+    def test_check_on_a_value_that_is_not_a_number(self, tmp_path, capsys,
+                                                   field, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "benchmark": "beale", "n_p": 10, "n_v": 10,
+            "out_dir": str(tmp_path / "out"), "check": {f"{field}_min": 1}}))
+        assert main(["certify", "--config", str(cfg), "--check"]) == 3
+        err = capsys.readouterr().err
+        assert f"check failed: {field}: {shown}" in err
+        assert "is not a number" in err
 
     def test_seed_required(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

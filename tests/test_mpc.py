@@ -16,7 +16,6 @@ from gapcert.mpc import (
     ControlInput,
     Environment,
     UnicycleState,
-    augmented_cost,
     augmented_cost_batch,
     barrier,
     cell_of,
@@ -226,7 +225,7 @@ class TestRolloutAndCost:
                                     center_of(4, 3)[1], 0.0))
         w = (env.x_a[0] + 0.1, env.x_a[1])
         assert not rollout_feasible(env.x_a, w, env)
-        assert augmented_cost(w, env) == 100.0
+        assert augmented_cost_batch([w], env).tolist() == [100.0]
 
     def test_goal_waypoint_costs_zero(self):
         env = open_environment(x_a=(*_near_goal_start(), 0.0))
@@ -235,7 +234,7 @@ class TestRolloutAndCost:
         target = np.asarray(w)
         start = np.asarray(env.x_a[:2])
         assert 0.05 <= np.linalg.norm(target - start) <= 0.2
-        assert augmented_cost(w, env) == 0.0
+        assert augmented_cost_batch([w], env).tolist() == [0.0]
 
     def test_cost_range_and_sentinel_never_escapes(self):
         for seed in range(6):

@@ -50,11 +50,11 @@ class TestExhaustiveMin:
         for seed in (1, 2, 3):
             sol = percentile_solve(problem, 300, seed=seed)
             assert truth.value <= sol.best.cost
-        assert problem.cost(truth.minimizer) == truth.value
+        assert problem.evaluate(truth.minimizer) == truth.value
 
     def test_first_minimizer_in_enumeration_order(self):
         # constant cost: everything ties; the identity permutation enumerates first
-        problem = Problem(space=PermutationSpace(4), cost=lambda d: 1.0,
+        problem = Problem(space=PermutationSpace(4),
                           batch_cost=lambda d: np.ones(len(d)))
         res = exhaustive_min(problem)
         assert np.array_equal(res.minimizer, [0, 1, 2, 3])
@@ -68,8 +68,7 @@ class TestExhaustiveMin:
             rows = np.atleast_2d(rows)
             return (rows[:, None, :] != targets).sum(axis=2).min(axis=1) * 1.0
 
-        problem = Problem(space=PermutationSpace(8),
-                          cost=lambda d: float(costs(d)[0]), batch_cost=costs)
+        problem = Problem(space=PermutationSpace(8), batch_cost=costs)
         blocks = list(problem.space.enumerate())
         assert [i for i, b in enumerate(blocks) if (costs(b) == 0).any()] == [1, 5]
         res = exhaustive_min(problem)
@@ -79,16 +78,18 @@ class TestExhaustiveMin:
         for candidate in (targets[1], [0, 1, 2, 3, 4, 5, 6, 7],
                           [1, 0, 3, 2, 5, 4, 6, 7]):
             threshold = problem.evaluate(candidate)
-            assert estimate_better_fraction(problem, candidate, exact=True) == \
+            assert estimate_better_fraction(problem, candidate) == \
                 sum(c < threshold for c in brute) / len(brute)
 
     def test_capacity_error(self):
-        problem = Problem(space=PermutationSpace(11), cost=lambda d: 0.0)
+        problem = Problem(space=PermutationSpace(11),
+                          batch_cost=lambda d: np.zeros(len(d)))
         with pytest.raises(OracleError):
             exhaustive_min(problem)
 
     def test_requires_finite_space(self):
-        problem = Problem(space=BoxSpace([0.0], [1.0]), cost=lambda d: 0.0)
+        problem = Problem(space=BoxSpace([0.0], [1.0]),
+                          batch_cost=lambda d: np.zeros(len(d)))
         with pytest.raises(DomainError):
             exhaustive_min(problem)
 
@@ -140,7 +141,7 @@ class TestTourQuotient:
             assert exceedance_probability(model, r) == (variances > r).mean()
         for candidate in (sol.best.decision, rows[first], rows[-1]):
             threshold = problem.evaluate(candidate)
-            assert estimate_better_fraction(problem, candidate, exact=True) == \
+            assert estimate_better_fraction(problem, candidate) == \
                 int((costs < threshold).sum()) / len(costs)
 
     def test_limit_applies_to_all_orderings(self, monkeypatch):
@@ -168,8 +169,7 @@ class TestEnumerationCache:
 
         return (truth.value, truth.minimizer.tolist(), truth.evaluations,
                 exceedance_probability(model(), gap),
-                estimate_better_fraction(problem_for(), sol.best.decision,
-                                         exact=True))
+                estimate_better_fraction(problem_for(), sol.best.decision))
 
     def test_one_enumeration_per_problem(self, monkeypatch):
         instance = random_tsp_instance(6, seed=3)
@@ -312,8 +312,8 @@ class TestRefineMinPinned:
             rows.append(len(w))
             return problem.batch_cost(w)
 
-        res = refine_min(Problem(space=problem.space, cost=problem.cost,
-                                 batch_cost=counted), n0=2000, seed=0)
+        res = refine_min(Problem(space=problem.space, batch_cost=counted),
+                         n0=2000, seed=0)
         assert rows == [2000, 17 * 4]
         assert res.evaluations == 2068 and res.converged
 
@@ -357,6 +357,7 @@ def test_declared_min():
     problem = make_benchmark("rastrigrin2")
     res = declared_min(problem)
     assert res.value == 0.0 and res.method == "declared"
-    bare = Problem(space=BoxSpace([0.0], [1.0]), cost=lambda d: 1.0)
+    bare = Problem(space=BoxSpace([0.0], [1.0]),
+                   batch_cost=lambda d: np.ones(len(d)))
     with pytest.raises(OracleError):
         declared_min(bare)

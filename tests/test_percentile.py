@@ -12,6 +12,7 @@ from gapcert import (
     DomainError,
     EvaluationError,
     Problem,
+    _rng,
     confidence_of,
     estimate_better_fraction,
     min_samples,
@@ -26,7 +27,6 @@ from gapcert.spaces import BoxSpace, PermutationSpace
 
 def constant_problem(c=3.5):
     return Problem(space=BoxSpace([0.0, 0.0], [1.0, 1.0]),
-                   cost=lambda d: c,
                    batch_cost=lambda d: np.full(len(d), c))
 
 
@@ -130,8 +130,8 @@ class TestPercentileSolve:
 
     def test_nonfinite_cost_is_an_error(self):
         space = BoxSpace([0.0], [1.0])
-        problem = Problem(space=space,
-                          cost=lambda d: math.nan if d[0] > 0.5 else 1.0)
+        problem = Problem(space=space, batch_cost=lambda d: np.where(
+            d[:, 0] > 0.5, math.nan, 1.0))
         with pytest.raises(EvaluationError) as err:
             percentile_solve(problem, 64, seed=2)
         assert err.value.decision is not None
@@ -145,8 +145,7 @@ class TestEstimateBetterFraction:
     def test_global_minimizer_scores_zero(self):
         problem = make_tsp_problem(random_tsp_instance(5, seed=9))
         truth = exhaustive_min(problem)
-        assert estimate_better_fraction(problem, truth.minimizer,
-                                        exact=True) == 0.0
+        assert estimate_better_fraction(problem, truth.minimizer) == 0.0
         assert estimate_better_fraction(problem, truth.minimizer,
                                         m=500, seed=3) == 0.0
 
@@ -168,7 +167,7 @@ class TestEstimateBetterFraction:
         worst_perm = list(itertools.permutations(range(6)))[costs.index(worst)]
         ties = sum(1 for c in costs if c >= worst)
         expected = (720 - ties) / 720
-        got = estimate_better_fraction(problem, np.asarray(worst_perm), exact=True)
+        got = estimate_better_fraction(problem, np.asarray(worst_perm))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_exact_respects_enumeration_limit(self, monkeypatch):
@@ -176,9 +175,10 @@ class TestEstimateBetterFraction:
             raise AssertionError("enumeration started beyond the limit")
 
         monkeypatch.setattr(PermutationSpace, "enumerate", never)
-        problem = Problem(space=PermutationSpace(11), cost=lambda d: 0.0)
+        problem = Problem(space=PermutationSpace(11),
+                          batch_cost=lambda d: np.zeros(len(d)))
         with pytest.raises(CapacityError):
-            estimate_better_fraction(problem, np.arange(11), exact=True)
+            estimate_better_fraction(problem, np.arange(11))
 
     def test_exact_matches_brute_force_for_solver_best(self):
         instance = random_tsp_instance(5, seed=30)
@@ -186,10 +186,25 @@ class TestEstimateBetterFraction:
         sol = percentile_solve(problem, 40, seed=2)
         brute = 0
         for perm in itertools.permutations(range(5)):
-            if problem.cost(np.asarray(perm)) < sol.best.cost:
+            if problem.evaluate(perm) < sol.best.cost:
                 brute += 1
-        assert estimate_better_fraction(problem, sol.best.decision,
-                                        exact=True) == brute / 120
+        assert estimate_better_fraction(problem, sol.best.decision) == brute / 120
+
+    def test_exact_on_tours_monte_carlo_on_box(self):
+        # the space decides: a tour space is enumerated whatever m and seed
+        # say; a box is sampled at (seed, BETTER_FRACTION)
+        problem = make_tsp_problem(random_tsp_instance(6, seed=4))
+        costs = problem.enumeration[0]
+        candidate = np.array([0, 2, 4, 1, 3, 5])
+        expected = (costs < problem.evaluate(candidate)).mean()
+        assert 0.0 < expected < 1.0
+        for m, seed in ((1, 0), (7, 3), (500, 11)):
+            assert estimate_better_fraction(problem, candidate, m, seed) == expected
+        problem = Problem(space=BoxSpace([0.0], [10.0]),
+                          batch_cost=lambda d: np.asarray(d, dtype=float)[:, 0])
+        draws = problem.space.sample(5, 400, path=(_rng.BETTER_FRACTION,))
+        assert estimate_better_fraction(problem, [3.0], m=400, seed=5) == \
+            (draws[:, 0] < 3.0).mean()
 
 
 def test_infoset_csv_roundtrip(tmp_path):

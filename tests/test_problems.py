@@ -12,6 +12,7 @@ from gapcert.problems import (
     TspInstance,
     make_benchmark,
     make_tsp_family,
+    make_tsp_problem,
     random_tsp_instance,
     read_tsp_instance,
     tsp_cost,
@@ -46,6 +47,18 @@ class TestTspCost:
                 assert tsp_cost(inst, np.roll(order, k)) == base
             assert tsp_cost(inst, order[::-1].copy()) == base
 
+    def test_evaluate_refuses_a_decision_outside_the_space(self):
+        problem = make_tsp_problem(TspInstance([[0, 0], [1, 0], [2, 0]]))
+        assert problem.evaluate([2, 0, 1]) == pytest.approx(4.0)
+        for bad in ([0, 0, 1], [0, 1], [0, 1, 3]):
+            with pytest.raises(DomainError):
+                problem.evaluate(bad)
+        problem = make_benchmark("beale")
+        assert problem.evaluate([4.5, -4.5]) > 0.0
+        for bad in ([4.6, 0.0], [0.0, -4.51], [0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(DomainError):
+                problem.evaluate(bad)
+
     def test_instance_validation(self):
         with pytest.raises(DomainError):
             TspInstance([[0.0, 0.0]])
@@ -63,28 +76,28 @@ class TestTspCost:
 class TestBenchmarks:
     def test_rastrigin2_origin(self):
         problem = make_benchmark("rastrigrin2")
-        assert problem.cost([0.0, 0.0]) == 0.0
+        assert problem.evaluate([0.0, 0.0]) == 0.0
 
     def test_rastrigin10_origin_exact_zero(self):
         problem = make_benchmark("rastrigrin10")
-        assert problem.cost([0.0] * 10) == 0.0
+        assert problem.evaluate([0.0] * 10) == 0.0
 
     def test_rastrigin2_corner_regression_anchor(self):
         # frozen from direct evaluation of the defining formula
         expected = 20 + 2 * (5.12**2 - 10 * math.cos(2 * math.pi * 5.12))
         problem = make_benchmark("rastrigrin2")
-        assert problem.cost([5.12, 5.12]) == pytest.approx(expected, abs=1e-12)
+        assert problem.evaluate([5.12, 5.12]) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(57.8494275, abs=1e-6)
 
     def test_himmelblau_known_minimum(self):
         problem = make_benchmark("himmelblau")
         # direct substitution: (9 + 2 - 11)^2 + (3 + 4 - 7)^2 = 0
-        assert problem.cost([3.0, 2.0]) == 0.0
+        assert problem.evaluate([3.0, 2.0]) == 0.0
 
     def test_other_declared_minima(self):
-        assert make_benchmark("beale").cost([3.0, 0.5]) == 0.0
-        assert make_benchmark("levi13").cost([1.0, 1.0]) == pytest.approx(0, abs=1e-30)
-        assert make_benchmark("ackley").cost([0.0, 0.0]) == pytest.approx(0, abs=1e-15)
+        assert make_benchmark("beale").evaluate([3.0, 0.5]) == 0.0
+        assert make_benchmark("levi13").evaluate([1.0, 1.0]) == pytest.approx(0, abs=1e-30)
+        assert make_benchmark("ackley").evaluate([0.0, 0.0]) == pytest.approx(0, abs=1e-15)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
@@ -107,7 +120,7 @@ class TestBenchmarks:
         problem = make_benchmark(name)
         pts = problem.space.sample(3, 17)
         batch = problem.evaluate_batch(pts)
-        direct = [problem.cost(p) for p in pts]
+        direct = [problem.evaluate(p) for p in pts]
         assert np.allclose(batch, direct, atol=0)
 
 
@@ -129,5 +142,5 @@ class TestTspFamily:
         a = family.instance(9)
         b = family.instance(9)
         c = family.instance(10)
-        assert a.cost([0, 1, 2, 3, 4]) == b.cost([0, 1, 2, 3, 4])
-        assert a.cost([0, 1, 2, 3, 4]) != c.cost([0, 1, 2, 3, 4])
+        assert a.evaluate([0, 1, 2, 3, 4]) == b.evaluate([0, 1, 2, 3, 4])
+        assert a.evaluate([0, 1, 2, 3, 4]) != c.evaluate([0, 1, 2, 3, 4])

@@ -28,7 +28,6 @@ from gapcert.spaces import BoxSpace
 def constant_family(c=4.0):
     def build(instance_seed):
         return Problem(space=BoxSpace([0.0], [1.0]),
-                       cost=lambda d: c,
                        batch_cost=lambda d: np.full(len(d), c),
                        declared_optimum=c)
     return ProblemFamily(build=build, description="constant")
@@ -49,7 +48,7 @@ class TestSampleGap:
         family = uniform_gap_family()
         s = sample_gap(family, n_p=1, oracle_cfg=DECLARED, seed=42)
         replay = family.instance(s.instance_seed)
-        assert replay.cost([0.5]) == s.solution_cost
+        assert replay.evaluate([0.5]) == s.solution_cost
 
     def test_saturated_tsp_family_hits_exact_optimum(self):
         # one fixed 6-waypoint instance, oversampled far beyond 720 tours
@@ -72,7 +71,6 @@ class TestSampleGap:
         # declared optimum above every achievable cost: gap < -tolerance
         def build(instance_seed):
             return Problem(space=BoxSpace([0.0], [1.0]),
-                           cost=lambda d: 1.0,
                            batch_cost=lambda d: np.ones(len(d)),
                            declared_optimum=5.0)
         family = ProblemFamily(build=build, description="broken")
@@ -83,7 +81,6 @@ class TestSampleGap:
     def test_small_undershoot_clamps_to_zero(self):
         def build(instance_seed):
             return Problem(space=BoxSpace([0.0], [1.0]),
-                           cost=lambda d: 1.0,
                            batch_cost=lambda d: np.ones(len(d)),
                            declared_optimum=1.0 + 1e-12)
         family = ProblemFamily(build=build, description="jitter")

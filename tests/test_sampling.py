@@ -71,6 +71,30 @@ def test_child_seed_stable():
     assert _rng.child_seed(3, 1, 4) != _rng.child_seed(4, 1, 4)
 
 
+def test_stream_matches_an_explicit_philox_key():
+    # Philox(seed_sequence) keys itself with generate_state(2, uint64), so
+    # stream(seed, *path) draws what the explicit-key construction draws
+    def explicit(seed, *path):
+        ss = np.random.SeedSequence(
+            entropy=seed & _rng._SEED_MASK,
+            spawn_key=tuple(p & _rng._SEED_MASK for p in path))
+        key = ss.generate_state(2, np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    cases = [(s, p) for s in edges for p in [(), (0,), (2**64 - 1,), (3, 2**32)]]
+    rng = np.random.default_rng(20)
+    cases += [(int(rng.integers(2**63)),
+               tuple(int(v) for v in rng.integers(2**40, size=k)))
+              for k in rng.integers(0, 4, size=200)]
+    for seed, path in cases:
+        got, want = _rng.stream(seed, *path), explicit(seed, *path)
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert np.array_equal(got.random(5), want.random(5))
+        assert np.array_equal(got.integers(2**63, size=3),
+                              want.integers(2**63, size=3))
+
+
 def test_stream_tags_are_distinct():
     tags = {name: value for name, value in vars(_rng).items()
             if name.isupper() and isinstance(value, int)}
