@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, apply_check, run
+from .experiments import EXPERIMENTS, ConfigError, apply_check, run
 from .percentile import CapacityError
 
 
@@ -48,13 +48,12 @@ def main(argv=None) -> int:
             raw["seed"] = args.seed
         if args.out is not None:
             raw["out_dir"] = str(args.out)
-        config = ExperimentConfig.from_dict(raw)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run(config)
-    except (ConfigError, CapacityError) as exc:  # checks that need the inputs
+        report = run(raw)
+    except (ConfigError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report.summary, indent=2))

@@ -96,7 +96,7 @@ class ExperimentConfig:
                     or (value is None and name != "out_dir")):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
         selectors = [name for name in ("benchmark", "tsp_file", "tsp_random")
-                     if getattr(self, name)]
+                     if getattr(self, name) is not None]
         if len(selectors) > 1:
             raise ConfigError(f"set at most one problem selector, got "
                               f"{selectors}")
@@ -132,11 +132,8 @@ class ExperimentConfig:
             _resolve_family(self)  # builds nothing yet; checks the name
         if self.oracle:
             self._validate_oracle()
-        if self.benchmark is not None and self.benchmark not in BENCHMARK_NAMES:
-            from .problems import _ALIASES
-            if self.benchmark not in _ALIASES:
-                raise ConfigError(f"benchmark must be one of {BENCHMARK_NAMES}, "
-                                  f"got {self.benchmark!r}")
+        if selectors:
+            _resolve_problem(self)  # reads and builds it; checks the selector
 
     def _validate_oracle(self) -> None:
         oracle = self.oracle
@@ -214,13 +211,20 @@ class RunReport:
 
 
 def _resolve_problem(cfg: ExperimentConfig) -> Problem:
-    if cfg.benchmark:
-        return make_benchmark(cfg.benchmark)
-    if cfg.tsp_file:
-        return make_tsp_problem(read_tsp_instance(cfg.tsp_file))
-    if cfg.tsp_random:
-        return make_tsp_problem(random_tsp_instance(cfg.tsp_random, cfg.seed))
-    raise ConfigError("no problem selector present")
+    """The selected problem; an error reading or building it is a
+    ConfigError that names the selector."""
+    name = next(name for name in ("benchmark", "tsp_file", "tsp_random")
+                if getattr(cfg, name) is not None)
+    value = getattr(cfg, name)
+    try:
+        if name == "benchmark":
+            return make_benchmark(value)
+        if name == "tsp_file":
+            return make_tsp_problem(read_tsp_instance(value))
+        return make_tsp_problem(random_tsp_instance(value, cfg.seed))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{name} {value!r}: {type(exc).__name__}: "
+                          f"{exc}") from exc
 
 
 def _resolve_family(cfg: ExperimentConfig) -> ProblemFamily:
@@ -370,16 +374,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def run(config: ExperimentConfig | dict, out_dir=None) -> RunReport:
-    """Execute the configured experiment and write its artifacts.
+def run(raw: dict, out_dir=None) -> RunReport:
+    """Validate the config dict, execute its experiment and write its
+    artifacts.
 
     Returns the report; the runner writes records.csv and its plot files,
-    and this writes report.json, all under the output directory.
+    and this writes report.json, all under the output directory.  A config
+    that fails validation raises ConfigError before the directory is made.
     """
-    if isinstance(config, dict):
-        config = ExperimentConfig.from_dict(config)
-    else:
-        config.validate()
+    config = ExperimentConfig.from_dict(raw)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -619,7 +622,12 @@ def _run_validate(cfg: ExperimentConfig, out: Path):
     if not cert_path.exists():
         raise ConfigError(f"validate needs a certificate: set 'certificate' or "
                           f"run mpc-fig4 first (looked for {cert_path})")
-    cert = repetitive.certificate_from_json(cert_path.read_text(encoding="utf-8"))
+    try:
+        cert = repetitive.certificate_from_json(
+            cert_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"certificate {cert_path}: {type(exc).__name__}: "
+                          f"{exc}") from exc
     if (cert.n_p, cert.family) != (cfg.n_p, family.description):
         raise ConfigError(
             f"certificate {cert_path} holds family {cert.family!r} at "

@@ -76,9 +76,6 @@ class UnicycleState:
     y: float
     theta: float  # wrapped to [0, 2*pi)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
 
 @dataclass(frozen=True)
 class ControlInput:
@@ -294,8 +291,6 @@ def _horizon_clear(x_k, env: Environment) -> bool:
 
 
 def _state_array(state) -> np.ndarray:
-    if isinstance(state, UnicycleState):
-        return state.as_array()
     return np.asarray(state, dtype=float).ravel()
 
 

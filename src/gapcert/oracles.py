@@ -13,8 +13,8 @@ as one batch, which the next levels reuse until a move is accepted.  Because
 cost kernels are row-independent, this gives the same result as evaluating
 one level at a time.  Each line search likewise projects, evaluates and
 checks the membership of its candidate rows (the curvature trials, then each
-backtracking ladder) as one batch.  ``evaluations`` counts the rows actually
-evaluated.
+backtracking ladder) as one batch, built only when the batch before it found
+no strict improvement.  ``evaluations`` counts the rows actually evaluated.
 
 The descent's tuning is fixed in module constants.  Difference steps run
 from ``FD_START`` halving down to ``FD_FLOOR``, and the first line-search
@@ -43,6 +43,11 @@ FINE_BACKTRACK = 0.85
 MIN_STEP = 1e-12
 MAX_ITERS = 2000
 CURVATURE_FLOOR = 1e-12
+
+# The difference steps, fractions of box width: FD_START halving to FD_FLOOR.
+_FDS = [FD_START]
+while _FDS[-1] > FD_FLOOR:
+    _FDS.append(max(_FDS[-1] * 0.5, FD_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -80,98 +85,71 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
     lower, upper = space.bounds
     width = upper - lower
     wmax = float(np.max(width))
+    d = lower.size
+    eye = np.eye(d, dtype=bool)
 
     samples = space.sample(seed, n0, path=(_rng.ORACLE,))
     costs = problem.evaluate_batch(samples)
     i = int(np.argmin(costs))
-    state = {"x": np.array(samples[i], dtype=float), "fx": float(costs[i]),
-             "evals": n0, "iters": 0, "scan": (None, 0, (), (), ())}
-
-    def try_candidates(cands: np.ndarray) -> bool:
-        """Accept the first strict improvement among the (k, d) candidate
-        rows, in row order (identical result to sequential backtracking;
-        projected, evaluated and checked as one batch)."""
-        projected = space.project(cands)
-        values = problem.evaluate_batch(projected)
-        state["evals"] += len(values)
-        ok = np.isfinite(values) & (values < state["fx"])
-        ok &= space.contains(projected)
-        hits = np.nonzero(ok)[0]
-        if hits.size == 0:
-            return False
-        j = int(hits[0])
-        state["x"], state["fx"] = projected[j].copy(), float(values[j])
-        return True
-
-    def ladder(x, g, gmax, ratio) -> np.ndarray:
-        t0 = INITIAL_STEP * wmax / gmax
-        steps = math.log(t0 * gmax / (MIN_STEP * wmax)) / math.log(1 / ratio)
-        count = min(max(int(math.ceil(steps)), 1), 400)
-        ts = np.array([t0 * ratio**j for j in range(count)])
-        return x - ts[:, None] * g
-
-    fds = [FD_START]
-    while fds[-1] > FD_FLOOR:
-        fds.append(max(fds[-1] * 0.5, FD_FLOOR))
-    d = lower.size
-    eye = np.eye(d, dtype=bool)
-
-    def stencil_scan(k: int) -> tuple:
-        """Stencils of levels k.. at the incumbent, as many as the remaining
-        iterations can consume (this one included), evaluated as one batch."""
-        x = state["x"]
-        levels = fds[k:k + MAX_ITERS - state["iters"] + 1]
-        h = np.asarray(levels)[:, None] * width
-        up = np.minimum(x + h, upper)
-        dn = np.maximum(x - h, lower)
-        rows = np.concatenate([np.where(eye, up[:, None], x),
-                               np.where(eye, dn[:, None], x)], axis=1)
-        sc = problem.evaluate_batch(rows.reshape(-1, d)).reshape(len(h), 2 * d)
-        state["evals"] += sc.size
-        return x, k, up, dn, sc
-
-    def level_pass(k: int) -> bool:
-        improved = False
-        while state["iters"] < MAX_ITERS:
-            state["iters"] += 1
-            x, fx = state["x"], state["fx"]
-            scan_x, k0, ups, dns, scs = state["scan"]
-            if scan_x is not x or not 0 <= k - k0 < len(scs):
-                scan_x, k0, ups, dns, scs = state["scan"] = stencil_scan(k)
-            up, dn, sc = ups[k - k0], dns[k - k0], scs[k - k0]
-            spread = up - dn
-            g = (sc[:d] - sc[d:]) / spread
-            curv = (sc[:d] - 2 * fx + sc[d:]) / (spread / 2) ** 2
-            gmax = float(np.max(np.abs(g)))
-            if gmax == 0.0 or not math.isfinite(gmax):
-                return improved
-            # curvature-informed first trials, then plain backtracking
+    x, fx = np.array(samples[i], dtype=float), float(costs[i])
+    evals, iters = n0, 0
+    scan_x, k0, scan = None, 0, ()  # the stencil scan of levels k0.. at scan_x
+    k, progressed = 0, False  # the level, and whether this pass of levels moved
+    while iters < MAX_ITERS:
+        iters += 1
+        if scan_x is not x or not 0 <= k - k0 < len(scan):
+            # stencils of levels k.., as many as the remaining iterations can
+            # consume (this one included), evaluated as one batch
+            h = np.array(_FDS[k:k + MAX_ITERS - iters + 1])[:, None] * width
+            up, dn = np.minimum(x + h, upper), np.maximum(x - h, lower)
+            rows = np.concatenate([np.where(eye, up[:, None], x),
+                                   np.where(eye, dn[:, None], x)], axis=1)
+            sc = problem.evaluate_batch(rows.reshape(-1, d))
+            evals += sc.size
+            scan_x, k0, scan = x, k, list(zip(up, dn, sc.reshape(len(h), 2 * d)))
+        up, dn, sc = scan[k - k0]
+        spread = up - dn
+        g = (sc[:d] - sc[d:]) / spread
+        curv = (sc[:d] - 2 * fx + sc[d:]) / (spread / 2) ** 2
+        gmax = float(np.max(np.abs(g)))
+        moved = False
+        if gmax > 0.0 and math.isfinite(gmax):
+            # curvature-informed first trials, then the coarse and the fine
+            # backtracking ladder; each batch only if the one before failed
             newton = -g / np.maximum(curv, CURVATURE_FLOOR)
             flat = curv <= CURVATURE_FLOOR
             newton[flat] = (-g[flat] / gmax) * 0.1 * width[flat]
-            trials = x + np.array([1.0, 0.5, 0.25])[:, None] * newton
-            if try_candidates(trials) or try_candidates(
-                    ladder(x, g, gmax, BACKTRACK)):
-                improved = True
-                continue
-            if try_candidates(ladder(x, g, gmax, FINE_BACKTRACK)):
-                improved = True
-                continue
-            return improved
-        return improved
-
-    while state["iters"] < MAX_ITERS:
-        progressed = False
-        for k in range(len(fds)):
-            progressed |= level_pass(k)
-            if state["iters"] >= MAX_ITERS:
+            for ratio in (None, BACKTRACK, FINE_BACKTRACK):
+                cands = (x + np.array([1.0, 0.5, 0.25])[:, None] * newton
+                         if ratio is None else _ladder(x, g, gmax, ratio, wmax))
+                # the first strict improvement, in row order
+                projected = space.project(cands)
+                values = problem.evaluate_batch(projected)
+                evals += len(values)
+                hits = np.flatnonzero((values < fx) & space.contains(projected))
+                if hits.size:
+                    x, fx = projected[hits[0]].copy(), float(values[hits[0]])
+                    moved = progressed = True
+                    break
+        if moved:
+            continue
+        k += 1
+        if k == len(_FDS):
+            if not progressed:
                 break
-        if not progressed:
-            break
-    converged = state["iters"] < MAX_ITERS
-    return OracleResult(value=state["fx"], minimizer=state["x"],
-                        method="refine-min", evaluations=state["evals"],
-                        converged=converged)
+            k, progressed = 0, False
+    return OracleResult(value=fx, minimizer=x, method="refine-min",
+                        evaluations=evals, converged=iters < MAX_ITERS)
+
+
+def _ladder(x, g, gmax, ratio, wmax) -> np.ndarray:
+    """Backtracking candidates x - t g, from t = INITIAL_STEP * wmax / gmax
+    shrinking by ``ratio`` down to MIN_STEP of the box width."""
+    t0 = INITIAL_STEP * wmax / gmax
+    steps = math.log(t0 * gmax / (MIN_STEP * wmax)) / math.log(1 / ratio)
+    count = min(max(int(math.ceil(steps)), 1), 400)
+    ts = np.array([t0 * ratio**j for j in range(count)])
+    return x - ts[:, None] * g
 
 
 def declared_min(problem: Problem) -> OracleResult:

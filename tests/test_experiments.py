@@ -1,6 +1,7 @@
 """Experiment configs, pipelines, artifacts, reproducibility, and the CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -439,6 +440,38 @@ class TestCli:
             "certificate": cert, "out_dir": str(tmp_path / "val")}))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None, {"points": [[0, 0], [1, 1]]}, {"waypoints": [[0, 0]]}],
+        ids=["missing", "no-waypoints", "one-waypoint"])
+    def test_bad_tsp_file_exit_code(self, tmp_path, capsys, content):
+        tsp = tmp_path / "tour.json"
+        if content is not None:
+            tsp.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "tsp_file": str(tsp),
+                                   "out_dir": str(out)}))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "config error: tsp_file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"gamma_star": 1}', "{not json", None],
+        ids=["missing-key", "invalid-json", "non-numeric"])
+    def test_malformed_certificate_exit_code(self, tmp_path, capsys, text):
+        cert = TestValidate.uniform_certificate(tmp_path)
+        if text is None:
+            raw = json.loads(Path(cert).read_text())
+            text = json.dumps({**raw, "r": "many"})
+        bad = tmp_path / "bad_certificate.json"
+        bad.write_text(text)
+        cfg = tmp_path / "validate.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "family": "uniform-gaps", "n_p": 2, "m_validate": 2,
+            "certificate": str(bad), "out_dir": str(tmp_path / "val")}))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert f"config error: certificate {bad}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment", ["tsp-fig2", "chi-sweep"])
     def test_oversized_tour_space_exit_code(self, tmp_path, capsys,

@@ -318,6 +318,65 @@ class TestRefineMinPinned:
         assert res.evaluations == 2068 and res.converged
 
 
+def _counted(problem):
+    """The problem with its cost wrapped to record each batch's row count."""
+    rows = []
+
+    def cost(w):
+        rows.append(len(w))
+        return problem.batch_cost(w)
+
+    return Problem(space=problem.space, batch_cost=cost), rows
+
+
+# (value, minimizer, converged, evaluations) under a lowered MAX_ITERS, where
+# the stencil scan is cut to the iterations left: a benchmark at n0 = 2000
+# and a waypoint instance at n0 = 3, both descending.
+CAPPED_PINS = {
+    ('himmelblau', 1): (0.10257800608155004, [3.5729390931359837, -1.7626116165993455], False, 2047),
+    ('himmelblau', 17): (0.008555935925948157, [3.574655975036707, -1.8299443500276464], False, 2858),
+    ('himmelblau', 18): (0.008555935925941666, [3.5746559750367046, -1.8299443500276644], False, 2925),
+    ('himmelblau', 19): (0.0085559359259407, [3.574655975036706, -1.829944350027664], False, 2992),
+    (25, 1): (0.0, [-0.8191871542029397, 0.9829333447898734], False, 10),
+    (25, 17): (0.0, [-0.8191871542029397, 0.9829333447898734], False, 352),
+    (25, 18): (0.0, [-0.8191871542029397, 0.9829333447898734], False, 356),
+    (25, 19): (0.0, [-0.8191871542029397, 0.9829333447898734], False, 570),
+}
+
+
+class TestRefineMinEvaluations:
+    """``evaluations`` counts exactly the rows passed to ``batch_cost``."""
+
+    @pytest.mark.parametrize("name,seed", list(BENCHMARK_PINS))
+    def test_benchmark(self, name, seed):
+        problem, rows = _counted(make_benchmark(name))
+        res = refine_min(problem, n0=2000, seed=seed)
+        assert (res.value, res.minimizer.tolist(), res.converged) == \
+            BENCHMARK_PINS[name, seed]
+        assert res.evaluations == sum(rows)
+
+    @pytest.mark.parametrize("seed,n0", list(MPC_PINS))
+    def test_waypoint_instance(self, seed, n0):
+        problem, rows = _counted(mpc_family().instance(seed))
+        res = refine_min(problem, n0=n0, seed=seed)
+        assert (res.value, res.minimizer.tolist(), res.converged) == \
+            MPC_PINS[seed, n0]
+        assert res.evaluations == sum(rows)
+
+    @pytest.mark.parametrize("case,cap", list(CAPPED_PINS))
+    def test_iteration_cap(self, monkeypatch, case, cap):
+        monkeypatch.setattr(oracles, "MAX_ITERS", cap)
+        if case == "himmelblau":
+            problem, n0, seed = make_benchmark(case), 2000, 0
+        else:
+            problem, n0, seed = mpc_family().instance(case), 3, case
+        problem, rows = _counted(problem)
+        res = refine_min(problem, n0=n0, seed=seed)
+        assert (res.value, res.minimizer.tolist(), res.converged,
+                res.evaluations) == CAPPED_PINS[case, cap]
+        assert res.evaluations == sum(rows)
+
+
 def _assert_row_independent(problem, rows):
     whole = problem.evaluate_batch(rows)
     n = len(rows)
