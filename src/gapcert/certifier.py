@@ -162,16 +162,8 @@ def exceedance_probability(model: VarianceModel, threshold: float,
     """
     if threshold < 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
-    problem = model.problem
-    if problem.space.cardinality is not None:
-        costs = problem.enumeration[0]
-    else:
-        if m is None or m < 1:
-            raise DomainError("a continuous space needs a positive sample "
-                              "count m")
-        decisions = problem.space.sample(0 if seed is None else seed, m,
-                                         path=(_rng.LEVEL_SET,))
-        costs = problem.evaluate_batch(decisions)
+    costs = model.problem.uniform_costs(m, 0 if seed is None else seed,
+                                        _rng.LEVEL_SET)
     return float((variance_of_costs(model, costs) > threshold).mean())
 
 

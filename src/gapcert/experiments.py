@@ -11,6 +11,7 @@ wall-clock timings: the report JSON's ``timings`` and, for table1, the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -38,6 +39,10 @@ from .spaces import BoxSpace
 EXPERIMENTS = ("solve", "certify", "chi-sweep", "table1", "tsp-fig2",
                "mpc-fig4", "validate")
 GAP_EXPERIMENTS = ("mpc-fig4", "validate")  # sample a family's gaps
+SELECTORS = ("benchmark", "tsp_file", "tsp_random")
+# An experiment's problem selectors, where not all three (table1 may omit it)
+_TAKES = {"tsp-fig2": ("tsp_file", "tsp_random"), "table1": ("benchmark",),
+          "mpc-fig4": (), "validate": ()}
 
 
 class ConfigError(ValueError):
@@ -86,6 +91,7 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Check every field; build the problem, family and oracle once."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
@@ -95,11 +101,6 @@ class ExperimentConfig:
             if not (isinstance(value, str)
                     or (value is None and name != "out_dir")):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
-        selectors = [name for name in ("benchmark", "tsp_file", "tsp_random")
-                     if getattr(self, name) is not None]
-        if len(selectors) > 1:
-            raise ConfigError(f"set at most one problem selector, got "
-                              f"{selectors}")
         _check_bounds(self.check)
         for name in ("n_p", "n_v", "trials", "r", "mc_samples"):
             _check_integer(name, getattr(self, name), 1)
@@ -110,60 +111,107 @@ class ExperimentConfig:
         _check_real("chi", self.chi, lambda v: 0.0 < v <= 1.0, "(0, 1]")
         _check_real("confidence", self.confidence, lambda v: 0.0 <= v < 1.0,
                     "[0, 1)")
-        if not isinstance(self.chis, list):
-            raise ConfigError(f"chis must be a list, got {self.chis!r}")
+        for name, values in (("chis", self.chis), ("n_p_list", self.n_p_list)):
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"{name} must be a non-empty list, got "
+                                  f"{values!r}")
         for chi in self.chis:
             _check_real("chis", chi, lambda v: 0.0 < v <= 1.0, "(0, 1]")
-        if not isinstance(self.n_p_list, list):
-            raise ConfigError(f"n_p_list must be a list, got {self.n_p_list!r}")
         for n_p in self.n_p_list:
             _check_integer("n_p_list", n_p, 1)
-        needs_problem = self.experiment in ("solve", "certify", "chi-sweep",
-                                            "tsp-fig2")
-        if needs_problem and not selectors:
-            raise ConfigError(f"experiment {self.experiment!r} needs a problem: "
-                              "set 'benchmark', 'tsp_file', or 'tsp_random'")
-        if self.experiment == "tsp-fig2" and self.benchmark:
-            raise ConfigError("experiment 'tsp-fig2' needs a finite (tour) "
-                              "problem: set 'tsp_file' or 'tsp_random'")
         if self.experiment in GAP_EXPERIMENTS and self.family is None:
             self.family = "mpc"
-        if self.family is not None:
-            _resolve_family(self)  # builds nothing yet; checks the name
-        if self.oracle:
-            self._validate_oracle()
-        if selectors:
-            _resolve_problem(self)  # reads and builds it; checks the selector
+        self.problem, self.problem_family, self.oracle_config  # each checks
 
-    def _validate_oracle(self) -> None:
-        oracle = self.oracle
-        if not isinstance(oracle, dict):
-            raise ConfigError(f"oracle must be an object, got {oracle!r}")
-        unknown = set(oracle) - {"method", "n0", "gap_tolerance"}
+    @functools.cached_property
+    def problem(self) -> Problem | None:
+        """The selected problem, read and built once; None where none is
+        needed.  A selector the experiment does not take, or an error reading
+        or building the problem, is a ConfigError naming the selector."""
+        selectors = [name for name in SELECTORS
+                     if getattr(self, name) is not None]
+        if len(selectors) > 1:
+            raise ConfigError(f"set at most one problem selector, got "
+                              f"{selectors}")
+        takes = _TAKES.get(self.experiment, SELECTORS)
+        allowed = " or ".join(map(repr, takes)) or "no problem selector"
+        if selectors and selectors[0] not in takes:
+            raise ConfigError(f"experiment {self.experiment!r} takes "
+                              f"{allowed}, got {selectors}")
+        if not selectors:
+            if self.experiment in ("table1", *GAP_EXPERIMENTS):
+                return None
+            raise ConfigError(f"experiment {self.experiment!r} needs a "
+                              f"problem: set {allowed}")
+        name, value = selectors[0], getattr(self, selectors[0])
+        try:
+            if name == "benchmark":
+                return make_benchmark(value)
+            if name == "tsp_file":
+                return make_tsp_problem(read_tsp_instance(value))
+            return make_tsp_problem(random_tsp_instance(value, self.seed))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{name} {value!r}: {type(exc).__name__}: "
+                              f"{exc}") from exc
+
+    @functools.cached_property
+    def problem_family(self) -> ProblemFamily | None:
+        """The family named by ``family``, built once; None when unset."""
+        if self.family is None:
+            return None
+        name = str(self.family)
+        if name == "mpc":
+            return mpc_family()
+        if name == "uniform-gaps":
+            return uniform_gap_family()
+        n = name.removeprefix("tsp:")
+        if name.startswith("tsp:") and n.isdecimal() and int(n) >= 2:
+            return make_tsp_family(int(n))
+        raise ConfigError(f"family must be 'mpc', 'uniform-gaps' or "
+                          f"'tsp:<n>' with n >= 2, got {self.family!r}")
+
+    @functools.cached_property
+    def oracle_config(self) -> OracleConfig | None:
+        """The run's ground-truth oracle, built once from ``oracle``; None for
+        solve and certify.  Defaults: the first of its methods, n0 = 2000 for
+        gap sampling and 20000 on one problem, and a gap tolerance of 1.0 on
+        mpc, whose cost takes grid-distance steps."""
+        raw = self.oracle
+        if not isinstance(raw, dict):
+            raise ConfigError(f"oracle must be an object, got {raw!r}")
+        unknown = set(raw) - {"method", "n0", "gap_tolerance"}
         if unknown:
             raise ConfigError(f"unknown oracle fields: {sorted(unknown)}")
-        methods = _oracle_methods(self)
-        if not methods:
-            raise ConfigError(f"oracle: experiment {self.experiment!r} uses "
-                              f"no oracle, got fields {sorted(oracle)}")
-        method = oracle.get("method", methods[0])
+        if self.experiment in ("solve", "certify"):
+            if raw:
+                raise ConfigError(f"oracle: experiment {self.experiment!r} "
+                                  f"uses no oracle, got fields {sorted(raw)}")
+            return None
+        gaps = self.experiment in GAP_EXPERIMENTS
+        kind = "benchmark" if self.benchmark is not None \
+            or self.experiment == "table1" else "tsp"
+        methods = ORACLE_METHODS[self.family.split(":")[0] if gaps else kind]
+        method = raw.get("method", methods[0])
         if method not in methods:
-            on = (f"family {self.family!r}" if self.experiment in
-                  GAP_EXPERIMENTS else f"the {self.experiment} problem")
+            on = (f"family {self.family!r}" if gaps
+                  else f"the {self.experiment} problem")
             raise ConfigError(f"oracle.method {method!r} cannot run on {on}; "
                               f"use one of {methods}")
-        if "n0" in oracle:
+        if "n0" in raw:
             if method != "refine-min":
                 raise ConfigError(f"oracle.n0 applies only to method "
                                   f"'refine-min', not {method!r}")
-            _check_integer("oracle.n0", oracle["n0"], 1)
-        if "gap_tolerance" in oracle:
-            if self.experiment not in GAP_EXPERIMENTS:
+            _check_integer("oracle.n0", raw["n0"], 1)
+        if "gap_tolerance" in raw:
+            if not gaps:
                 raise ConfigError(f"oracle.gap_tolerance applies only to "
                                   f"{GAP_EXPERIMENTS}, not {self.experiment!r}")
-            if oracle["gap_tolerance"] is not None:
-                _check_real("oracle.gap_tolerance", oracle["gap_tolerance"],
+            if raw["gap_tolerance"] is not None:
+                _check_real("oracle.gap_tolerance", raw["gap_tolerance"],
                             lambda v: v >= 0.0, "[0, inf)")
+        mpc = gaps and self.family == "mpc"
+        return OracleConfig(method, raw.get("n0", 2000 if gaps else 20000),
+                            raw.get("gap_tolerance", 1.0 if mpc else None))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -210,36 +258,6 @@ class RunReport:
                 "n_records": len(self.records)}
 
 
-def _resolve_problem(cfg: ExperimentConfig) -> Problem:
-    """The selected problem; an error reading or building it is a
-    ConfigError that names the selector."""
-    name = next(name for name in ("benchmark", "tsp_file", "tsp_random")
-                if getattr(cfg, name) is not None)
-    value = getattr(cfg, name)
-    try:
-        if name == "benchmark":
-            return make_benchmark(value)
-        if name == "tsp_file":
-            return make_tsp_problem(read_tsp_instance(value))
-        return make_tsp_problem(random_tsp_instance(value, cfg.seed))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{name} {value!r}: {type(exc).__name__}: "
-                          f"{exc}") from exc
-
-
-def _resolve_family(cfg: ExperimentConfig) -> ProblemFamily:
-    name = str(cfg.family)
-    if name == "mpc":
-        return mpc_family()
-    if name == "uniform-gaps":
-        return uniform_gap_family()
-    n = name.removeprefix("tsp:")
-    if name.startswith("tsp:") and n.isdecimal() and int(n) >= 2:
-        return make_tsp_family(int(n))
-    raise ConfigError(f"family must be 'mpc', 'uniform-gaps' or 'tsp:<n>' "
-                      f"with n >= 2, got {cfg.family!r}")
-
-
 # The oracle methods each kind of problem can run, the default first: tour
 # spaces have no bounds for refine-min, and mpc declares no optimum.
 ORACLE_METHODS = {"mpc": ("refine-min",), "tsp": ("exhaustive",),
@@ -247,33 +265,10 @@ ORACLE_METHODS = {"mpc": ("refine-min",), "tsp": ("exhaustive",),
                   "benchmark": ("refine-min", "declared")}
 
 
-def _oracle_methods(cfg: ExperimentConfig) -> tuple[str, ...]:
-    """The run's oracle methods: its family's for gap sampling, else its
-    problem's; none for solve and certify."""
-    if cfg.experiment in ("solve", "certify"):
-        return ()
-    if cfg.experiment in GAP_EXPERIMENTS:
-        return ORACLE_METHODS[cfg.family.split(":")[0]]
-    kind = "benchmark" if cfg.benchmark or cfg.experiment == "table1" else "tsp"
-    return ORACLE_METHODS[kind]
-
-
-def _oracle(cfg: ExperimentConfig) -> OracleConfig:
-    """The run's ground-truth oracle.  Defaults: the first of its methods,
-    n0 = 2000 for gap sampling and 20000 on one problem, and a gap tolerance
-    of 1.0 on mpc, whose cost takes grid-distance steps."""
-    raw = cfg.oracle or {}
-    gaps = cfg.experiment in GAP_EXPERIMENTS
-    return OracleConfig(
-        method=raw.get("method", _oracle_methods(cfg)[0]),
-        n0=raw.get("n0", 2000 if gaps else 20000),
-        gap_tolerance=raw.get("gap_tolerance",
-                              1.0 if gaps and cfg.family == "mpc" else None))
-
-
 def _ground_truth(cfg: ExperimentConfig, problem: Problem):
     """The run's oracle result on one problem, at the seed's ORACLE child."""
-    return _oracle(cfg).run(problem, _rng.child_seed(cfg.seed, _rng.ORACLE))
+    return cfg.oracle_config.run(problem,
+                                 _rng.child_seed(cfg.seed, _rng.ORACLE))
 
 
 def uniform_gap_family() -> ProblemFamily:
@@ -380,13 +375,16 @@ def run(raw: dict, out_dir=None) -> RunReport:
 
     Returns the report; the runner writes records.csv and its plot files,
     and this writes report.json, all under the output directory.  A config
-    that fails validation raises ConfigError before the directory is made.
+    that fails validation, or a ``validate`` run whose certificate cannot be
+    read or does not match, raises ConfigError before the directory is made.
     """
     config = ExperimentConfig.from_dict(raw)
     out = Path(out_dir if out_dir is not None else config.out_dir)
+    runner = _RUNNERS[config.experiment]
+    if config.experiment == "validate":
+        runner = functools.partial(runner, cert=_stored_certificate(config, out))
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    runner = _RUNNERS[config.experiment]
     records, summary, timings = runner(config, out)
     timings["total_s"] = time.perf_counter() - started
     report = RunReport(config=config, records=records, summary=summary,
@@ -399,7 +397,7 @@ def run(raw: dict, out_dir=None) -> RunReport:
 # --- individual experiments -------------------------------------------------
 
 def _run_solve(cfg: ExperimentConfig, out: Path):
-    problem = _resolve_problem(cfg)
+    problem = cfg.problem
     t0 = time.perf_counter()
     solution = percentile_solve(problem, cfg.n_p, cfg.seed)
     solve_s = time.perf_counter() - t0
@@ -417,7 +415,7 @@ def _run_solve(cfg: ExperimentConfig, out: Path):
 
 
 def _run_certify(cfg: ExperimentConfig, out: Path):
-    problem = _resolve_problem(cfg)
+    problem = cfg.problem
     t0 = time.perf_counter()
     solution = percentile_solve(problem, cfg.n_p, cfg.seed)
     _, cert = certify_solution(problem, solution, cfg.chi, cfg.n_v, cfg.epsilon)
@@ -438,7 +436,7 @@ def _run_certify(cfg: ExperimentConfig, out: Path):
 
 
 def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
-    problem = _resolve_problem(cfg)
+    problem = cfg.problem
     t0 = time.perf_counter()
     truth = _ground_truth(cfg, problem)
     oracle_s = time.perf_counter() - t0
@@ -476,15 +474,15 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
 
 
 def _run_table1(cfg: ExperimentConfig, out: Path):
-    names = [cfg.benchmark] if cfg.benchmark else list(BENCHMARK_NAMES)
+    problems = ({cfg.benchmark: cfg.problem} if cfg.problem is not None
+                else {name: make_benchmark(name) for name in BENCHMARK_NAMES})
     sink = _RecordSink(out, cfg,
                        ["benchmark", "trial", "v_star", "gap", "success",
                         "certify_ms"],
                        ["benchmark", "trial"])
     oracle_values = {}
     timings = {}
-    for name in names:
-        problem = make_benchmark(name)
+    for name, problem in problems.items():
         t0 = time.perf_counter()
         j_star = _ground_truth(cfg, problem).value
         timings[f"oracle_{name}_s"] = time.perf_counter() - t0
@@ -505,7 +503,7 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
     records = sink.finish()
     expected = confidence_of(cfg.epsilon, cfg.n_v)
     summary_rows = {}
-    for name in names:
+    for name in problems:
         rows = [r for r in records if r["benchmark"] == name]
         fraction = float(np.mean([r["success"] == "1" for r in rows]))
         mean_ms = float(np.mean([float(r["certify_ms"]) for r in rows]))
@@ -519,12 +517,12 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
                 for name, row in summary_rows.items()))
     summary = {"expected_success": expected, "benchmarks": summary_rows,
                "success_fraction": {n: summary_rows[n]["success_fraction"]
-                                    for n in names}}
+                                    for n in problems}}
     return records, summary, timings
 
 
 def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
-    problem = _resolve_problem(cfg)
+    problem = cfg.problem
     t0 = time.perf_counter()
     j_star = _ground_truth(cfg, problem).value
     enumerate_s = time.perf_counter() - t0
@@ -566,7 +564,7 @@ _GAP_COLUMNS = ["instance_seed", "solution_cost", "oracle_value", "gamma"]
 
 
 def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
-    family, oracle = _resolve_family(cfg), _oracle(cfg)
+    family, oracle = cfg.problem_family, cfg.oracle_config
     sink = _RecordSink(out, cfg, ["phase", "n_p", "trial", *_GAP_COLUMNS],
                        ["phase", "n_p", "trial"])
 
@@ -615,24 +613,28 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
     return records, summary, timings
 
 
-def _run_validate(cfg: ExperimentConfig, out: Path):
-    family, oracle = _resolve_family(cfg), _oracle(cfg)
+def _stored_certificate(cfg: ExperimentConfig, out: Path):
+    """validate's ``certificate`` (default: ``certificate_np<n_p>.json`` in
+    the output directory), read and matched to the run's family and n_p."""
     cert_path = Path(cfg.certificate) if cfg.certificate \
         else out / f"certificate_np{cfg.n_p}.json"
-    if not cert_path.exists():
-        raise ConfigError(f"validate needs a certificate: set 'certificate' or "
-                          f"run mpc-fig4 first (looked for {cert_path})")
     try:
         cert = repetitive.certificate_from_json(
             cert_path.read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"certificate {cert_path}: {type(exc).__name__}: "
                           f"{exc}") from exc
+    family = cfg.problem_family
     if (cert.n_p, cert.family) != (cfg.n_p, family.description):
         raise ConfigError(
             f"certificate {cert_path} holds family {cert.family!r} at "
             f"n_p={cert.n_p}, but this run samples family "
             f"{family.description!r} at n_p={cfg.n_p}")
+    return cert
+
+
+def _run_validate(cfg: ExperimentConfig, out: Path, cert):
+    family, oracle = cfg.problem_family, cfg.oracle_config
     m = cfg.m_validate or cfg.trials
     sink = _RecordSink(out, cfg, ["trial", *_GAP_COLUMNS, "covered"], ["trial"])
     for i, s in iter_gap_samples(family, cfg.n_p, oracle, cfg.seed,
@@ -661,9 +663,10 @@ def apply_check(report: RunReport) -> list[str]:
     """Evaluate the config's acceptance thresholds against the summary.
 
     Supported keys: ``<field>_min`` / ``<field>_max`` where field names a
-    numeric summary entry or a dict of numeric entries (all must satisfy the
-    bound).  Returns human-readable failure strings, empty when all pass; a
-    value that is not a real number is a failure.
+    numeric summary entry or a non-empty dict of numeric entries (all must
+    satisfy the bound).  Returns human-readable failure strings, empty when
+    all pass; a value that is not a real number, or an empty dict, is a
+    failure.
     """
     failures = []
     for name, op, bound in _check_bounds(report.config.check):
@@ -671,6 +674,8 @@ def apply_check(report: RunReport) -> list[str]:
         if value is None:
             failures.append(f"check field {name!r} absent from summary")
             continue
+        if isinstance(value, dict) and not value:
+            failures.append(f"{name}: no values to check")
         items = value.items() if isinstance(value, dict) else [(name, value)]
         for label, v in items:
             if v is None:

@@ -97,6 +97,15 @@ class Problem:
         costs.flags.writeable = minimizer.flags.writeable = False  # shared
         return costs, minimizer
 
+    def uniform_costs(self, m: int | None, seed: int, tag: int) -> np.ndarray:
+        """Every cost of a finite space (``enumeration``; m and seed unused),
+        else the costs of m >= 1 uniform draws at (seed, tag)."""
+        if self.space.cardinality is not None:
+            return self.enumeration[0]
+        if m is None or m < 1:
+            raise DomainError("a continuous space needs a sample count m >= 1")
+        return self.evaluate_batch(self.space.sample(seed, m, path=(tag,)))
+
     def evaluate(self, decision) -> float:
         """The cost of one decision of ``space``; anything else is refused."""
         decision = np.asarray(decision)
@@ -195,21 +204,15 @@ def percentile_solve(problem: Problem, n_p: int, seed: int) -> PercentileSolutio
     return PercentileSolution(best=info[i], best_index=i, info=info)
 
 
-def estimate_better_fraction(problem: Problem, candidate, m: int = 1,
+def estimate_better_fraction(problem: Problem, candidate, m: int | None = None,
                              seed: int = 0) -> float:
     """Fraction of the decision space strictly cheaper than ``candidate``.
 
     Exact on a finite space, which is enumerated (m and seed are then
-    ignored); Monte Carlo over m fresh uniform samples otherwise.
+    ignored); Monte Carlo over m fresh uniform samples, m required, otherwise.
     """
     threshold = problem.evaluate(candidate)
-    if problem.space.cardinality is not None:
-        costs, _ = problem.enumeration
-        return int((costs < threshold).sum()) / len(costs)
-    if m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
-    samples = problem.space.sample(seed, m, path=(_rng.BETTER_FRACTION,))
-    costs = problem.evaluate_batch(samples)
+    costs = problem.uniform_costs(m, seed, _rng.BETTER_FRACTION)
     return float((costs < threshold).mean())
 
 

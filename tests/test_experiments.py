@@ -10,7 +10,8 @@ from gapcert.cli import main
 from gapcert.experiments import ConfigError, ExperimentConfig, _RecordSink, \
     apply_check, run
 from gapcert.problems import make_benchmark, make_tsp_family, \
-    make_tsp_problem, random_tsp_instance, write_tsp_instance
+    make_tsp_problem, random_tsp_instance, read_tsp_instance, \
+    write_tsp_instance
 from gapcert.spaces import PermutationSpace
 
 
@@ -36,7 +37,8 @@ BAD_VALUES = [
     ("oracle", [2000]), ("out_dir", None), ("certificate", 3),
     ("tsp_file", "a.tsp"), ("check", {"v_star": 1.0}),
     ("check", {"v_star_max": True}), ("check", {"v_star_min": float("nan")}),
-    ("check", None),
+    ("check", None), ("oracle", []), ("oracle", None), ("oracle", False),
+    ("oracle", 0), ("oracle", ""), ("n_p_list", []), ("chis", []),
 ]
 
 
@@ -137,13 +139,21 @@ class TestTspFig2:
             report.summary["success_fraction"]
         assert 0.0 <= report.summary["success_fraction"] <= 1.0
 
-    def test_tsp_file_selector(self, tmp_path):
+    def test_tsp_file_selector(self, tmp_path, monkeypatch):
         inst = random_tsp_instance(5, seed=1)
         write_tsp_instance(inst, tmp_path / "inst.json")
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_tsp_instance(path)
+
+        monkeypatch.setattr("gapcert.experiments.read_tsp_instance", counted)
         report = run({"experiment": "tsp-fig2", "seed": 4,
                       "tsp_file": str(tmp_path / "inst.json"),
                       "n_p": 60, "trials": 3, "out_dir": str(tmp_path / "out")})
         assert report.summary["problem"] == "tsp-5"
+        assert len(reads) == 1  # validation builds it; the run reuses it
 
     @pytest.mark.parametrize("experiment", ["tsp-fig2", "chi-sweep"])
     def test_enumeration_limit_checked_before_enumerating(
@@ -456,22 +466,26 @@ class TestCli:
         assert "config error: tsp_file" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [
-        '{"gamma_star": 1}', "{not json", None],
-        ids=["missing-key", "invalid-json", "non-numeric"])
-    def test_malformed_certificate_exit_code(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("edit", [
+        lambda raw: '{"gamma_star": 1}', lambda raw: "{not json",
+        lambda raw: json.dumps({**raw, "r": "many"}),
+        lambda raw: json.dumps({**raw, "n_p": 3}), None],
+        ids=["missing-key", "invalid-json", "non-numeric", "other-n_p",
+             "not-found"])
+    def test_malformed_certificate_exit_code(self, tmp_path, capsys, edit):
+        """A certificate that cannot be read, parsed or matched to the run
+        exits 2 before the output directory is made."""
         cert = TestValidate.uniform_certificate(tmp_path)
-        if text is None:
-            raw = json.loads(Path(cert).read_text())
-            text = json.dumps({**raw, "r": "many"})
         bad = tmp_path / "bad_certificate.json"
-        bad.write_text(text)
+        if edit is not None:
+            bad.write_text(edit(json.loads(Path(cert).read_text())))
         cfg = tmp_path / "validate.json"
         cfg.write_text(json.dumps({
             "seed": 1, "family": "uniform-gaps", "n_p": 2, "m_validate": 2,
             "certificate": str(bad), "out_dir": str(tmp_path / "val")}))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert f"config error: certificate {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "val").exists()
 
     @pytest.mark.parametrize("experiment", ["tsp-fig2", "chi-sweep"])
     def test_oversized_tour_space_exit_code(self, tmp_path, capsys,
@@ -531,17 +545,22 @@ class TestCli:
          "oracle.gap_tolerance"),
         ("solve", {"benchmark": "beale"}, {"n0": 7}, "oracle"),
         ("certify", {"benchmark": "beale"}, {"method": "refine-min"},
-         "oracle")])
+         "oracle"),
+        # a problem selector the run would ignore
+        ("table1", {"tsp_random": 6}, {}, "tsp_random"),
+        ("mpc-fig4", {"benchmark": "beale"}, {}, "benchmark"),
+        ("validate", {"tsp_random": 6}, {}, "tsp_random")])
     def test_oracle_field_the_run_would_ignore_exit_code(
             self, tmp_path, capsys, experiment, problem, oracle, field):
+        out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "trials": 2, "n_p": 20, "r": 2,
                                    "n_p_list": [5], **problem,
-                                   "oracle": oracle, "out_dir": str(tmp_path)}))
+                                   "oracle": oracle, "out_dir": str(out)}))
         assert main([experiment, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err
-        assert not (tmp_path / "report.json").exists()
+        assert not out.exists()
 
     def test_oracle_method_is_honoured(self, tmp_path):
         summary = run({"experiment": "table1", "seed": 1, "benchmark": "beale",
@@ -600,6 +619,14 @@ class TestCli:
             "check": {"success_fraction_min": 1.5}}))
         assert main(["tsp-fig2", "--config", str(cfg), "--check"]) == 3
         assert "check failed" in capsys.readouterr().err
+        # no validation phase: coverage is {}, which passes nothing
+        cfg.write_text(json.dumps({
+            "seed": 2, "family": "uniform-gaps", "r": 3, "n_p_list": [2],
+            "out_dir": str(tmp_path / "fig4"),
+            "check": {"coverage_min": 0.985}}))
+        assert main(["mpc-fig4", "--config", str(cfg), "--check"]) == 3
+        assert "check failed: coverage: no values to check" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("field, shown", [
         ("problem", "'beale'"), ("optimum_interval", "[")])

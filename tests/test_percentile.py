@@ -205,6 +205,10 @@ class TestEstimateBetterFraction:
         draws = problem.space.sample(5, 400, path=(_rng.BETTER_FRACTION,))
         assert estimate_better_fraction(problem, [3.0], m=400, seed=5) == \
             (draws[:, 0] < 3.0).mean()
+        # a continuous space needs a sample count: no one-draw default
+        for m in (None, 0):
+            with pytest.raises(DomainError):
+                estimate_better_fraction(problem, [3.0], m=m)
 
 
 def test_infoset_csv_roundtrip(tmp_path):
