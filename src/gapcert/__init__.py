@@ -21,7 +21,6 @@ from .percentile import (
     estimate_better_fraction,
     min_samples,
     percentile_solve,
-    read_infoset_csv,
     write_infoset_csv,
 )
 from .spaces import BoxSpace, PermutationSpace, SpaceError, TourSpace

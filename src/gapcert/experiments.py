@@ -36,13 +36,21 @@ from .problems import BENCHMARK_NAMES, make_benchmark, make_tsp_family, \
 from .repetitive import OracleConfig, ProblemFamily, iter_gap_samples
 from .spaces import BoxSpace
 
-EXPERIMENTS = ("solve", "certify", "chi-sweep", "table1", "tsp-fig2",
-               "mpc-fig4", "validate")
-GAP_EXPERIMENTS = ("mpc-fig4", "validate")  # sample a family's gaps
 SELECTORS = ("benchmark", "tsp_file", "tsp_random")
-# An experiment's problem selectors, where not all three (table1 may omit it)
-_TAKES = {"tsp-fig2": ("tsp_file", "tsp_random"), "table1": ("benchmark",),
-          "mpc-fig4": (), "validate": ()}
+# The fields each experiment reads besides experiment, seed, out_dir and
+# check; a config that sets any other field is refused.
+READS = {
+    "solve": (*SELECTORS, "n_p"),
+    "certify": (*SELECTORS, "n_p", "n_v", "epsilon", "chi"),
+    "chi-sweep": (*SELECTORS, "oracle", "n_p", "trials", "chis", "mc_samples"),
+    "table1": ("benchmark", "oracle", "n_p", "n_v", "epsilon", "chi", "trials"),
+    "tsp-fig2": ("tsp_file", "tsp_random", "oracle", "n_p", "chi", "trials",
+                 "confidence"),
+    "mpc-fig4": ("family", "oracle", "n_p_list", "r", "epsilon", "m_validate"),
+    "validate": ("family", "oracle", "certificate", "n_p", "m_validate"),
+}
+EXPERIMENTS = tuple(READS)
+GAP_EXPERIMENTS = tuple(e for e in READS if "family" in READS[e])
 
 
 class ConfigError(ValueError):
@@ -87,11 +95,13 @@ class ExperimentConfig:
             raise ConfigError("field 'seed' is required (runs never seed from "
                               "the clock)")
         cfg = cls(**raw)
-        cfg.validate()
+        cfg.validate(raw)
         return cfg
 
-    def validate(self) -> None:
-        """Check every field; build the problem, family and oracle once."""
+    def validate(self, fields) -> None:
+        """Check every field's type and range, refuse a set field (one of
+        ``fields``) that the experiment does not read, then build the
+        problem, family and oracle once."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
@@ -104,7 +114,8 @@ class ExperimentConfig:
         _check_bounds(self.check)
         for name in ("n_p", "n_v", "trials", "r", "mc_samples"):
             _check_integer(name, getattr(self, name), 1)
-        _check_integer("m_validate", self.m_validate, 0)
+        _check_integer("m_validate", self.m_validate,
+                       1 if self.experiment == "validate" else 0)
         if self.tsp_random is not None:
             _check_integer("tsp_random", self.tsp_random, 2)
         _check_real("epsilon", self.epsilon, lambda v: 0.0 < v <= 1.0, "(0, 1]")
@@ -119,6 +130,23 @@ class ExperimentConfig:
             _check_real("chis", chi, lambda v: 0.0 < v <= 1.0, "(0, 1]")
         for n_p in self.n_p_list:
             _check_integer("n_p_list", n_p, 1)
+        n = str(self.family).removeprefix("tsp:")
+        if self.family not in (None, "mpc", "uniform-gaps") and not (
+                str(self.family).startswith("tsp:") and n.isdecimal()
+                and int(n) >= 2):
+            raise ConfigError(f"family must be 'mpc', 'uniform-gaps' or "
+                              f"'tsp:<n>' with n >= 2, got {self.family!r}")
+        if not isinstance(self.oracle, dict):
+            raise ConfigError(f"oracle must be an object, got {self.oracle!r}")
+        unknown = set(self.oracle) - {"method", "n0", "gap_tolerance"}
+        if unknown:
+            raise ConfigError(f"unknown oracle fields: {sorted(unknown)}")
+        reads = READS[self.experiment]
+        unread = sorted(set(fields) - {"experiment", "seed", "out_dir",
+                                       "check", *reads})
+        if unread:
+            raise ConfigError(f"experiment {self.experiment!r} does not read "
+                              f"{unread}; it reads {list(reads)}")
         if self.experiment in GAP_EXPERIMENTS and self.family is None:
             self.family = "mpc"
         self.problem, self.problem_family, self.oracle_config  # each checks
@@ -126,23 +154,18 @@ class ExperimentConfig:
     @functools.cached_property
     def problem(self) -> Problem | None:
         """The selected problem, read and built once; None where none is
-        needed.  A selector the experiment does not take, or an error reading
-        or building the problem, is a ConfigError naming the selector."""
-        selectors = [name for name in SELECTORS
-                     if getattr(self, name) is not None]
+        needed.  An error reading or building the problem is a ConfigError
+        naming the selector."""
+        takes = [name for name in SELECTORS if name in READS[self.experiment]]
+        selectors = [name for name in takes if getattr(self, name) is not None]
         if len(selectors) > 1:
             raise ConfigError(f"set at most one problem selector, got "
                               f"{selectors}")
-        takes = _TAKES.get(self.experiment, SELECTORS)
-        allowed = " or ".join(map(repr, takes)) or "no problem selector"
-        if selectors and selectors[0] not in takes:
-            raise ConfigError(f"experiment {self.experiment!r} takes "
-                              f"{allowed}, got {selectors}")
         if not selectors:
-            if self.experiment in ("table1", *GAP_EXPERIMENTS):
+            if self.experiment == "table1" or not takes:
                 return None
             raise ConfigError(f"experiment {self.experiment!r} needs a "
-                              f"problem: set {allowed}")
+                              f"problem: set {' or '.join(map(repr, takes))}")
         name, value = selectors[0], getattr(self, selectors[0])
         try:
             if name == "benchmark":
@@ -157,36 +180,23 @@ class ExperimentConfig:
     @functools.cached_property
     def problem_family(self) -> ProblemFamily | None:
         """The family named by ``family``, built once; None when unset."""
-        if self.family is None:
-            return None
-        name = str(self.family)
-        if name == "mpc":
+        if self.family == "mpc":
             return mpc_family()
-        if name == "uniform-gaps":
+        if self.family == "uniform-gaps":
             return uniform_gap_family()
-        n = name.removeprefix("tsp:")
-        if name.startswith("tsp:") and n.isdecimal() and int(n) >= 2:
-            return make_tsp_family(int(n))
-        raise ConfigError(f"family must be 'mpc', 'uniform-gaps' or "
-                          f"'tsp:<n>' with n >= 2, got {self.family!r}")
+        if self.family is not None:
+            return make_tsp_family(int(self.family.removeprefix("tsp:")))
+        return None
 
     @functools.cached_property
     def oracle_config(self) -> OracleConfig | None:
-        """The run's ground-truth oracle, built once from ``oracle``; None for
-        solve and certify.  Defaults: the first of its methods, n0 = 2000 for
-        gap sampling and 20000 on one problem, and a gap tolerance of 1.0 on
-        mpc, whose cost takes grid-distance steps."""
-        raw = self.oracle
-        if not isinstance(raw, dict):
-            raise ConfigError(f"oracle must be an object, got {raw!r}")
-        unknown = set(raw) - {"method", "n0", "gap_tolerance"}
-        if unknown:
-            raise ConfigError(f"unknown oracle fields: {sorted(unknown)}")
-        if self.experiment in ("solve", "certify"):
-            if raw:
-                raise ConfigError(f"oracle: experiment {self.experiment!r} "
-                                  f"uses no oracle, got fields {sorted(raw)}")
+        """The run's ground-truth oracle, built once from ``oracle``; None
+        where the experiment reads no oracle.  Defaults: the first of its
+        methods, n0 = 2000 for gap sampling and 20000 on one problem, and a
+        gap tolerance of 1.0 on mpc, whose cost takes grid-distance steps."""
+        if "oracle" not in READS[self.experiment]:
             return None
+        raw = self.oracle
         gaps = self.experiment in GAP_EXPERIMENTS
         kind = "benchmark" if self.benchmark is not None \
             or self.experiment == "table1" else "tsp"
@@ -453,10 +463,11 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
                     cfg.seed, _rng.CHI_SWEEP_SUBSAMPLE, trial)
                 exceedance_seed = _rng.child_seed(
                     cfg.seed, _rng.CHI_SWEEP_EXCEEDANCE, trial)
-                gap = solution.best.cost - truth.value
+                gap = cfg.oracle_config.gap(solution.best.cost, truth.value,
+                                            f"{problem.name} trial {trial}")
             model = subsample_info(solution.info, chi, subsample_seed,
                                    problem=problem)
-            p = exceedance_probability(model, max(gap, 0.0), m=cfg.mc_samples,
+            p = exceedance_probability(model, gap, m=cfg.mc_samples,
                                        seed=exceedance_seed)
             sink.add({"trial": trial, "chi": float(chi), "gap": gap, "p": p})
     records = sink.finish()
@@ -496,7 +507,8 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
             _, cert = certify_solution(problem, solution, cfg.chi, cfg.n_v,
                                        cfg.epsilon)
             certify_ms = (time.perf_counter() - t1) * 1e3
-            gap = solution.best.cost - j_star
+            gap = cfg.oracle_config.gap(solution.best.cost, j_star,
+                                        f"{name} trial {trial}")
             sink.add({"benchmark": name, "trial": trial, "v_star": cert.v_star,
                       "gap": gap, "success": cert.v_star >= gap,
                       "certify_ms": certify_ms})
@@ -534,7 +546,8 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
             continue
         solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
             cfg.seed, _rng.TSP_FIG2_TRIAL, trial))
-        gap = solution.best.cost - j_star
+        gap = cfg.oracle_config.gap(solution.best.cost, j_star,
+                                    f"{problem.name} trial {trial}")
         model = solution_model(problem, solution, cfg.chi)
         p = exceedance_probability(model, gap)
         n_v, v_star = 0, float("nan")  # no certificate when p = 0
@@ -635,16 +648,15 @@ def _stored_certificate(cfg: ExperimentConfig, out: Path):
 
 def _run_validate(cfg: ExperimentConfig, out: Path, cert):
     family, oracle = cfg.problem_family, cfg.oracle_config
-    m = cfg.m_validate or cfg.trials
     sink = _RecordSink(out, cfg, ["trial", *_GAP_COLUMNS, "covered"], ["trial"])
     for i, s in iter_gap_samples(family, cfg.n_p, oracle, cfg.seed,
-                                 _rng.VALIDATE, m, sink.trials()):
+                                 _rng.VALIDATE, cfg.m_validate, sink.trials()):
         sink.add({"trial": i, **dataclasses.asdict(s),
                   "covered": s.gamma <= cert.gamma_star})
     records = sink.finish()
     coverage = float(np.mean([r["covered"] == "1" for r in records]))
     summary = {"family": family.description, "gamma_star": cert.gamma_star,
-               "m": m, "coverage": coverage}
+               "m": cfg.m_validate, "coverage": coverage}
     return records, summary, {}
 
 

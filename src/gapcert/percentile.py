@@ -220,7 +220,8 @@ def write_infoset_csv(info: InfoSet, csv_path) -> None:
     """Write ``index,cost,decision`` rows; decisions are JSON-encoded arrays.
 
     The seed, sample count and decision dtype go to a sidecar JSON manifest,
-    the CSV path with a .manifest.json suffix.
+    the CSV path with a .manifest.json suffix.  Both are output artifacts of
+    ``solve`` and ``certify``; nothing in the package reads them back.
     """
     csv_path = Path(csv_path)
     integer = np.issubdtype(info.decisions.dtype, np.integer)
@@ -234,23 +235,3 @@ def write_infoset_csv(info: InfoSet, csv_path) -> None:
         json.dumps({"seed": info.seed, "n_p": info.n_p,
                     "decision_dtype": "int" if integer else "float"}, indent=2),
         encoding="utf-8")
-
-
-def read_infoset_csv(csv_path) -> InfoSet:
-    csv_path = Path(csv_path)
-    manifest = json.loads(csv_path.with_suffix(".manifest.json").read_text(
-        encoding="utf-8"))
-    costs, decisions = [], []
-    with csv_path.open("r", encoding="utf-8") as fh:
-        header = fh.readline()
-        for line in fh:
-            _, cost, dec = line.rstrip("\n").split(",", 2)
-            costs.append(float(cost))
-            decisions.append(json.loads(dec.strip('"')))
-    dtype = np.intp if manifest.get("decision_dtype") == "int" else float
-    info = InfoSet(decisions=np.asarray(decisions, dtype=dtype),
-                   costs=np.asarray(costs, dtype=float),
-                   seed=int(manifest["seed"]))
-    if info.n_p != int(manifest["n_p"]):
-        raise ValueError(f"manifest n_p={manifest['n_p']} but csv has {info.n_p} rows")
-    return info

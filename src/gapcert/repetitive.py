@@ -55,6 +55,19 @@ class OracleConfig:
             return REFINE_GAP_TOLERANCE
         return 0.0
 
+    def gap(self, cost: float, oracle_value: float, where: str) -> float:
+        """The gap of ``cost`` above the oracle's value.  A gap within the
+        tolerance below zero clamps to 0 (the oracle is itself an estimate);
+        anything lower means a broken oracle and raises OracleError naming
+        ``where``, for replay."""
+        raw = cost - oracle_value
+        if raw < -self.tolerance:
+            raise OracleError(
+                f"solution cost {cost!r} undercuts oracle value "
+                f"{oracle_value!r} by more than tolerance {self.tolerance!r} "
+                f"on {where}")
+        return max(raw, 0.0)
+
     def run(self, problem: Problem, seed: int) -> OracleResult:
         if self.method == "exhaustive":
             return exhaustive_min(problem)
@@ -97,23 +110,17 @@ class RepetitiveCertificate:
 def sample_gap(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
                seed: int) -> GapSample:
     """Draw one instance, percentile-solve it, and measure the gap to the
-    oracle's optimum.
-
-    Raw gaps within the oracle tolerance below zero clamp to 0 (the oracle is
-    itself an estimate); anything lower means a broken oracle and raises with
-    the instance seed for replay.
+    oracle's optimum (``OracleConfig.gap``, which names the instance seed
+    when the oracle is undercut).
     """
     instance_seed = _rng.child_seed(seed, _rng.GAP_INSTANCE)
     problem = family.instance(instance_seed)
     solution = percentile_solve(problem, n_p, _rng.child_seed(seed, _rng.GAP_SOLVE))
     oracle = oracle_cfg.run(problem, _rng.child_seed(seed, _rng.GAP_ORACLE))
-    raw = solution.best.cost - oracle.value
-    if raw < -oracle_cfg.tolerance:
-        raise OracleError(
-            f"solution cost {solution.best.cost!r} undercuts oracle value "
-            f"{oracle.value!r} by more than tolerance {oracle_cfg.tolerance!r} "
-            f"on instance seed {instance_seed} ({family.description})")
-    return GapSample(gamma=max(raw, 0.0), instance_seed=instance_seed,
+    gamma = oracle_cfg.gap(solution.best.cost, oracle.value,
+                           f"instance seed {instance_seed} "
+                           f"({family.description})")
+    return GapSample(gamma=gamma, instance_seed=instance_seed,
                      solution_cost=float(solution.best.cost),
                      oracle_value=float(oracle.value),
                      oracle_method=oracle.method)

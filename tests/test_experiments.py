@@ -1,14 +1,18 @@
 """Experiment configs, pipelines, artifacts, reproducibility, and the CLI."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gapcert import CapacityError, _rng, exhaustive_min
+from gapcert import CapacityError, OracleConfig, OracleError, OracleResult, \
+    _rng, exhaustive_min
 from gapcert.cli import main
-from gapcert.experiments import ConfigError, ExperimentConfig, _RecordSink, \
-    apply_check, run
+from gapcert.experiments import READS, ConfigError, ExperimentConfig, \
+    _RecordSink, apply_check, run
 from gapcert.problems import make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance, \
     write_tsp_instance
@@ -41,6 +45,20 @@ BAD_VALUES = [
     ("oracle", 0), ("oracle", ""), ("n_p_list", []), ("chis", []),
 ]
 
+# A valid value of every field that an experiment may leave unread, and an
+# otherwise valid config of each experiment
+VALID = {"benchmark": "beale", "tsp_file": "tour.json", "tsp_random": 5,
+         "family": "uniform-gaps", "n_p": 5, "n_v": 5, "epsilon": 0.1,
+         "chi": 0.5, "trials": 2, "r": 2, "confidence": 0.9,
+         "n_p_list": [2], "m_validate": 2, "chis": [0.5], "mc_samples": 10,
+         "oracle": {}, "certificate": "certificate.json"}
+BASE = {"solve": {"benchmark": "beale"}, "certify": {"benchmark": "beale"},
+        "chi-sweep": {"benchmark": "beale"}, "table1": {},
+        "tsp-fig2": {"tsp_random": 5}, "mpc-fig4": {},
+        "validate": {"m_validate": 2}}
+UNREAD = [(experiment, field) for experiment, reads in READS.items()
+          for field in VALID if field not in reads]
+
 
 class TestConfig:
     def test_requires_experiment_and_seed(self):
@@ -67,10 +85,12 @@ class TestConfig:
     def test_range_checks(self):
         # wrong types are refused, never truncated or coerced
         for field, value in BAD_VALUES:
-            with pytest.raises(ConfigError, match=field):
+            with pytest.raises(ConfigError, match=field) as refused:
                 ExperimentConfig.from_dict({"experiment": "chi-sweep",
                                             "seed": 1, "benchmark": "beale",
                                             field: value})
+            # refused by the field's own check, before the unread-field rule
+            assert "does not read" not in str(refused.value), field
 
     def test_tsp_fig2_refuses_a_continuous_problem(self, tmp_path):
         out = tmp_path / "out"
@@ -83,6 +103,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="benchmark"):
             ExperimentConfig.from_dict({"experiment": "solve", "seed": 1,
                                         "benchmark": "nope"})
+
+    def test_reads_covers_every_settable_field(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set().union(*READS.values()) == set(VALID) == \
+            fields - {"experiment", "seed", "out_dir", "check"}
+        for experiment, extra in BASE.items():
+            ExperimentConfig.from_dict({"experiment": experiment, "seed": 1,
+                                        **extra})
+
+    def test_readme_configs_are_valid(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        blocks = re.findall(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\n"
+                            r"gapcert (\S+) --config \1", readme, re.S)
+        assert len(blocks) == readme.count("<<'EOF'") > 0
+        for _, text, experiment in blocks:
+            ExperimentConfig.from_dict({**json.loads(text),
+                                        "experiment": experiment})
+        table = re.findall(r"^\| `([a-z0-9-]+)` \| (`.*`) \|$", readme, re.M)
+        assert {e: tuple(re.findall(r"`(\w+)`", fields))
+                for e, fields in table if e in READS} == READS
 
 
 class TestSolveAndCertify:
@@ -118,6 +159,17 @@ class TestTable1:
         frac = report.summary["benchmarks"]["beale"]["success_fraction"]
         assert 0.0 <= frac <= 1.0
         assert len(report.records) == 4
+
+    def test_undercut_oracle_raises(self, tmp_path, monkeypatch):
+        """A solution below the ground truth means a broken oracle: the run
+        stops, as gap sampling does, and records no success."""
+        def broken(self, problem, seed):
+            return OracleResult(1e6, np.zeros(2), self.method, 0)
+
+        monkeypatch.setattr(OracleConfig, "run", broken)
+        with pytest.raises(OracleError, match="undercuts.*beale trial 0"):
+            run({"experiment": "table1", "seed": 9, "trials": 2, "n_p": 20,
+                 "n_v": 20, "benchmark": "beale", "out_dir": str(tmp_path)})
 
 
 class TestTspFig2:
@@ -212,12 +264,12 @@ class TestChiSweep:
             return enumerate_(space, *args, **kwargs)
 
         monkeypatch.setattr(PermutationSpace, "enumerate", counted)
-        for experiment, key in (("chi-sweep", "oracle_value"),
-                                ("tsp-fig2", "true_optimum")):
+        for experiment, key, extra in (
+                ("chi-sweep", "oracle_value", {"chis": [0.05, 0.5, 1.0]}),
+                ("tsp-fig2", "true_optimum", {})):
             calls.clear()
             summary = run({"experiment": experiment, "seed": 7,
-                           "tsp_random": 5, "n_p": 60, "trials": 4,
-                           "chis": [0.05, 0.5, 1.0],
+                           "tsp_random": 5, "n_p": 60, "trials": 4, **extra,
                            "out_dir": str(tmp_path / experiment)}).summary
             # the ground truth and the exact fractions share one pass
             assert len(calls) == 1, experiment
@@ -283,6 +335,17 @@ class TestValidate:
             run({"experiment": "validate", "seed": 1, "family": "tsp:5",
                  "n_p": 2, "m_validate": 2, "certificate": cert,
                  "out_dir": str(tmp_path / "val")})
+
+    def test_validate_needs_m_validate(self, tmp_path, capsys):
+        cfg = tmp_path / "validate.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "family": "uniform-gaps", "n_p": 2,
+            "certificate": self.uniform_certificate(tmp_path),
+            "out_dir": str(tmp_path / "val")}))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "config error: m_validate must be an integer >= 1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "val").exists()
 
     def test_missing_certificate_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="certificate"):
@@ -531,35 +594,52 @@ class TestCli:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("experiment, problem, oracle, field", [
-        ("table1", {"benchmark": "beale"},
+        ("table1", {"benchmark": "beale", "trials": 2, "n_p": 20},
          {"method": "exhaustive", "gap_tolerance": 5.0}, "oracle.method"),
-        ("chi-sweep", {"tsp_random": 6}, {"method": "refine-min", "n0": 7},
-         "oracle.method"),
-        ("tsp-fig2", {"tsp_random": 6}, {"method": "declared"},
-         "oracle.method"),
-        ("chi-sweep", {"benchmark": "beale"}, {"method": "declared", "n0": 7},
-         "oracle.n0"),
-        ("mpc-fig4", {"family": "uniform-gaps"}, {"n0": 7}, "oracle.n0"),
-        ("table1", {}, {"gap_tolerance": 1.0}, "oracle.gap_tolerance"),
-        ("tsp-fig2", {"tsp_random": 6}, {"gap_tolerance": 1.0},
+        ("chi-sweep", {"tsp_random": 6, "trials": 2, "n_p": 20},
+         {"method": "refine-min", "n0": 7}, "oracle.method"),
+        ("tsp-fig2", {"tsp_random": 6, "trials": 2, "n_p": 20},
+         {"method": "declared"}, "oracle.method"),
+        ("chi-sweep", {"benchmark": "beale", "trials": 2, "n_p": 20},
+         {"method": "declared", "n0": 7}, "oracle.n0"),
+        ("mpc-fig4", {"family": "uniform-gaps", "r": 2, "n_p_list": [5]},
+         {"n0": 7}, "oracle.n0"),
+        ("table1", {"trials": 2, "n_p": 20}, {"gap_tolerance": 1.0},
          "oracle.gap_tolerance"),
-        ("solve", {"benchmark": "beale"}, {"n0": 7}, "oracle"),
-        ("certify", {"benchmark": "beale"}, {"method": "refine-min"},
-         "oracle"),
+        ("tsp-fig2", {"tsp_random": 6, "trials": 2, "n_p": 20},
+         {"gap_tolerance": 1.0}, "oracle.gap_tolerance"),
+        ("solve", {"benchmark": "beale", "n_p": 20}, {"n0": 7}, "oracle"),
+        ("certify", {"benchmark": "beale", "n_p": 20},
+         {"method": "refine-min"}, "oracle"),
         # a problem selector the run would ignore
-        ("table1", {"tsp_random": 6}, {}, "tsp_random"),
-        ("mpc-fig4", {"benchmark": "beale"}, {}, "benchmark"),
-        ("validate", {"tsp_random": 6}, {}, "tsp_random")])
+        ("table1", {"tsp_random": 6, "trials": 2, "n_p": 20}, {},
+         "tsp_random"),
+        ("mpc-fig4", {"benchmark": "beale", "r": 2, "n_p_list": [5]}, {},
+         "benchmark"),
+        ("validate", {"tsp_random": 6, "m_validate": 2, "n_p": 20}, {},
+         "tsp_random")])
     def test_oracle_field_the_run_would_ignore_exit_code(
             self, tmp_path, capsys, experiment, problem, oracle, field):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 1, "trials": 2, "n_p": 20, "r": 2,
-                                   "n_p_list": [5], **problem,
-                                   "oracle": oracle, "out_dir": str(out)}))
+        cfg.write_text(json.dumps({"seed": 1, **problem, "oracle": oracle,
+                                   "out_dir": str(out)}))
         assert main([experiment, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, field", UNREAD)
+    def test_field_the_experiment_does_not_read_exit_code(
+            self, tmp_path, capsys, experiment, field):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, **BASE[experiment],
+                                   field: VALID[field], "out_dir": str(out)}))
+        assert main([experiment, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: experiment {experiment!r} does not read " \
+            f"['{field}']; it reads {list(READS[experiment])}" in err
         assert not out.exists()
 
     def test_oracle_method_is_honoured(self, tmp_path):
