@@ -29,12 +29,12 @@ from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, certificate_to_json, \
     certify_model, certify_solution, exceedance_probability, solution_model, \
     subsample_info
 from .mpc import mpc_family
-from .percentile import Problem, confidence_of, min_samples, \
-    percentile_solve, write_infoset_csv
+from .percentile import ENUMERATION_LIMIT, Problem, confidence_of, \
+    min_samples, percentile_solve, write_infoset_csv
 from .problems import BENCHMARK_NAMES, make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance
 from .repetitive import OracleConfig, ProblemFamily, iter_gap_samples
-from .spaces import BoxSpace
+from .spaces import BoxSpace, TourSpace
 
 SELECTORS = ("benchmark", "tsp_file", "tsp_random")
 # The fields each experiment reads besides experiment, seed, out_dir and
@@ -141,6 +141,9 @@ class ExperimentConfig:
         unknown = set(self.oracle) - {"method", "n0", "gap_tolerance"}
         if unknown:
             raise ConfigError(f"unknown oracle fields: {sorted(unknown)}")
+        _check_integer("oracle.n0", self.oracle.get("n0", 1), 1)  # if set
+        _check_real("oracle.gap_tolerance", self.oracle.get("gap_tolerance", 0),
+                    lambda v: v >= 0.0, "[0, inf)")
         reads = READS[self.experiment]
         unread = sorted(set(fields) - {"experiment", "seed", "out_dir",
                                        "check", *reads})
@@ -196,29 +199,29 @@ class ExperimentConfig:
         gap tolerance of 1.0 on mpc, whose cost takes grid-distance steps."""
         if "oracle" not in READS[self.experiment]:
             return None
-        raw = self.oracle
-        gaps = self.experiment in GAP_EXPERIMENTS
-        kind = "benchmark" if self.benchmark is not None \
-            or self.experiment == "table1" else "tsp"
-        methods = ORACLE_METHODS[self.family.split(":")[0] if gaps else kind]
+        raw, gaps = self.oracle, self.experiment in GAP_EXPERIMENTS
+        # the field naming the oracle's input (benchmark None: all of them)
+        name = next((n for n in ("family", *SELECTORS)
+                     if getattr(self, n) is not None), "benchmark")
+        value = getattr(self, name)
+        methods = ORACLE_METHODS[value.split(":")[0] if gaps
+                                 else name.split("_")[0]]  # tsp_*: "tsp"
         method = raw.get("method", methods[0])
         if method not in methods:
-            on = (f"family {self.family!r}" if gaps
-                  else f"the {self.experiment} problem")
-            raise ConfigError(f"oracle.method {method!r} cannot run on {on}; "
-                              f"use one of {methods}")
-        if "n0" in raw:
-            if method != "refine-min":
-                raise ConfigError(f"oracle.n0 applies only to method "
-                                  f"'refine-min', not {method!r}")
-            _check_integer("oracle.n0", raw["n0"], 1)
-        if "gap_tolerance" in raw:
-            if not gaps:
-                raise ConfigError(f"oracle.gap_tolerance applies only to "
-                                  f"{GAP_EXPERIMENTS}, not {self.experiment!r}")
-            if raw["gap_tolerance"] is not None:
-                _check_real("oracle.gap_tolerance", raw["gap_tolerance"],
-                            lambda v: v >= 0.0, "[0, inf)")
+            raise ConfigError(f"oracle.method {method!r} cannot run on {name} "
+                              f"{value!r}; use one of {methods}")
+        reads = {"method": True, "n0": method == "refine-min",
+                 "gap_tolerance": gaps}  # the one rule for oracle keys
+        for key in raw:
+            if not reads[key]:
+                raise ConfigError(f"{self.experiment!r} with oracle.method "
+                                  f"{method!r} does not read oracle.{key}")
+        if method == "exhaustive":  # a tour problem or family tsp:<n>
+            space = TourSpace(int(value[4:])) if gaps else self.problem.space
+            if space.cardinality > ENUMERATION_LIMIT:
+                raise ConfigError(f"{name} {value!r}: space cardinality "
+                                  f"{space.cardinality} exceeds the "
+                                  f"enumeration limit {ENUMERATION_LIMIT}")
         mpc = gaps and self.family == "mpc"
         return OracleConfig(method, raw.get("n0", 2000 if gaps else 20000),
                             raw.get("gap_tolerance", 1.0 if mpc else None))
@@ -377,6 +380,19 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+def read_config(path=None, **overrides) -> dict:
+    """The config at ``path`` (none: {}), updated by the non-None overrides."""
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("the config file must hold a JSON object")
+    return {**raw, **{k: v for k, v in overrides.items() if v is not None}}
 
 
 def run(raw: dict, out_dir=None) -> RunReport:

@@ -393,12 +393,12 @@ def sample_environment(seed: int) -> Environment:
         atheta = rng.uniform(0.0, TWO_PI)
         ox = rng.uniform(X_MIN, X_MAX)
         oy = rng.uniform(Y_MIN, Y_MAX)
-        if cell_of(ax, ay) in blocked or cell_of(ox, oy) in blocked:
+        acol, arow = cell_of(ax, ay)
+        if (acol, arow) in blocked or cell_of(ox, oy) in blocked:
             continue
         env = Environment(x_a=np.array([ax, ay, atheta]), x_o=np.array([ox, oy]),
                           so_cells=so, goal_cells=goals, seed=int(seed),
                           rejections=attempt)
-        acol, arow = cell_of(ax, ay)
         if env.goal_dist[arow, acol] < UNREACHABLE:
             return env
     raise RuntimeError(f"no feasible environment after {MAX_REJECTIONS} draws; "

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapcert import CapacityError, OracleConfig, OracleError, OracleResult, \
-    _rng, exhaustive_min
+from gapcert import OracleConfig, OracleError, OracleResult, _rng, \
+    exhaustive_min
 from gapcert.cli import main
 from gapcert.experiments import READS, ConfigError, ExperimentConfig, \
     _RecordSink, apply_check, run
@@ -91,6 +91,12 @@ class TestConfig:
                                             field: value})
             # refused by the field's own check, before the unread-field rule
             assert "does not read" not in str(refused.value), field
+
+    def test_oracle_types_checked_before_the_method(self):
+        with pytest.raises(ConfigError, match="oracle.n0 must be an integer"):
+            ExperimentConfig.from_dict({"experiment": "mpc-fig4", "seed": 1,
+                                        "oracle": {"method": "declared",
+                                                   "n0": "x"}})
 
     def test_tsp_fig2_refuses_a_continuous_problem(self, tmp_path):
         out = tmp_path / "out"
@@ -211,9 +217,12 @@ class TestTspFig2:
     def test_enumeration_limit_checked_before_enumerating(
             self, tmp_path, monkeypatch, experiment):
         forbid_enumeration(monkeypatch)
-        with pytest.raises(CapacityError):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="tsp_random 11.*enumeration "
+                                              "limit"):
             run({"experiment": experiment, "seed": 1, "tsp_random": 11,
-                 "n_p": 10, "trials": 1, "out_dir": str(tmp_path)})
+                 "n_p": 10, "trials": 1, "out_dir": str(out)})
+        assert not out.exists()
 
 
 class TestMpcFig4:
@@ -550,15 +559,40 @@ class TestCli:
         assert f"config error: certificate {bad}" in capsys.readouterr().err
         assert not (tmp_path / "val").exists()
 
-    @pytest.mark.parametrize("experiment", ["tsp-fig2", "chi-sweep"])
+    @pytest.mark.parametrize("experiment, fields, named", [
+        ("tsp-fig2", {"tsp_random": 11, "n_p": 10, "trials": 1},
+         "tsp_random 11"),
+        ("chi-sweep", {"tsp_random": 11, "n_p": 10, "trials": 1},
+         "tsp_random 11"),
+        ("mpc-fig4", {"family": "tsp:20", "r": 2, "n_p_list": [5]},
+         "family 'tsp:20'"),
+        ("validate", {"family": "tsp:11", "m_validate": 2}, "family 'tsp:11'")],
+        ids=["tsp-fig2", "chi-sweep", "mpc-fig4", "validate"])
     def test_oversized_tour_space_exit_code(self, tmp_path, capsys,
-                                            monkeypatch, experiment):
+                                            monkeypatch, experiment, fields,
+                                            named):
+        """An exhaustive oracle beyond the enumeration limit is a config
+        error: refused before anything is enumerated or written."""
+        forbid_enumeration(monkeypatch)
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, **fields, "out_dir": str(out)}))
+        assert main([experiment, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {named}: space cardinality" in err
+        assert "exceeds the enumeration limit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["solve", "certify"])
+    def test_oversized_tour_space_without_an_oracle_runs(
+            self, tmp_path, monkeypatch, experiment):
+        """solve and certify sample a tour space; they never enumerate it."""
         forbid_enumeration(monkeypatch)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "tsp_random": 11, "n_p": 10,
-                                   "trials": 1, "out_dir": str(tmp_path)}))
-        assert main([experiment, "--config", str(cfg)]) == 2
-        assert "enumeration limit" in capsys.readouterr().err
+                                   "out_dir": str(tmp_path / "out")}))
+        assert main([experiment, "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("n_p", "abc"), ("n_p", 2.7), ("epsilon", "0.1"), ("tsp_random", 1),
@@ -566,7 +600,8 @@ class TestCli:
         ("oracle", {"method": "exhuastive"}), ("oracle", {"nzero": 5}),
         ("oracle", {"method": "declared"}), ("oracle", {"method": "exhaustive"}),
         ("out_dir", 5), ("tsp_file", 7), ("benchmark", ["beale"]),
-        ("tsp_random", 6), ("check", {"v_star_max": "abc"}), ("check", ["x"])])
+        ("tsp_random", 6), ("check", {"v_star_max": "abc"}), ("check", ["x"]),
+        ("oracle", {"gap_tolerance": None})])
     def test_bad_field_exit_code(self, tmp_path, capsys, field, value):
         raw = {"seed": 1, "benchmark": "beale", "out_dir": str(tmp_path)}
         experiment = "solve"
