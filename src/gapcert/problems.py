@@ -3,6 +3,7 @@ continuous benchmark functions, each wrapped as a bounded Problem."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,21 +34,31 @@ class TspInstance:
     def count(self) -> int:
         return len(self.waypoints)
 
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """The (n, n) table of waypoint distances, cached on first use and
+        read-only, since every problem built from this instance shares it.
+        A swapped difference has the same squares, so the table is exactly
+        symmetric."""
+        w = self.waypoints
+        table = np.linalg.norm(w[:, None] - w[None, :], axis=2)
+        table.flags.writeable = False
+        return table
+
 
 def tsp_cost(instance: TspInstance, order) -> float:
     """Closed-tour length: consecutive hops plus the edge back to the start.
 
-    Edge lengths are summed in sorted order, so tours with identical edge
-    multisets (rotations, reversals) compare exactly equal in floating point.
+    Edge lengths are read from the instance's cached distance table and
+    summed in sorted order.  The table is exactly symmetric, so tours with
+    the same edges (rotations, reversals) sum the same sorted lengths and
+    compare exactly equal in floating point.
     """
     return make_tsp_problem(instance).evaluate(order)
 
 
 def tsp_cost_batch(instance: TspInstance, orders: np.ndarray) -> np.ndarray:
-    pts = instance.waypoints[orders]  # (m, n, 2)
-    edges = np.concatenate(
-        [np.linalg.norm(np.diff(pts, axis=1), axis=2),
-         np.linalg.norm(pts[:, :1] - pts[:, -1:], axis=2)], axis=1)
+    edges = instance.distances[orders, np.roll(orders, -1, axis=1)]  # (m, n)
     edges.sort(axis=1)
     return edges.sum(axis=1)
 

@@ -105,9 +105,11 @@ class PermutationSpace:
         return perms
 
     def contains(self, decision) -> bool:
+        """An ordering is a 1-D integer array (bool is not an integer here)
+        holding each of 0..n-1 once."""
         d = np.asarray(decision)
-        return d.shape == (self.n_items,) and np.array_equal(
-            np.sort(d), np.arange(self.n_items))
+        return (np.issubdtype(d.dtype, np.integer) and d.shape == (self.n_items,)
+                and np.array_equal(np.sort(d), np.arange(self.n_items)))
 
     def enumerate(self) -> Iterator[np.ndarray]:
         """Yield all permutations in lexicographic order, in (k, n) blocks of

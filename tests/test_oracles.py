@@ -411,6 +411,12 @@ class TestBatchContract:
         rows[6:9] = [[1.7, 0.0], [0.0, -1.3], [-1.6, -1.2]]  # outside and corner
         _assert_row_independent(problem, rows)
 
+    def test_tour_kernel(self):
+        problem = make_tsp_problem(random_tsp_instance(9, seed=21))
+        rows = np.concatenate([problem.space.sample(4, 60),
+                               next(problem.space.enumerate_canonical())])
+        _assert_row_independent(problem, rows)
+
 
 def test_declared_min():
     problem = make_benchmark("rastrigrin2")

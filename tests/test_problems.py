@@ -37,6 +37,17 @@ class TestTspCost:
             with pytest.raises(DomainError):
                 tsp_cost(inst, bad)
 
+    def test_non_integer_tours_rejected(self):
+        inst = TspInstance([[0, 0], [1, 0], [2, 0]])
+        problem = make_tsp_problem(inst)
+        for bad in ([0.0, 1.0, 2.0], np.array([2.0, 0.0, 1.0]),
+                    [True, False, True], np.array([0, 1, 2], dtype=object)):
+            with pytest.raises(DomainError):
+                tsp_cost(inst, bad)
+            with pytest.raises(DomainError):
+                problem.evaluate(bad)
+        assert tsp_cost(inst, np.array([2, 0, 1], dtype=np.uint8)) == 4.0
+
     def test_rotation_and_reversal_invariance_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -58,6 +69,56 @@ class TestTspCost:
         for bad in ([4.6, 0.0], [0.0, -4.51], [0.0], [0.0, 0.0, 0.0]):
             with pytest.raises(DomainError):
                 problem.evaluate(bad)
+
+    def test_kernel_matches_per_row_norm_bit_for_bit(self):
+        """The distance-table kernel gives the bits of the per-row formula it
+        replaced: gather the points, take the norm of each hop and of the
+        closing edge, sort, sum."""
+        def reference(w, orders):
+            pts = w[orders]
+            edges = np.concatenate(
+                [np.linalg.norm(np.diff(pts, axis=1), axis=2),
+                 np.linalg.norm(pts[:, :1] - pts[:, -1:], axis=2)], axis=1)
+            edges.sort(axis=1)
+            return edges.sum(axis=1)
+
+        rng = np.random.default_rng(17)
+        tours = 0
+        for n in range(2, 11):
+            t = rng.uniform(-5, 5, n)
+            kinds = [
+                rng.random((n, 2)),
+                rng.uniform(-1e3, 1e3, (n, 2)),
+                np.column_stack([t, rng.uniform(-3, 3) * t + rng.uniform(-1, 1)]),
+                rng.uniform(-2, 2, (n // 2 + 1, 2))[rng.integers(0, n // 2 + 1, n)],
+            ]
+            kinds[3][-1] = kinds[3][0]  # at least one coincident pair
+            for w in kinds:
+                inst = TspInstance(w)
+                orders = rng.permuted(np.tile(np.arange(n), (3000, 1)), axis=1)
+                got = make_tsp_problem(inst).evaluate_batch(orders)
+                assert np.array_equal(got.view(np.int64),
+                                      reference(inst.waypoints, orders).view(np.int64))
+                tours += len(orders)
+        assert tours >= 100_000
+
+    def test_distance_table_is_shared_and_read_only(self, monkeypatch):
+        inst = random_tsp_instance(7, seed=3)
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda *a, **k: calls.append(1) or norm(*a, **k))
+        first, second = make_tsp_problem(inst), make_tsp_problem(inst)
+        orders = first.space.sample(5, 40)
+        first.evaluate_batch(orders)
+        second.evaluate_batch(orders)
+        assert len(calls) == 1  # one table for both problems
+        table = inst.distances
+        assert table is inst.distances and table.shape == (7, 7)
+        with pytest.raises(ValueError):
+            table[0, 1] = 0.0
+        assert np.array_equal(table.view(np.int64), table.T.view(np.int64))
+        assert not np.diagonal(table).any()
 
     def test_instance_validation(self):
         with pytest.raises(DomainError):
