@@ -72,11 +72,8 @@ def subsample_info(info: InfoSet, chi: float, seed: int,
     if len(info) == 0:
         raise DomainError("cannot subsample an empty information set")
     k = max(1, int(math.floor(chi * len(info))))
-    if k >= len(info):
-        idx = np.arange(len(info))
-    else:
-        idx = np.sort(_rng.stream(seed, _rng.SUBSAMPLE).choice(len(info), size=k,
-                                                               replace=False))
+    idx = np.sort(_rng.stream(seed, _rng.SUBSAMPLE).choice(len(info), size=k,
+                                                           replace=False))
     return VarianceModel(
         problem=problem,
         d_indices=idx,

@@ -106,6 +106,7 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
         _check_integer("seed", self.seed)
+        _check_real("seed", self.seed, lambda v: 0 <= v < 2**64, "[0, 2**64)")
         for name in ("out_dir", "benchmark", "tsp_file", "certificate"):
             value = getattr(self, name)
             if not (isinstance(value, str)
@@ -278,10 +279,14 @@ ORACLE_METHODS = {"mpc": ("refine-min",), "tsp": ("exhaustive",),
                   "benchmark": ("refine-min", "declared")}
 
 
-def _ground_truth(cfg: ExperimentConfig, problem: Problem):
-    """The run's oracle result on one problem, at the seed's ORACLE child."""
-    return cfg.oracle_config.run(problem,
-                                 _rng.child_seed(cfg.seed, _rng.ORACLE))
+def _ground_truth(cfg: ExperimentConfig, problem: Problem, timings: dict):
+    """The run's oracle result on one problem, at the seed's ORACLE child;
+    its wall time goes to ``timings["oracle_<problem name>_s"]``."""
+    t0 = time.perf_counter()
+    truth = cfg.oracle_config.run(problem,
+                                  _rng.child_seed(cfg.seed, _rng.ORACLE))
+    timings[f"oracle_{problem.name}_s"] = time.perf_counter() - t0
+    return truth
 
 
 def uniform_gap_family() -> ProblemFamily:
@@ -342,9 +347,6 @@ class _RecordSink:
 
     def _key_of(self, rec: dict) -> tuple:
         return tuple(str(rec[k]) for k in self.key_cols)
-
-    def done(self, **key) -> bool:
-        return tuple(str(key[k]) for k in self.key_cols) in self.records
 
     def trials(self, **key) -> dict[int, dict]:
         """Records matching the given key values, by trial number."""
@@ -462,15 +464,15 @@ def _run_certify(cfg: ExperimentConfig, out: Path):
 
 
 def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
-    problem = cfg.problem
-    t0 = time.perf_counter()
-    truth = _ground_truth(cfg, problem)
-    oracle_s = time.perf_counter() - t0
+    problem, timings = cfg.problem, {}
+    truth = _ground_truth(cfg, problem, timings)
     sink = _RecordSink(out, cfg, ["trial", "chi", "gap", "p"], ["trial", "chi"])
+    chis = dict.fromkeys(map(float, cfg.chis))  # each distinct chi once
+    done = {chi: sink.trials(chi=chi) for chi in chis}
     for trial in range(cfg.trials):
         solution = None
-        for chi in cfg.chis:
-            if sink.done(trial=trial, chi=_fmt(float(chi))):
+        for chi in chis:
+            if trial in done[chi]:
                 continue
             if solution is None:
                 solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
@@ -485,7 +487,7 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
                                    problem=problem)
             p = exceedance_probability(model, gap, m=cfg.mc_samples,
                                        seed=exceedance_seed)
-            sink.add({"trial": trial, "chi": float(chi), "gap": gap, "p": p})
+            sink.add({"trial": trial, "chi": chi, "gap": gap, "p": p})
     records = sink.finish()
     by_chi = {}
     for rec in records:
@@ -497,25 +499,24 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
                "oracle_method": truth.method,
                "mode": "exact" if problem.space.cardinality is not None
                else f"monte-carlo({cfg.mc_samples})", "mean_p_by_chi": mean_p}
-    return records, summary, {"oracle_s": oracle_s}
+    return records, summary, timings
 
 
 def _run_table1(cfg: ExperimentConfig, out: Path):
-    problems = ({cfg.benchmark: cfg.problem} if cfg.problem is not None
-                else {name: make_benchmark(name) for name in BENCHMARK_NAMES})
+    problems = ([cfg.problem] if cfg.problem is not None
+                else [make_benchmark(name) for name in BENCHMARK_NAMES])
     sink = _RecordSink(out, cfg,
                        ["benchmark", "trial", "v_star", "gap", "success",
                         "certify_ms"],
                        ["benchmark", "trial"])
     oracle_values = {}
     timings = {}
-    for name, problem in problems.items():
-        t0 = time.perf_counter()
-        j_star = _ground_truth(cfg, problem).value
-        timings[f"oracle_{name}_s"] = time.perf_counter() - t0
-        oracle_values[name] = j_star
+    for problem in problems:
+        name = problem.name
+        j_star = oracle_values[name] = _ground_truth(cfg, problem, timings).value
+        done = sink.trials(benchmark=name)
         for trial in range(cfg.trials):
-            if sink.done(benchmark=name, trial=trial):
+            if trial in done:
                 continue
             solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
                 cfg.seed, _rng.TABLE1_TRIAL, trial))
@@ -531,7 +532,7 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
     records = sink.finish()
     expected = confidence_of(cfg.epsilon, cfg.n_v)
     summary_rows = {}
-    for name in problems:
+    for name in oracle_values:
         rows = [r for r in records if r["benchmark"] == name]
         fraction = float(np.mean([r["success"] == "1" for r in rows]))
         mean_ms = float(np.mean([float(r["certify_ms"]) for r in rows]))
@@ -545,20 +546,19 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
                 for name, row in summary_rows.items()))
     summary = {"expected_success": expected, "benchmarks": summary_rows,
                "success_fraction": {n: summary_rows[n]["success_fraction"]
-                                    for n in problems}}
+                                    for n in summary_rows}}
     return records, summary, timings
 
 
 def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
-    problem = cfg.problem
-    t0 = time.perf_counter()
-    j_star = _ground_truth(cfg, problem).value
-    enumerate_s = time.perf_counter() - t0
+    problem, timings = cfg.problem, {}
+    j_star = _ground_truth(cfg, problem, timings).value
     sink = _RecordSink(out, cfg,
                        ["trial", "zeta", "gap", "p", "n_v", "v_star", "success"],
                        ["trial"])
+    done = sink.trials()
     for trial in range(cfg.trials):
-        if sink.done(trial=trial):
+        if trial in done:
             continue
         solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
             cfg.seed, _rng.TSP_FIG2_TRIAL, trial))
@@ -586,7 +586,7 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
                "success_fraction": float(np.mean(successes)),
                "mean_p": float(np.mean([float(r["p"]) for r in records])),
                "mean_n_v": float(np.mean([int(r["n_v"]) for r in records]))}
-    return records, summary, {"enumerate_s": enumerate_s}
+    return records, summary, timings
 
 
 _GAP_COLUMNS = ["instance_seed", "solution_cost", "oracle_value", "gamma"]

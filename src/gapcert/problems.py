@@ -138,21 +138,14 @@ def _himmelblau(x: np.ndarray) -> np.ndarray:
     return (a**2 + b - 11.0) ** 2 + (a + b**2 - 7.0) ** 2
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    name: str
-    dims: int
-    lower: float
-    upper: float
-
-
-BENCHMARKS: dict[str, tuple[BenchmarkSpec, callable]] = {
-    "rastrigrin2": (BenchmarkSpec("rastrigrin2", 2, -5.12, 5.12), _rastrigin),
-    "rastrigrin10": (BenchmarkSpec("rastrigrin10", 10, -5.12, 5.12), _rastrigin),
-    "ackley": (BenchmarkSpec("ackley", 2, -32.768, 32.768), _ackley),
-    "beale": (BenchmarkSpec("beale", 2, -4.5, 4.5), _beale),
-    "levi13": (BenchmarkSpec("levi13", 2, -10.0, 10.0), _levi13),
-    "himmelblau": (BenchmarkSpec("himmelblau", 2, -5.0, 5.0), _himmelblau),
+# name: (cost, dims, b) over the domain [-b, b]^dims.
+BENCHMARKS = {
+    "rastrigrin2": (_rastrigin, 2, 5.12),
+    "rastrigrin10": (_rastrigin, 10, 5.12),
+    "ackley": (_ackley, 2, 32.768),
+    "beale": (_beale, 2, 4.5),
+    "levi13": (_levi13, 2, 10.0),
+    "himmelblau": (_himmelblau, 2, 5.0),
 }
 
 # Common alternate spellings accepted on the CLI.
@@ -168,11 +161,6 @@ def make_benchmark(name: str) -> Problem:
     if key not in BENCHMARKS:
         raise DomainError(f"unknown benchmark {name!r}; "
                           f"expected one of {sorted(BENCHMARKS)}")
-    spec, fn = BENCHMARKS[key]
-    space = BoxSpace([spec.lower] * spec.dims, [spec.upper] * spec.dims)
-    return Problem(
-        space=space,
-        batch_cost=fn,
-        name=spec.name,
-        declared_optimum=0.0,
-    )
+    fn, dims, b = BENCHMARKS[key]
+    return Problem(space=BoxSpace([-b] * dims, [b] * dims), batch_cost=fn,
+                   name=key, declared_optimum=0.0)

@@ -10,7 +10,6 @@ for a second sampling pass at decision time.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator
 
@@ -19,10 +18,8 @@ from .oracles import OracleError, OracleResult, declared_min, exhaustive_min, \
     refine_min
 from .percentile import DomainError, Problem, confidence_of, percentile_solve
 
-log = logging.getLogger(__name__)
-
-EXHAUSTIVE_GAP_TOLERANCE = 1e-9
-REFINE_GAP_TOLERANCE = 1e-6
+# The default gap tolerance of each oracle method that has one.
+_GAP_TOLERANCES = {"exhaustive": 1e-9, "refine-min": 1e-6}
 
 
 @dataclass(frozen=True)
@@ -49,11 +46,7 @@ class OracleConfig:
     def tolerance(self) -> float:
         if self.gap_tolerance is not None:
             return self.gap_tolerance
-        if self.method == "exhaustive":
-            return EXHAUSTIVE_GAP_TOLERANCE
-        if self.method == "refine-min":
-            return REFINE_GAP_TOLERANCE
-        return 0.0
+        return _GAP_TOLERANCES.get(self.method, 0.0)
 
     def gap(self, cost: float, oracle_value: float, where: str) -> float:
         """The gap of ``cost`` above the oracle's value.  A gap within the
@@ -142,21 +135,13 @@ def sample_gaps(family: ProblemFamily, r: int, n_p: int,
                 oracle_cfg: OracleConfig, seed: int) -> list[GapSample]:
     """r independent gap samples; sample i is a pure function of (seed, i).
 
-    Aborts on the first oracle failure; the samples gathered so far are
-    logged so the failing instance can be replayed.
+    Stops at the first oracle failure with the OracleError, which names the
+    failing instance's seed for replay.
     """
     if r < 1:
         raise DomainError(f"r must be a positive integer, got {r}")
-    samples: list[GapSample] = []
-    try:
-        for _, s in iter_gap_samples(family, n_p, oracle_cfg, seed,
-                                     _rng.FAMILY, r):
-            samples.append(s)
-    except OracleError:
-        log.warning("gap sampling aborted at trial %d/%d; %d samples kept",
-                    len(samples), r, len(samples))
-        raise
-    return samples
+    return [s for _, s in iter_gap_samples(family, n_p, oracle_cfg, seed,
+                                           _rng.FAMILY, r)]
 
 
 def build_certificate(family: ProblemFamily, r: int, n_p: int, epsilon: float,

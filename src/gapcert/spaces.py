@@ -8,6 +8,7 @@ can be computed by brute force.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -156,15 +157,7 @@ _TABLE_ITEMS = 7
 @lru_cache(maxsize=None)
 def _lex_perms(k: int) -> np.ndarray:
     """All permutations of 0..k-1 in lexicographic order, (k!, k), read-only."""
-    if k == 1:
-        table = np.zeros((1, 1), dtype=np.intp)
-    else:
-        tail = _lex_perms(k - 1)
-        items = np.arange(k)
-        table = np.concatenate([
-            np.column_stack([np.full(len(tail), first, dtype=np.intp),
-                             np.delete(items, first)[tail]])
-            for first in range(k)])
+    table = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
     table.setflags(write=False)
     return table
 

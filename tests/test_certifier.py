@@ -309,3 +309,12 @@ def test_theorem2_coverage_small_scale():
         cert = certify_gap(model, n_v, p, seed=3000 + t)
         successes += cert.v_star >= gap
     assert successes / trials >= 0.85  # 0.95 target minus generous slack
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 37, 300])
+def test_chi_one_keeps_every_index_in_order(n):
+    info = percentile_solve(linear_problem(), n, seed=n).info
+    for seed in (0, 1, 5, 2**63):
+        model = subsample_info(info, 1.0, seed)
+        assert np.array_equal(model.d_indices, np.arange(n))
+        assert np.array_equal(model.d_costs, info.costs)

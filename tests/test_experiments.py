@@ -760,3 +760,79 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"benchmark": "beale"}))
         assert main(["solve", "--config", str(cfg)]) == 2
+
+
+class TestSeedRange:
+    """A seed outside [0, 2**64) would alias another seed in the library's
+    64-bit streams, so the config refuses it."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_run_refuses(self, tmp_path, seed):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="seed"):
+            run({"experiment": "solve", "seed": seed, "benchmark": "beale",
+                 "n_p": 5, "out_dir": str(out)})
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_cli_exit_code(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        cfg.write_text(json.dumps({"seed": 0, "benchmark": "beale", "n_p": 5,
+                                   "out_dir": str(out)}))
+        assert main(["solve", "--config", str(cfg), "--seed", str(seed)]) == 2
+        assert "config error: seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_ends_of_the_range_accepted(self, seed):
+        ExperimentConfig.from_dict({"experiment": "solve", "seed": seed,
+                                    "benchmark": "beale"})
+
+
+class TestGroundTruth:
+    @pytest.mark.parametrize("experiment, extra, key", [
+        ("chi-sweep", {"benchmark": "beale", "chis": [0.5], "mc_samples": 50,
+                       "oracle": {"n0": 200}}, "oracle_beale_s"),
+        ("table1", {"benchmark": "beale", "n_v": 10, "oracle": {"n0": 200}},
+         "oracle_beale_s"),
+        ("tsp-fig2", {"tsp_random": 5}, "oracle_tsp-5_s")])
+    def test_timed_under_the_problem_name(self, tmp_path, experiment, extra,
+                                          key):
+        report = run({"experiment": experiment, "seed": 3, "n_p": 10,
+                      "trials": 2, **extra, "out_dir": str(tmp_path)})
+        timed = [k for k in report.timings
+                 if k.startswith(("oracle", "enumerate"))]
+        assert timed == [key]
+        assert report.timings[key] >= 0.0
+
+    def test_table1_names_an_aliased_benchmark_canonically(self, tmp_path):
+        report = run({"experiment": "table1", "seed": 3, "benchmark": "levi",
+                      "n_p": 10, "n_v": 10, "trials": 2,
+                      "oracle": {"n0": 200}, "out_dir": str(tmp_path)})
+        assert {r["benchmark"] for r in report.records} == {"levi13"}
+        assert list(report.summary["benchmarks"]) == ["levi13"]
+        assert list(report.summary["success_fraction"]) == ["levi13"]
+        assert "oracle_levi13_s" in report.timings
+        table = (tmp_path / "table1.csv").read_text().splitlines()
+        assert table[1].startswith("levi13,")
+
+    def test_chi_sweep_computes_a_repeated_chi_once(self, tmp_path,
+                                                    monkeypatch):
+        import gapcert.experiments as exp
+        calls = []
+        original = exp.exceedance_probability
+
+        def counting(model, *args, **kwargs):
+            calls.append(model.chi)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(exp, "exceedance_probability", counting)
+        base = {"experiment": "chi-sweep", "seed": 5, "benchmark": "beale",
+                "n_p": 20, "trials": 3, "mc_samples": 50,
+                "oracle": {"n0": 200}}
+        run({**base, "chis": [0.1, 0.5, 0.1], "out_dir": str(tmp_path / "dup")})
+        assert sorted(calls) == [0.1] * 3 + [0.5] * 3
+        run({**base, "chis": [0.1, 0.5], "out_dir": str(tmp_path / "once")})
+        assert (tmp_path / "dup" / "records.csv").read_bytes() \
+            == (tmp_path / "once" / "records.csv").read_bytes()

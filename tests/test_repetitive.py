@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gapcert import DomainError, Problem
+from gapcert import DomainError, Problem, _rng
 from gapcert.certifier import certificate_to_json
 from gapcert.experiments import uniform_gap_family
 from gapcert.oracles import OracleError
@@ -185,3 +185,32 @@ def test_known_quantile_coverage_consistency_small_scale():
 def test_sample_gaps_validates_r():
     with pytest.raises(DomainError):
         sample_gaps(uniform_gap_family(), r=0, n_p=1, oracle_cfg=DECLARED, seed=1)
+
+
+class TestOracleTolerance:
+    @pytest.mark.parametrize("method, tolerance", [
+        ("exhaustive", 1e-9), ("refine-min", 1e-6), ("declared", 0.0),
+        ("no-such-method", 0.0)])
+    def test_method_default(self, method, tolerance):
+        assert OracleConfig(method=method).tolerance == tolerance
+
+    @pytest.mark.parametrize("method", ["exhaustive", "refine-min", "declared",
+                                        "no-such-method"])
+    def test_set_tolerance_wins(self, method):
+        assert OracleConfig(method=method, gap_tolerance=0.25).tolerance == 0.25
+        assert OracleConfig(method=method, gap_tolerance=0.0).tolerance == 0.0
+
+
+def test_sample_gaps_names_the_undercut_instance():
+    """The second instance's declared optimum lies above every cost: the
+    OracleError names that instance's seed."""
+    bad = _rng.child_seed(_rng.child_seed(1, _rng.FAMILY, 1), _rng.GAP_INSTANCE)
+
+    def build(instance_seed):
+        return Problem(space=BoxSpace([0.0], [1.0]),
+                       batch_cost=lambda d: np.ones(len(d)),
+                       declared_optimum=5.0 if instance_seed == bad else 1.0)
+
+    family = ProblemFamily(build=build, description="second-broken")
+    with pytest.raises(OracleError, match=f"instance seed {bad} "):
+        sample_gaps(family, r=3, n_p=2, oracle_cfg=DECLARED, seed=1)
