@@ -61,7 +61,7 @@ K_V = 2.0
 K_OMEGA = 4.0
 V_MAX = 0.2
 OMEGA_MAX = math.pi
-MAX_ANNULUS_ROUNDS = 256  # refill rounds before declaring the ring off-map
+MAX_ANNULUS_ROUNDS = 256  # the sampler raises at this round: <= 255 refills
 RADIUS_TOL = 1e-9         # ring membership slack for projected points
 REACH_SLACK = 1e-9        # floating-point rounding allowance on the reach
 # farthest the agent can move over the horizon: |v| <= V_MAX in every step
@@ -91,19 +91,26 @@ def _wrap_pi(angle):
 
 def cell_of(x, y):
     """Grid cell (col, row) of a planar point; boundary points go to the
-    lower-index cell; (-1, -1) marks points outside the workspace."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    inside = (x >= X_MIN) & (x <= X_MAX) & (y >= Y_MIN) & (y <= Y_MAX)
-    col = np.minimum(np.maximum(np.ceil((x - X_MIN) / CELL_W).astype(np.intp) - 1, 0),
-                     COLS - 1)
-    row = np.minimum(np.maximum(np.ceil((y - Y_MIN) / CELL_H).astype(np.intp) - 1, 0),
-                     ROWS - 1)
-    col = np.where(inside, col, -1)
-    row = np.where(inside, row, -1)
-    if col.ndim == 0:
-        return int(col), int(row)
-    return col, row
+    lower-index cell; (-1, -1) marks points outside the workspace.
+
+    Two scalars give a pair of ints by plain float arithmetic, arrays give a
+    pair of index arrays; both use the same IEEE division and clamps."""
+    # np.float64 subclasses float, so float64 scalars skip the array conversion
+    if not (isinstance(x, float) and isinstance(y, float)):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim or y.ndim:
+            inside = (x >= X_MIN) & (x <= X_MAX) & (y >= Y_MIN) & (y <= Y_MAX)
+            col = np.minimum(np.maximum(
+                np.ceil((x - X_MIN) / CELL_W).astype(np.intp) - 1, 0), COLS - 1)
+            row = np.minimum(np.maximum(
+                np.ceil((y - Y_MIN) / CELL_H).astype(np.intp) - 1, 0), ROWS - 1)
+            return np.where(inside, col, -1), np.where(inside, row, -1)
+    x, y = float(x), float(y)
+    if not (X_MIN <= x <= X_MAX and Y_MIN <= y <= Y_MAX):
+        return -1, -1
+    return (min(max(math.ceil((x - X_MIN) / CELL_W) - 1, 0), COLS - 1),
+            min(max(math.ceil((y - Y_MIN) / CELL_H) - 1, 0), ROWS - 1))
 
 
 @dataclass(frozen=True)
@@ -135,26 +142,31 @@ class Environment:
 def _goal_distance_field(so_mask: np.ndarray,
                          goal_cells) -> np.ndarray:
     """Multi-source Dijkstra from the goal cells over obstacle-free cells,
-    4-connected, edge weight = distance between adjacent cell centers."""
-    dist = np.full((ROWS, COLS), UNREACHABLE)
+    4-connected, edge weight = distance between adjacent cell centers.
+
+    Runs on flat lists indexed ``row * COLS + col``; Python float addition
+    is the same IEEE operation as numpy's, so the field is the same bits."""
+    blocked = so_mask.ravel().tolist()
+    dist = [UNREACHABLE] * (ROWS * COLS)
     heap = []
     for c, r in goal_cells:
-        dist[r, c] = 0.0
+        dist[r * COLS + c] = 0.0
         heapq.heappush(heap, (0.0, r, c))
     while heap:
         d, r, c = heapq.heappop(heap)
-        if d > dist[r, c]:
+        if d > dist[r * COLS + c]:
             continue
         for dr, dc, w in ((0, 1, CELL_W), (0, -1, CELL_W),
                           (1, 0, CELL_H), (-1, 0, CELL_H)):
             nr, nc = r + dr, c + dc
-            if 0 <= nr < ROWS and 0 <= nc < COLS and not so_mask[nr, nc]:
+            if 0 <= nr < ROWS and 0 <= nc < COLS and not blocked[nr * COLS + nc]:
                 nd = d + w
-                if nd < dist[nr, nc]:
-                    dist[nr, nc] = nd
+                if nd < dist[nr * COLS + nc]:
+                    dist[nr * COLS + nc] = nd
                     heapq.heappush(heap, (nd, nr, nc))
-    dist[so_mask] = UNREACHABLE
-    return dist
+    out = np.array(dist).reshape(ROWS, COLS)
+    out[so_mask] = UNREACHABLE
+    return out
 
 
 def _step(x, y, theta, v, omega):
@@ -272,10 +284,10 @@ def _horizon_clear(x_k, env: Environment) -> bool:
     within ``REACH`` of the start.  The barrier then cannot fail when the
     uncontrolled agent is at least ``SAFETY_RADIUS + REACH`` away and no
     obstacle cell meets the cells covering [x +- REACH] x [y +- REACH].  That
-    cell rectangle uses ``cell_of``'s ceil/clamp arithmetic on its corners,
-    clamped into the workspace; cell indices are monotone in x and y and
-    points outside the workspace are never obstacle cells, so it holds every
-    cell a rollout can visit.  A non-finite start is never clear.
+    cell rectangle spans the ``cell_of`` cells of its corners, clamped into
+    the workspace; cell indices are monotone in x and y and points outside
+    the workspace are never obstacle cells, so it holds every cell a rollout
+    can visit.  A non-finite start is never clear.
     """
     x, y, theta = x_k[:3].tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
@@ -283,10 +295,10 @@ def _horizon_clear(x_k, env: Environment) -> bool:
     ox, oy = env.x_o[:2].tolist()
     if not math.hypot(x - ox, y - oy) >= SAFETY_RADIUS + REACH:
         return False
-    c0, c1 = (min(max(math.ceil((min(max(v, X_MIN), X_MAX) - X_MIN) / CELL_W)
-                      - 1, 0), COLS - 1) for v in (x - REACH, x + REACH))
-    r0, r1 = (min(max(math.ceil((min(max(v, Y_MIN), Y_MAX) - Y_MIN) / CELL_H)
-                      - 1, 0), ROWS - 1) for v in (y - REACH, y + REACH))
+    c0, r0 = cell_of(min(max(x - REACH, X_MIN), X_MAX),
+                     min(max(y - REACH, Y_MIN), Y_MAX))
+    c1, r1 = cell_of(min(max(x + REACH, X_MIN), X_MAX),
+                     min(max(y + REACH, Y_MIN), Y_MAX))
     return not env.so_mask[r0:r1 + 1, c0:c1 + 1].any()
 
 
@@ -300,9 +312,12 @@ class AnnulusSpace:
     point, intersected with the workspace.
 
     Radius is drawn by the inverse transform on radius squared (uniform by
-    area) and the angle uniformly; draws falling outside the workspace box are
-    replaced from per-round refill blocks, so sample i stays a pure function
-    of (seed, i).
+    area) and the angle uniformly.  Draws falling outside the workspace box
+    are refilled: round r draws ``uniform_block(seed, (*path, r), k, 2)``
+    with k one past the last pending row, and each pending row i takes that
+    block's row i.  By the block's prefix property, row i of a round is the
+    same for every k > i, so sample i depends only on (seed, i) and the
+    sample size never changes it.
     """
 
     center: np.ndarray
@@ -332,17 +347,16 @@ class AnnulusSpace:
 
     def sample(self, seed: int, n: int, path: tuple[int, ...] = ()) -> np.ndarray:
         out = self._candidates(_rng.uniform_block(seed, path, n, 2))
-        pending = ~self._in_box(out)
+        pending = np.flatnonzero(~self._in_box(out))
         round_no = 0
-        while pending.any():
+        while pending.size:
             round_no += 1
             if round_no >= MAX_ANNULUS_ROUNDS:
                 raise RuntimeError("annulus sampler exceeded its rejection cap; "
                                    "the ring barely intersects the workspace")
-            refill = self._candidates(
-                _rng.uniform_block(seed, (*path, round_no), n, 2))
-            out[pending] = refill[pending]
-            pending &= ~self._in_box(out)
+            u = _rng.uniform_block(seed, (*path, round_no), pending[-1] + 1, 2)
+            out[pending] = self._candidates(u[pending])
+            pending = pending[~self._in_box(out[pending])]
         return out
 
     def _radii(self, w: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Unicycle world: dynamics, controller, barrier, grid costs, environments."""
 
+import heapq
 import math
 
 import numpy as np
@@ -581,3 +582,176 @@ class TestAnnulusRows:
             assert inside.tolist() == [scalar_contains(space, p) for p in rows]
             assert inside.tolist() == [space.contains(p) for p in rows]
         assert isinstance(space.contains(pts[0]), bool)
+
+
+def full_refill_sample(space, seed, n, path=()):
+    """The annulus sampler that recomputes all n candidates in every refill
+    round: the reference the pending-rows sampler must match bit for bit."""
+    out = space._candidates(mpc._rng.uniform_block(seed, path, n, 2))
+    pending = ~space._in_box(out)
+    round_no = 0
+    while pending.any():
+        round_no += 1
+        if round_no >= mpc.MAX_ANNULUS_ROUNDS:
+            raise RuntimeError("annulus sampler exceeded its rejection cap; "
+                               "the ring barely intersects the workspace")
+        refill = space._candidates(
+            mpc._rng.uniform_block(seed, (*path, round_no), n, 2))
+        out[pending] = refill[pending]
+        pending &= ~space._in_box(out)
+    return out
+
+
+class TestAnnulusRefill:
+    """Refilling only the pending rows draws the same rows as refilling all n."""
+
+    def centers(self):
+        eps = 1e-9
+        corners = [(x, y) for x in (mpc.X_MIN, mpc.X_MAX)
+                   for y in (mpc.Y_MIN, mpc.Y_MAX)]
+        edges = []
+        for t in np.linspace(-1.0, 1.0, 9):
+            for d in (0.0, eps, 0.05, 0.15):
+                edges += [(mpc.X_MIN - d, 1.2 * t), (mpc.X_MAX + d, 1.2 * t),
+                          (1.6 * t, mpc.Y_MIN - d), (1.6 * t, mpc.Y_MAX + d)]
+        rng = np.random.default_rng(19)
+        near = rng.uniform([mpc.X_MIN - 0.15, mpc.Y_MIN - 0.15],
+                           [mpc.X_MIN + 0.2, mpc.Y_MIN + 0.2], (300, 2))
+        near *= rng.choice([-1.0, 1.0], (300, 2))   # near all four corners
+        anywhere = rng.uniform([-1.75, -1.35], [1.75, 1.35], (1600, 2))
+        return [*corners, *edges, *map(tuple, near), *map(tuple, anywhere)]
+
+    def test_rows_equal_full_refill_bitwise(self):
+        centers = self.centers()
+        assert len(centers) >= 2000
+        sizes = [0, 1, 2, 7, 50, 300, 2000]
+        rng = np.random.default_rng(23)
+        refilled = 0
+        for i, c in enumerate(centers):
+            n = sizes[i % len(sizes)] if i < 70 else int(rng.integers(0, 120))
+            path = () if i % 3 else (i % 5,)
+            space = AnnulusSpace(c)
+            try:
+                want = full_refill_sample(space, i, n, path)
+            except RuntimeError:   # a ring that barely meets the workspace
+                with pytest.raises(RuntimeError, match="exceeded its rejection cap"):
+                    space.sample(i, n, path)
+                continue
+            got = space.sample(i, n, path)
+            assert got.shape == want.shape == (n, 2)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), c
+            refilled += not space._in_box(
+                space._candidates(mpc._rng.uniform_block(i, path, n, 2))).all()
+        assert refilled > 500   # refill rounds run for many of these centres
+
+    def test_ring_off_the_workspace_raises_the_same_error(self):
+        for center in ((5.0, 5.0), (-1.9, 0.0)):
+            space = AnnulusSpace(center)
+            for sampler in (space.sample, lambda s, n: full_refill_sample(space, s, n)):
+                with pytest.raises(RuntimeError, match="exceeded its rejection cap"):
+                    sampler(3, 10)
+        assert AnnulusSpace((5.0, 5.0)).sample(3, 0).shape == (0, 2)
+
+
+class TestScalarCell:
+    """``cell_of`` on two scalars equals the array path element by element."""
+
+    def points(self):
+        xs = [-1.6, -1.2, -0.8, -0.4, 0.0, 0.4, 0.8, 1.2, 1.6]
+        ys = [-1.2, -0.72, -0.24, 0.24, 0.72, 1.2]
+        special = [-0.0, math.nan, math.inf, -math.inf, -5.0, 5.0,
+                   math.nextafter(1.6, 2.0), math.nextafter(-1.6, -2.0),
+                   math.nextafter(1.2, 2.0), math.nextafter(-1.2, -2.0),
+                   math.nextafter(1.6, 0.0), math.nextafter(-1.2, 0.0)]
+        grid = [(x, y) for x in xs + special for y in ys + special]
+        rng = np.random.default_rng(29)
+        rand = rng.uniform([-1.8, -1.4], [1.8, 1.4], (500, 2)).tolist()
+        return grid + [tuple(p) for p in rand]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scalar_equals_array_elementwise(self):
+        pts = self.points()
+        col, row = cell_of(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+        want = list(zip(col.tolist(), row.tolist()))
+        for kind in (float, np.float64, np.array):
+            got = [cell_of(kind(x), kind(y)) for x, y in pts]
+            assert got == want, kind
+            assert all(type(c) is int and type(r) is int for c, r in got)
+        assert want[:2] == [(0, 0), (0, 0)]   # on the lower-left corner
+        outside = [w for (x, y), w in zip(pts, want)
+                   if not (mpc.X_MIN <= x <= mpc.X_MAX and mpc.Y_MIN <= y <= mpc.Y_MAX)]
+        assert outside and set(outside) == {(-1, -1)}
+
+    def test_mixed_scalar_kinds(self):
+        assert cell_of(0, np.float64(0.0)) == cell_of(0.0, 0.0) == (3, 2)
+        assert cell_of(np.array(1.6), 1.2) == (7, 4)
+        # float32(-1.6) widens to just below -1.6: outside on both paths
+        col, row = cell_of(np.array([np.float32(-1.6)]), np.array([-1.2]))
+        assert cell_of(np.float32(-1.6), -1.2) == (col[0], row[0]) == (-1, -1)
+
+
+def indexed_goal_distance(so_mask, goal_cells):
+    """The Dijkstra on numpy-indexed (ROWS, COLS) arrays: the reference the
+    flat-list field must match bit for bit."""
+    dist = np.full((mpc.ROWS, mpc.COLS), UNREACHABLE)
+    heap = []
+    for c, r in goal_cells:
+        dist[r, c] = 0.0
+        heapq.heappush(heap, (0.0, r, c))
+    while heap:
+        d, r, c = heapq.heappop(heap)
+        if d > dist[r, c]:
+            continue
+        for dr, dc, w in ((0, 1, CELL_W), (0, -1, CELL_W),
+                          (1, 0, CELL_H), (-1, 0, CELL_H)):
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < mpc.ROWS and 0 <= nc < mpc.COLS and not so_mask[nr, nc]:
+                nd = d + w
+                if nd < dist[nr, nc]:
+                    dist[nr, nc] = nd
+                    heapq.heappush(heap, (nd, nr, nc))
+    dist[so_mask] = UNREACHABLE
+    return dist
+
+
+class TestGoalDistanceField:
+    """The flat-list Dijkstra gives the numpy-indexed one's field bit for bit."""
+
+    @staticmethod
+    def assert_same(so_mask, goals):
+        got = mpc._goal_distance_field(so_mask, goals)
+        want = indexed_goal_distance(so_mask, goals)
+        assert got.shape == (mpc.ROWS, mpc.COLS) and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return got
+
+    def test_sampled_environments(self):
+        for seed in range(1000):
+            env = sample_environment(seed)
+            assert np.array_equal(
+                env.goal_dist.view(np.int64),
+                indexed_goal_distance(env.so_mask, env.goal_cells).view(np.int64))
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            mask = rng.random((mpc.ROWS, mpc.COLS)) < rng.uniform(0.0, 0.6)
+            flat = rng.choice(mpc.ROWS * mpc.COLS, int(rng.integers(0, 5)),
+                              replace=False)
+            self.assert_same(mask, tuple((int(f) % mpc.COLS, int(f) // mpc.COLS)
+                                         for f in flat))
+
+    def test_walled_off_and_unreachable_cells(self):
+        walled = np.zeros((mpc.ROWS, mpc.COLS), dtype=bool)
+        walled[:, 4] = True                       # a full column wall
+        got = self.assert_same(walled, ((0, 0),))
+        assert (got[:, 5:] == UNREACHABLE).all() and (got[:, :4] < UNREACHABLE).all()
+        boxed = np.zeros((mpc.ROWS, mpc.COLS), dtype=bool)
+        boxed[1, 1:4] = boxed[3, 1:4] = boxed[2, 1] = boxed[2, 3] = True
+        got = self.assert_same(boxed, ((7, 4), (6, 0)))
+        assert got[2, 2] == UNREACHABLE           # enclosed free cell
+        got = self.assert_same(boxed, ((2, 2),))  # goal inside the box
+        assert got[2, 2] == 0.0 and (got[0] == UNREACHABLE).all()
+        self.assert_same(np.ones((mpc.ROWS, mpc.COLS), dtype=bool), ((0, 0),))
+        got = self.assert_same(np.zeros((mpc.ROWS, mpc.COLS), dtype=bool), ())
+        assert (got == UNREACHABLE).all()
