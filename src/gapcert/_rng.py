@@ -7,11 +7,16 @@ by the same user seed never share randomness.  Streams are counter-based
 function of (seed, tag, i): prefixes of a stream are stable when the batch
 size grows, and parallel evaluation cannot change results.
 
-Tags are the named constants below; no value serves two purposes.  The
-experiment tags seed per-trial or per-run work as child_seed(cfg.seed, TAG, i):
-chi-sweep's solve, subsample and exceedance seeds (CHI_SWEEP_*), the solve
-seed of a table1 or tsp-fig2 trial (TABLE1_TRIAL, TSP_FIG2_TRIAL), and an
-mpc-fig4 run's base seed per n_p (MPC_FIG4_BASE).
+Tags are the named constants below.  FAMILY serves two purposes: the
+stream an instance is generated from (``random_tsp_instance``,
+``uniform_gap_family``) and the certify-phase gap samples (``sample_gaps``,
+mpc-fig4), drawn at child_seed(seed, FAMILY, i).  LEVEL_SET tags the Monte
+Carlo draws of ``exceedance_probability``.  The values fix the seeded
+bytes, so none is renumbered.  The experiment tags seed per-trial or
+per-run work as child_seed(cfg.seed, TAG, i): chi-sweep's solve, subsample
+and exceedance seeds (CHI_SWEEP_*), the solve seed of a table1 or tsp-fig2
+trial (TABLE1_TRIAL, TSP_FIG2_TRIAL), and an mpc-fig4 run's base seed per
+n_p (MPC_FIG4_BASE).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
 
-# Library stream tags.  One per sampling purpose; never reuse a tag.
+# Library stream tags: one per sampling purpose, FAMILY aside (see above).
 SOLVE = 1
 CERTIFY = 2
 SUBSAMPLE = 3

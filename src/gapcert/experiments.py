@@ -3,6 +3,10 @@
 Each experiment is described by a config (JSON file or dict), runs fully
 deterministically from its seed, flushes per-trial records as it goes so an
 interrupted run can resume, and writes its own plot-ready CSV artifacts.
+A run resumes only when the output directory's ``config.json`` is
+byte-identical to its own and ``records.partial.csv`` starts with its
+header line; it keeps the complete rows, cuts off a torn last line, and
+computes only the missing trials.  Otherwise it starts over.
 Re-running an identical config byte-reproduces every numeric output except
 wall-clock timings: the report JSON's ``timings`` and, for table1, the
 ``certify_ms`` and ``mean_certify_ms`` columns.
@@ -306,9 +310,10 @@ def uniform_gap_family() -> ProblemFamily:
 class _RecordSink:
     """Per-trial record store with crash-recovery flushing and resume.
 
-    Records are keyed; completed keys from a previous identical-config run are
-    loaded and skipped.  The final CSV is rewritten sorted by key so resumed
-    and fresh runs produce identical bytes.
+    Records are keyed, and runners compute only the ``pending`` trials.  The
+    sink decides once whether to resume or start over (module docstring).
+    The final CSV is rewritten sorted by key so resumed and fresh runs
+    produce identical bytes.
     """
 
     def __init__(self, out_dir: Path, config: ExperimentConfig, columns: list[str],
@@ -318,32 +323,24 @@ class _RecordSink:
         self.key_cols = key_cols
         self.records: dict[tuple, dict] = {}
         self._partial = out_dir / "records.partial.csv"
-        self._config_path = out_dir / "config.json"
+        config_path = out_dir / "config.json"
         config_text = json.dumps(config.to_dict(), indent=2, sort_keys=True)
-        if self._config_path.exists() and self._partial.exists() \
-                and self._config_path.read_text(encoding="utf-8") == config_text:
-            self._load_partial()
-        else:
-            for stale in (self._partial, out_dir / "records.csv"):
-                stale.unlink(missing_ok=True)
-        self._config_path.write_text(config_text, encoding="utf-8")
+        header = ",".join(columns) + "\n"
+        complete = b""
+        if config_path.exists() and self._partial.exists() \
+                and config_path.read_text(encoding="utf-8") == config_text:
+            data = self._partial.read_bytes()
+            complete = data[:data.rfind(b"\n") + 1]
+        if complete.startswith(header.encode("utf-8")):
+            os.truncate(self._partial, len(complete))  # a crash's torn tail
+            for line in complete.decode("utf-8").splitlines()[1:]:
+                rec = dict(zip(columns, line.split(",")))
+                self.records[self._key_of(rec)] = rec
+        else:  # start over
+            (out_dir / "records.csv").unlink(missing_ok=True)
+            self._partial.write_text(header, encoding="utf-8", newline="")
+        config_path.write_text(config_text, encoding="utf-8")
         self._fh = self._partial.open("a", encoding="utf-8", newline="")
-        if self._partial.stat().st_size == 0:
-            self._fh.write(",".join(self.columns) + "\n")
-            self._fh.flush()
-
-    def _load_partial(self):
-        """Load the newline-terminated rows, and cut off a torn tail line
-        from a crash so that the next row starts on a line of its own."""
-        data = self._partial.read_bytes()
-        complete = data[:data.rfind(b"\n") + 1]
-        os.truncate(self._partial, len(complete))
-        lines = complete.decode("utf-8").splitlines()
-        if not lines or lines[0].split(",") != self.columns:
-            return
-        for line in lines[1:]:
-            rec = dict(zip(self.columns, line.split(",")))
-            self.records[self._key_of(rec)] = rec
 
     def _key_of(self, rec: dict) -> tuple:
         return tuple(str(rec[k]) for k in self.key_cols)
@@ -352,6 +349,12 @@ class _RecordSink:
         """Records matching the given key values, by trial number."""
         return {int(r["trial"]): r for r in self.records.values()
                 if all(r[k] == str(v) for k, v in key.items())}
+
+    def pending(self, count: int, **key) -> list[int]:
+        """The trials below ``count`` with no record under the key values,
+        in ascending order: the only trials a run computes."""
+        done = self.trials(**key)
+        return [trial for trial in range(count) if trial not in done]
 
     def add(self, rec: dict) -> None:
         rec = {k: _fmt(rec[k]) for k in self.columns}
@@ -467,22 +470,20 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     problem, timings = cfg.problem, {}
     truth = _ground_truth(cfg, problem, timings)
     sink = _RecordSink(out, cfg, ["trial", "chi", "gap", "p"], ["trial", "chi"])
-    chis = dict.fromkeys(map(float, cfg.chis))  # each distinct chi once
-    done = {chi: sink.trials(chi=chi) for chi in chis}
-    for trial in range(cfg.trials):
-        solution = None
-        for chi in chis:
-            if trial in done[chi]:
-                continue
-            if solution is None:
-                solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
-                    cfg.seed, _rng.CHI_SWEEP_SOLVE, trial))
-                subsample_seed = _rng.child_seed(
-                    cfg.seed, _rng.CHI_SWEEP_SUBSAMPLE, trial)
-                exceedance_seed = _rng.child_seed(
-                    cfg.seed, _rng.CHI_SWEEP_EXCEEDANCE, trial)
-                gap = cfg.oracle_config.gap(solution.best.cost, truth.value,
-                                            f"{problem.name} trial {trial}")
+    pending = {}  # trial -> its pending chis, each distinct chi once
+    for chi in dict.fromkeys(map(float, cfg.chis)):
+        for trial in sink.pending(cfg.trials, chi=chi):
+            pending.setdefault(trial, []).append(chi)
+    for trial in sorted(pending):
+        solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
+            cfg.seed, _rng.CHI_SWEEP_SOLVE, trial))
+        subsample_seed = _rng.child_seed(cfg.seed, _rng.CHI_SWEEP_SUBSAMPLE,
+                                         trial)
+        exceedance_seed = _rng.child_seed(cfg.seed, _rng.CHI_SWEEP_EXCEEDANCE,
+                                          trial)
+        gap = cfg.oracle_config.gap(solution.best.cost, truth.value,
+                                    f"{problem.name} trial {trial}")
+        for chi in pending[trial]:
             model = subsample_info(solution.info, chi, subsample_seed,
                                    problem=problem)
             p = exceedance_probability(model, gap, m=cfg.mc_samples,
@@ -514,10 +515,7 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
     for problem in problems:
         name = problem.name
         j_star = oracle_values[name] = _ground_truth(cfg, problem, timings).value
-        done = sink.trials(benchmark=name)
-        for trial in range(cfg.trials):
-            if trial in done:
-                continue
+        for trial in sink.pending(cfg.trials, benchmark=name):
             solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
                 cfg.seed, _rng.TABLE1_TRIAL, trial))
             t1 = time.perf_counter()
@@ -556,10 +554,7 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     sink = _RecordSink(out, cfg,
                        ["trial", "zeta", "gap", "p", "n_v", "v_star", "success"],
                        ["trial"])
-    done = sink.trials()
-    for trial in range(cfg.trials):
-        if trial in done:
-            continue
+    for trial in sink.pending(cfg.trials):
         solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
             cfg.seed, _rng.TSP_FIG2_TRIAL, trial))
         gap = cfg.oracle_config.gap(solution.best.cost, j_star,
@@ -600,8 +595,8 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
     def phase(name: str, n_p: int, seed: int, tag: int, count: int):
         """Gaps of samples 0..count-1 of one phase, sampling only those the
         sink lacks."""
-        for i, s in iter_gap_samples(family, n_p, oracle, seed, tag, count,
-                                     sink.trials(phase=name, n_p=n_p)):
+        for i, s in iter_gap_samples(family, n_p, oracle, seed, tag,
+                                     sink.pending(count, phase=name, n_p=n_p)):
             sink.add({"phase": name, "n_p": n_p, "trial": i,
                       **dataclasses.asdict(s)})
         return [float(r["gamma"])
@@ -609,7 +604,7 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
 
     timings = {}
     summary_rows = {}
-    for n_p in cfg.n_p_list:
+    for n_p in dict.fromkeys(cfg.n_p_list):  # each distinct n_p once
         base = _rng.child_seed(cfg.seed, _rng.MPC_FIG4_BASE, n_p)
         t0 = time.perf_counter()
         gammas = phase("certify", n_p, base, _rng.FAMILY, cfg.r)
@@ -666,7 +661,7 @@ def _run_validate(cfg: ExperimentConfig, out: Path, cert):
     family, oracle = cfg.problem_family, cfg.oracle_config
     sink = _RecordSink(out, cfg, ["trial", *_GAP_COLUMNS, "covered"], ["trial"])
     for i, s in iter_gap_samples(family, cfg.n_p, oracle, cfg.seed,
-                                 _rng.VALIDATE, cfg.m_validate, sink.trials()):
+                                 _rng.VALIDATE, sink.pending(cfg.m_validate)):
         sink.add({"trial": i, **dataclasses.asdict(s),
                   "covered": s.gamma <= cert.gamma_star})
     records = sink.finish()

@@ -123,8 +123,8 @@ class Environment:
     goal_cells: tuple[tuple[int, int], ...]
     seed: int
     rejections: int = 0
-    so_mask: np.ndarray = field(repr=False, default=None)
-    goal_dist: np.ndarray = field(repr=False, default=None)
+    so_mask: np.ndarray = field(init=False, repr=False)  # from so_cells
+    goal_dist: np.ndarray = field(init=False, repr=False)  # from goal_cells
 
     def __post_init__(self):
         so = set(self.so_cells)

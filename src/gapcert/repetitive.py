@@ -10,8 +10,9 @@ for a second sampling pass at decision time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import _rng
 from .oracles import OracleError, OracleResult, declared_min, exhaustive_min, \
@@ -120,15 +121,14 @@ def sample_gap(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
 
 
 def iter_gap_samples(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
-                     seed: int, tag: int, count: int,
-                     done: Collection[int] = ()) -> Iterator[tuple[int, GapSample]]:
-    """Yield (i, gap sample i) for each i < count not in done.  Sample i is
-    drawn at child_seed(seed, tag, i), so skipping finished trials or growing
-    count leaves every other sample unchanged."""
-    for i in range(count):
-        if i not in done:
-            yield i, sample_gap(family, n_p, oracle_cfg,
-                                _rng.child_seed(seed, tag, i))
+                     seed: int, tag: int,
+                     indices: Iterable[int]) -> Iterator[tuple[int, GapSample]]:
+    """Yield (i, gap sample i) for each i in ``indices``.  Sample i is drawn
+    at child_seed(seed, tag, i), so drawing any subset of the indices
+    leaves every sample unchanged."""
+    for i in indices:
+        yield i, sample_gap(family, n_p, oracle_cfg,
+                            _rng.child_seed(seed, tag, i))
 
 
 def sample_gaps(family: ProblemFamily, r: int, n_p: int,
@@ -141,7 +141,7 @@ def sample_gaps(family: ProblemFamily, r: int, n_p: int,
     if r < 1:
         raise DomainError(f"r must be a positive integer, got {r}")
     return [s for _, s in iter_gap_samples(family, n_p, oracle_cfg, seed,
-                                           _rng.FAMILY, r)]
+                                           _rng.FAMILY, range(r))]
 
 
 def build_certificate(family: ProblemFamily, r: int, n_p: int, epsilon: float,
@@ -178,13 +178,34 @@ def validate_coverage(family: ProblemFamily, certificate: RepetitiveCertificate,
         raise DomainError(f"m must be a positive integer, got {m}")
     covered = sum(s.gamma <= certificate.gamma_star for _, s in
                   iter_gap_samples(family, n_p, oracle_cfg, seed,
-                                   _rng.VALIDATE, m))
+                                   _rng.VALIDATE, range(m)))
     return covered / m
 
 
+# Each certificate field's JSON type (float also takes an integer), its
+# range, and how to name both in an error.
+_CERTIFICATE_FIELDS = {
+    "gamma_star": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
+    "r": (int, lambda v: v >= 1, "an integer >= 1"),
+    "epsilon": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    "confidence": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    "n_p": (int, lambda v: v >= 1, "an integer >= 1"),
+    "family": (str, lambda v: True, "a string"),
+    "seed": (int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
+}
+
+
 def certificate_from_json(text: str) -> RepetitiveCertificate:
-    raw = json.loads(text)
-    return RepetitiveCertificate(
-        gamma_star=float(raw["gamma_star"]), r=int(raw["r"]),
-        epsilon=float(raw["epsilon"]), confidence=float(raw["confidence"]),
-        n_p=int(raw["n_p"]), family=str(raw["family"]), seed=int(raw["seed"]))
+    """The certificate that ``certificate_to_json`` wrote.  A field of the
+    wrong JSON type (a bool is not a number) or out of range raises
+    DomainError; an integer may stand for a float, nothing else converts."""
+    raw, fields = json.loads(text), {}
+    for name, (kind, in_range, what) in _CERTIFICATE_FIELDS.items():
+        value = raw[name]
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind) \
+                or not in_range(value):
+            raise DomainError(f"certificate field {name} must be {what}, "
+                              f"got {value!r}")
+        fields[name] = kind(value)
+    return RepetitiveCertificate(**fields)

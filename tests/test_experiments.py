@@ -1,9 +1,12 @@
 """Experiment configs, pipelines, artifacts, reproducibility, and the CLI."""
 
 import dataclasses
+import itertools
 import json
+import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from gapcert import OracleConfig, OracleError, OracleResult, _rng, \
     exhaustive_min
 from gapcert.cli import main
 from gapcert.experiments import READS, ConfigError, ExperimentConfig, \
-    _RecordSink, apply_check, run
+    RunReport, _RecordSink, apply_check, run
 from gapcert.problems import make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance, \
     write_tsp_instance
@@ -836,3 +839,183 @@ class TestGroundTruth:
         run({**base, "chis": [0.1, 0.5], "out_dir": str(tmp_path / "once")})
         assert (tmp_path / "dup" / "records.csv").read_bytes() \
             == (tmp_path / "once" / "records.csv").read_bytes()
+
+
+class Crash(Exception):
+    """Stands in for a kill signal in the middle of a run."""
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to record one entry per call."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def files_of(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestResumeEveryRunner:
+    """Each runner that keeps records resumes an interrupted run, whether
+    the crash fell between two rows or inside one, writes the fresh run's
+    bytes, and recomputes only the units that have a missing row."""
+
+    # experiment: (config fields, rows flushed before the crash, the
+    # function computing one unit, units left to compute)
+    CASES = {
+        "chi-sweep": ({"tsp_random": 5, "n_p": 20, "trials": 4,
+                       "chis": [0.1, 1.0]}, 3, "percentile_solve", 3),
+        "table1": ({"benchmark": "beale", "n_p": 20, "n_v": 20, "trials": 5,
+                    "oracle": {"n0": 200}}, 2, "percentile_solve", 3),
+        "tsp-fig2": ({"tsp_random": 5, "n_p": 20, "trials": 5}, 2,
+                     "percentile_solve", 3),
+        "mpc-fig4": ({"family": "uniform-gaps", "r": 5, "n_p_list": [1, 2],
+                      "m_validate": 3}, 7, "sample_gap", 9),
+        "validate": ({"family": "uniform-gaps", "n_p": 2, "m_validate": 6},
+                     2, "sample_gap", 4),
+    }
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["row-boundary",
+                                                         "mid-row"])
+    @pytest.mark.parametrize("experiment", list(CASES))
+    def test_resume_writes_the_fresh_bytes(self, tmp_path, monkeypatch,
+                                           experiment, torn):
+        import gapcert.experiments as exp
+        import gapcert.repetitive as rep
+        fields, rows, unit, left = self.CASES[experiment]
+        cfg = {"experiment": experiment, "seed": 9, **fields}
+        if experiment == "validate":
+            cfg["certificate"] = TestValidate.uniform_certificate(tmp_path)
+        # every timing reads 0, so report.json and table1's certify_ms
+        # columns are as reproducible as the seeded outputs
+        monkeypatch.setattr(exp, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        run(cfg, out_dir=tmp_path / "fresh")
+        resumed = tmp_path / "resumed"
+        with monkeypatch.context() as patch:
+            add, added = _RecordSink.add, itertools.count()
+
+            def crashing(sink, rec):
+                if next(added) == rows:
+                    if torn:  # part of the next row reached the file
+                        add(sink, rec)
+                        os.truncate(sink._partial,
+                                    sink._partial.stat().st_size - 3)
+                    raise Crash
+                add(sink, rec)
+
+            patch.setattr(_RecordSink, "add", crashing)
+            with pytest.raises(Crash):
+                run(cfg, out_dir=resumed)
+        partial = (resumed / "records.partial.csv").read_text()
+        assert partial.count("\n") == rows + 1
+        assert partial.endswith("\n") != torn
+        calls = count_calls(monkeypatch,
+                            exp if unit == "percentile_solve" else rep, unit)
+
+        def whole_rows(sink, rec):  # each new row on a line of its own
+            add(sink, rec)
+            for line in sink._partial.read_text().splitlines():
+                assert line.count(",") == len(sink.columns) - 1, line
+
+        monkeypatch.setattr(_RecordSink, "add", whole_rows)
+        run(cfg, out_dir=resumed)
+        assert len(calls) == left
+        assert files_of(resumed) == files_of(tmp_path / "fresh")
+
+    def test_partial_under_another_header_starts_over(self, tmp_path,
+                                                      monkeypatch):
+        """Same config, but the partial file holds another column set: the
+        stale rows are dropped, never appended to."""
+        import gapcert.experiments as exp
+        cfg = {"experiment": "tsp-fig2", "seed": 11, "tsp_random": 5,
+               "n_p": 20, "trials": 3}
+        columns = ["trial", "zeta", "gap", "p", "n_v", "v_star", "success"]
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        run(cfg, out_dir=fresh)
+
+        def leave_stale_files():
+            stale.mkdir(exist_ok=True)
+            (stale / "config.json").write_bytes(
+                (fresh / "config.json").read_bytes())
+            (stale / "records.partial.csv").write_text(
+                "trial,zeta,gap,p\n1,2.0,0.1,0.5\n", encoding="utf-8")
+            (stale / "records.csv").write_text("stale\n", encoding="utf-8")
+
+        leave_stale_files()
+        sink = _RecordSink(stale, ExperimentConfig.from_dict(cfg), columns,
+                           ["trial"])
+        sink._fh.close()
+        assert sink.records == {}
+        assert (stale / "records.partial.csv").read_text(encoding="utf-8") \
+            == ",".join(columns) + "\n"
+        assert not (stale / "records.csv").exists()
+        leave_stale_files()
+        calls = count_calls(monkeypatch, exp, "percentile_solve")
+        run(cfg, out_dir=stale)
+        assert len(calls) == 3
+        assert (stale / "records.csv").read_bytes() \
+            == (fresh / "records.csv").read_bytes()
+
+
+class TestApplyCheckBranches:
+    def test_none_in_a_dict_and_an_exceeded_maximum(self):
+        config = ExperimentConfig.from_dict({
+            "experiment": "solve", "seed": 1, "benchmark": "beale",
+            "check": {"coverage_min": 0.5, "gap_max": 1.0}})
+        report = RunReport(config=config, records=[], timings={},
+                           summary={"coverage": {"40": 0.9, "60": None},
+                                    "gap": 1.5})
+        assert apply_check(report) == ["60: no value to check",
+                                       "gap: 1.5 > allowed maximum 1.0"]
+
+
+class TestRepeatedNp:
+    def test_sampled_and_timed_once(self, tmp_path, monkeypatch):
+        """A repeated n_p_list entry runs once: the same files as the
+        single entry, timed by the pass that sampled.  The clock advances
+        one second per gap sample."""
+        import gapcert.experiments as exp
+        import gapcert.repetitive as rep
+        calls = count_calls(monkeypatch, rep, "sample_gap")
+        monkeypatch.setattr(exp, "time", SimpleNamespace(
+            perf_counter=lambda: float(len(calls))))
+        base = {"experiment": "mpc-fig4", "seed": 5, "family": "uniform-gaps",
+                "r": 20, "m_validate": 10}
+        twice = run({**base, "n_p_list": [2, 2]}, out_dir=tmp_path / "twice")
+        assert twice.timings == {"certify_np2_s": 20.0, "validate_np2_s": 10.0,
+                                 "total_s": 30.0}
+        run({**base, "n_p_list": [2]}, out_dir=tmp_path / "once")
+        for name in ("records.csv", "certificate_np2.json", "fig4_markers.csv",
+                     "fig4_hist_np2.csv"):
+            assert (tmp_path / "twice" / name).read_bytes() \
+                == (tmp_path / "once" / name).read_bytes()
+
+
+class TestMalformedCertificate:
+    @pytest.mark.parametrize("field, value", [
+        ("n_p", 2.9), ("n_p", "2"), ("seed", True), ("r", 2.5),
+        ("epsilon", 7), ("gamma_star", -1.0), ("gamma_star", float("nan")),
+        ("gamma_star", float("inf")), ("confidence", 1.5), ("family", None)])
+    def test_refused_before_the_run(self, tmp_path, capsys, field, value):
+        """A certificate field of the wrong JSON type or out of range exits
+        2, naming the file and the field, and leaves no output directory;
+        it is never coerced into a match."""
+        raw = json.loads(Path(TestValidate.uniform_certificate(tmp_path))
+                         .read_text())
+        bad = tmp_path / "bad_certificate.json"
+        bad.write_text(json.dumps({**raw, field: value}))
+        cfg = tmp_path / "validate.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "family": "uniform-gaps", "n_p": 2, "m_validate": 2,
+            "certificate": str(bad), "out_dir": str(tmp_path / "val")}))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: certificate {bad}: DomainError: " \
+            f"certificate field {field} must be" in err
+        assert not (tmp_path / "val").exists()

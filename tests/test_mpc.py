@@ -209,6 +209,15 @@ class TestGridAndBarrier:
             Environment(x_a=np.zeros(3), x_o=np.zeros(2),
                         so_cells=((0, 0),), goal_cells=((0, 0),), seed=0)
 
+    @pytest.mark.parametrize("name", ["so_mask", "goal_dist"])
+    def test_derived_tables_are_not_arguments(self, name):
+        """The obstacle mask and goal distances follow from the cells; an
+        argument for either would be overwritten, so it is refused."""
+        with pytest.raises(TypeError, match=name):
+            Environment(x_a=np.zeros(3), x_o=np.zeros(2), so_cells=(),
+                        goal_cells=((0, 0),), seed=0,
+                        **{name: np.zeros((5, 8))})
+
 
 class TestRolloutAndCost:
     def test_open_world_is_feasible(self):
