@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _rng
 from .percentile import DomainError, InfoSet, PercentileSolution, Problem, \
-    confidence_of, min_samples
+    _check_count, confidence_of, min_samples
 
 DEFAULT_CHI = 0.1
 DEFAULT_EPSILON = 0.01  # safe when the unknown exceedance probability p >= 1e-2
@@ -103,8 +103,7 @@ def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
     independent of the information set even under seed reuse.  A warning flag
     is set when n_v is too small to reach 95% confidence at this epsilon.
     """
-    if n_v < 1:
-        raise DomainError(f"n_v must be a positive integer, got {n_v}")
+    _check_count("n_v", n_v)
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
     problem = model.problem
@@ -120,7 +119,7 @@ def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
         solution_cost=model.solution_cost,
         chi=model.chi,
         seed=int(seed),
-        d_indices=tuple(int(i) for i in model.d_indices),
+        d_indices=tuple(model.d_indices.tolist()),
         low_sample_warning=bool(warn),
     )
 

@@ -21,9 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import _rng
-from .spaces import TourSpace
-
-ENUMERATION_LIMIT = math.factorial(10)
+from .spaces import ENUMERATION_LIMIT, TourSpace
 
 
 class DomainError(ValueError):
@@ -155,13 +153,19 @@ class PercentileSolution:
     info: InfoSet
 
 
+def _check_count(name: str, n) -> None:
+    """Refuse a sample count that is not a positive Python or numpy integer;
+    a bool or a whole float is not a count."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"{name} must be a positive integer, got {n!r}")
+
+
 def confidence_of(epsilon: float, n: int) -> float:
     """Confidence 1 - (1-epsilon)^n that the best of n uniform samples is in
     the 100(1-epsilon) percentile."""
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _check_count("n", n)
     if epsilon == 1.0:
         return 1.0
     # -expm1(n*log1p(-eps)) keeps full precision for small eps and large n
@@ -195,8 +199,7 @@ def percentile_solve(problem: Problem, n_p: int, seed: int) -> PercentileSolutio
     index.  The sample stream is nested: growing n_p extends it without
     changing earlier samples.
     """
-    if n_p < 1:
-        raise DomainError(f"n_p must be a positive integer, got {n_p}")
+    _check_count("n_p", n_p)
     decisions = problem.space.sample(seed, n_p, path=(_rng.SOLVE,))
     costs = problem.evaluate_batch(decisions)
     i = int(np.argmin(costs))

@@ -19,6 +19,10 @@ import numpy as np
 from . import _rng
 
 
+# Largest cardinality any space enumerates; larger spaces are refused.
+ENUMERATION_LIMIT = math.factorial(10)
+
+
 class SpaceError(ValueError):
     """Invalid space definition or unsupported space operation."""
 
@@ -81,6 +85,8 @@ class PermutationSpace:
 
     Sampling runs one Fisher-Yates shuffle per row, driven by that row's
     fixed-width uniform block, which is exactly uniform over the n! orderings.
+    All rows take each swap step together, addressed by flat indices into the
+    row-major (rows, n) array.
     """
 
     n_items: int
@@ -97,12 +103,14 @@ class PermutationSpace:
         k = self.n_items
         u = _rng.uniform_block(seed, path, n, k - 1)
         perms = np.tile(np.arange(k), (int(n), 1))
-        rows = np.arange(int(n))
+        flat = perms.reshape(-1)
+        row_start = np.arange(0, flat.size, k)
         for j in range(k - 1, 0, -1):
             r = (u[:, k - 1 - j] * (j + 1)).astype(np.intp)  # uniform on 0..j
-            pj = perms[rows, j].copy()
-            perms[rows, j] = perms[rows, r]
-            perms[rows, r] = pj
+            r += row_start
+            pj = perms[:, j].copy()
+            perms[:, j] = flat[r]
+            flat[r] = pj
         return perms
 
     def contains(self, decision) -> bool:
@@ -123,7 +131,9 @@ class TourSpace(PermutationSpace):
 
     Sampling, membership, cardinality (n!) and ``enumerate`` are those of the
     permutation space.  A tour's cost does not change under rotation or
-    reversal, so exact quantities only need one tour per class.
+    reversal, so exact quantities only need one tour per class.  Those
+    canonical tours do not depend on the waypoints: each n's table is built
+    once, on first use, and shared read-only by every tour space of that n.
     """
 
     def enumerate_canonical(self) -> Iterator[np.ndarray]:
@@ -134,23 +144,38 @@ class TourSpace(PermutationSpace):
         lexicographically first ordering of a class is its canonical tour, so
         minima, first minimizers and fractions over these tours equal those
         over ``enumerate()``.  Below 3 waypoints every ordering is yielded.
+        The blocks are read-only.  A space of more than ``ENUMERATION_LIMIT``
+        orderings raises ``SpaceError`` and builds nothing.
         """
-        n = self.n_items
-        if n < 3:
-            yield from self.enumerate()
-            return
+        if self.cardinality > ENUMERATION_LIMIT:
+            raise SpaceError(f"space cardinality {self.cardinality} exceeds "
+                             f"the enumeration limit {ENUMERATION_LIMIT}")
+        return iter(_canonical_tours(self.n_items))
+
+
+@lru_cache(maxsize=None)
+def _canonical_tours(n: int) -> tuple[np.ndarray, ...]:
+    """``TourSpace(n).enumerate_canonical``'s blocks, read-only."""
+    if n < 3:
+        blocks = list(PermutationSpace(n).enumerate())
+    else:
+        blocks = []
         for rest in PermutationSpace(n - 1).enumerate():
             rest = rest[rest[:, 0] < rest[:, -1]]
             if not len(rest):
                 continue
             tours = np.zeros((len(rest), n), dtype=np.intp)
             tours[:, 1:] = rest + 1
-            yield tours
+            blocks.append(tours)
+    for block in blocks:
+        block.flags.writeable = False
+    return tuple(blocks)
 
 
 # Longest suffix enumerated from one cached table, so blocks hold at most 7!
-# rows.  Blocks of 8! rows (2.6 MB at n = 8) were as fast but raised the peak
-# RSS of a long tsp-9 loop by 5 MiB through heap fragmentation.
+# rows, and so do the canonical tour tables built from them.  Blocks of 8! rows
+# (2.6 MB at n = 8) were as fast but raised the peak RSS of a tsp-9 loop that
+# enumerated each instance's tours by 5 MiB through heap fragmentation.
 _TABLE_ITEMS = 7
 
 

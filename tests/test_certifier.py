@@ -159,6 +159,25 @@ class TestCertifyGap:
         assert certify_gap(model, needed - 1, 0.01, seed=2).low_sample_warning
         assert not certify_gap(model, needed, 0.01, seed=2).low_sample_warning
 
+    @pytest.mark.parametrize("n_v", [2.7, 2.0, True, np.float64(3.0)])
+    def test_refuses_a_non_integer_n_v(self, n_v):
+        # 2.7 would draw 2 samples but report the confidence of 2.7
+        problem = linear_problem()
+        sol = percentile_solve(problem, 10, seed=1)
+        model = subsample_info(sol.info, 0.5, seed=1, problem=problem)
+        with pytest.raises(DomainError, match="n_v must be a positive integer"):
+            certify_gap(model, n_v, 0.3, seed=2)
+
+    @pytest.mark.parametrize("n_v", [np.int64(9), np.int32(9), np.uint8(9)])
+    def test_accepts_numpy_integer_n_v(self, n_v):
+        problem = linear_problem()
+        sol = percentile_solve(problem, 10, seed=1)
+        model = subsample_info(sol.info, 0.5, seed=1, problem=problem)
+        cert = certify_gap(model, n_v, 0.3, seed=2)
+        assert cert == certify_gap(model, 9, 0.3, seed=2)
+        assert type(cert.n_v) is int
+        assert all(type(i) is int for i in cert.d_indices)
+
     def test_json_roundtrip(self):
         problem = linear_problem()
         sol = percentile_solve(problem, 12, seed=4)

@@ -19,7 +19,7 @@ from gapcert.experiments import READS, ConfigError, ExperimentConfig, \
 from gapcert.problems import make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance, \
     write_tsp_instance
-from gapcert.spaces import PermutationSpace
+from gapcert.spaces import PermutationSpace, TourSpace
 
 
 def forbid_enumeration(monkeypatch):
@@ -269,13 +269,13 @@ class TestChiSweep:
     def test_exact_mode_enumerates_once_per_run(self, tmp_path, monkeypatch):
         truth = exhaustive_min(make_tsp_problem(random_tsp_instance(5, 7)))
         calls = []
-        enumerate_ = PermutationSpace.enumerate
+        enumerate_ = TourSpace.enumerate_canonical
 
         def counted(space, *args, **kwargs):
             calls.append(space.n_items)
             return enumerate_(space, *args, **kwargs)
 
-        monkeypatch.setattr(PermutationSpace, "enumerate", counted)
+        monkeypatch.setattr(TourSpace, "enumerate_canonical", counted)
         for experiment, key, extra in (
                 ("chi-sweep", "oracle_value", {"chis": [0.05, 0.5, 1.0]}),
                 ("tsp-fig2", "true_optimum", {})):

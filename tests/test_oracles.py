@@ -26,7 +26,7 @@ from gapcert.problems import (
     make_tsp_problem,
     random_tsp_instance,
 )
-from gapcert.spaces import BoxSpace, PermutationSpace
+from gapcert.spaces import BoxSpace, PermutationSpace, TourSpace
 
 
 class TestExhaustiveMin:
@@ -174,13 +174,13 @@ class TestEnumerationCache:
     def test_one_enumeration_per_problem(self, monkeypatch):
         instance = random_tsp_instance(6, seed=3)
         calls = []
-        enumerate_ = PermutationSpace.enumerate
+        enumerate_ = TourSpace.enumerate_canonical
 
         def counted(space):
             calls.append(space.n_items)
             return enumerate_(space)
 
-        monkeypatch.setattr(PermutationSpace, "enumerate", counted)
+        monkeypatch.setattr(TourSpace, "enumerate_canonical", counted)
         problem = make_tsp_problem(instance)
         shared = self.exact_values(lambda: problem)
         assert len(calls) == 1

@@ -72,6 +72,16 @@ class TestConfidenceOf:
         with pytest.raises(DomainError):
             confidence_of(0.5, 0)
 
+    @pytest.mark.parametrize("n", [2.7, 2.0, True, np.float64(3.0), "3"])
+    def test_refuses_a_non_integer_count(self, n):
+        # 2.7 would report 0.618, a confidence its two samples do not give
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            confidence_of(0.3, n)
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_accepts_numpy_integers(self, n):
+        assert confidence_of(0.3, n) == confidence_of(0.3, 5)
+
 
 class TestMinSamples:
     def test_reported_sample_counts(self):
@@ -139,6 +149,19 @@ class TestPercentileSolve:
     def test_rejects_bad_n_p(self):
         with pytest.raises(DomainError):
             percentile_solve(constant_problem(), 0, seed=1)
+
+    @pytest.mark.parametrize("n_p", [2.7, 2.0, True, np.float64(3.0)])
+    def test_refuses_a_non_integer_n_p(self, n_p):
+        with pytest.raises(DomainError, match="n_p must be a positive integer"):
+            percentile_solve(constant_problem(), n_p, seed=1)
+
+    @pytest.mark.parametrize("n_p", [np.int64(7), np.int32(7), np.uint16(7)])
+    def test_accepts_numpy_integer_n_p(self, n_p):
+        problem = make_tsp_problem(random_tsp_instance(6, seed=2))
+        got, want = (percentile_solve(problem, n, seed=3) for n in (n_p, 7))
+        assert np.array_equal(got.info.decisions, want.info.decisions)
+        assert np.array_equal(got.info.costs, want.info.costs)
+        assert got.info.n_p == 7
 
 
 class TestEstimateBetterFraction:

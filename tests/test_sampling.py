@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import gapcert
-from gapcert import _rng
-from gapcert.spaces import BoxSpace, PermutationSpace, SpaceError
+from gapcert import _rng, spaces
+from gapcert.problems import make_tsp_problem, random_tsp_instance
+from gapcert.spaces import BoxSpace, PermutationSpace, SpaceError, TourSpace
 
 
 def test_box_validation():
@@ -189,3 +190,90 @@ def test_permutation_contains():
     assert space.contains([2, 0, 3, 1])
     assert not space.contains([0, 0, 3, 1])
     assert not space.contains([0, 1, 2])
+
+
+# -- the flat-index shuffle and the shared tour tables against their first
+# implementations, kept verbatim as references ------------------------------
+
+def reference_sample(space, seed, n, path=()):
+    """PermutationSpace.sample as first written: row-index swaps."""
+    k = space.n_items
+    u = _rng.uniform_block(seed, path, n, k - 1)
+    perms = np.tile(np.arange(k), (int(n), 1))
+    rows = np.arange(int(n))
+    for j in range(k - 1, 0, -1):
+        r = (u[:, k - 1 - j] * (j + 1)).astype(np.intp)  # uniform on 0..j
+        pj = perms[rows, j].copy()
+        perms[rows, j] = perms[rows, r]
+        perms[rows, r] = pj
+    return perms
+
+
+def reference_canonical(space):
+    """TourSpace.enumerate_canonical as first written: rebuilt per call."""
+    n = space.n_items
+    if n < 3:
+        yield from space.enumerate()
+        return
+    for rest in PermutationSpace(n - 1).enumerate():
+        rest = rest[rest[:, 0] < rest[:, -1]]
+        if not len(rest):
+            continue
+        tours = np.zeros((len(rest), n), dtype=np.intp)
+        tours[:, 1:] = rest + 1
+        yield tours
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_sample_bitwise_equal_to_reference(k):
+    space = PermutationSpace(k)
+    for n in (0, 1, 2, 7, 4097, 60000):
+        for seed, path in ((0, ()), (11, (_rng.SOLVE,)), (2**63 + 5, (3, 9))):
+            got = space.sample(seed, n, path=path)
+            want = reference_sample(space, seed, n, path)
+            assert got.dtype == want.dtype and got.shape == want.shape == (n, k)
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert np.array_equal(got, want), (k, n, seed, path)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_canonical_tours_equal_reference_block_for_block(n):
+    got = list(TourSpace(n).enumerate_canonical())
+    want = list(reference_canonical(TourSpace(n)))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.intp and np.array_equal(a, b)
+    assert sum(map(len, got)) == (2 if n == 2 else math.factorial(n - 1) // 2)
+
+
+def test_canonical_tours_are_shared_and_read_only(monkeypatch):
+    first = list(TourSpace(7).enumerate_canonical())
+
+    def never(*args, **kwargs):
+        raise AssertionError("canonical tours enumerated twice")
+
+    monkeypatch.setattr(PermutationSpace, "enumerate", never)
+    again = list(TourSpace(7).enumerate_canonical())
+    problems = [make_tsp_problem(random_tsp_instance(7, s)) for s in (1, 2)]
+    for blocks in [again] + [list(p.space.enumerate_canonical())
+                             for p in problems]:
+        assert len(blocks) == len(first)
+        assert all(a is b for a, b in zip(blocks, first))
+    for block in first:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
+    assert problems[0].enumeration[0].shape == (math.factorial(6) // 2,)
+
+
+def test_canonical_tours_beyond_the_limit_are_refused(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started beyond the limit")
+
+    monkeypatch.setattr(PermutationSpace, "enumerate", never)
+    before = spaces._canonical_tours.cache_info()
+    for _ in range(2):
+        with pytest.raises(SpaceError, match="enumeration limit"):
+            TourSpace(11).enumerate_canonical()
+    after = spaces._canonical_tours.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
