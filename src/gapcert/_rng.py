@@ -7,6 +7,14 @@ by the same user seed never share randomness.  Streams are counter-based
 function of (seed, tag, i): prefixes of a stream are stable when the batch
 size grows, and parallel evaluation cannot change results.
 
+The contract, so any run can be replayed with plain numpy: ``stream(seed,
+*path)`` is ``Philox`` keyed by ``SeedSequence(entropy=seed,
+spawn_key=path).generate_state(2, uint64)``, with the seed and each path
+element taken mod 2^64, and ``child_seed(seed, *path)`` is that key's first
+uint64.  The fast path reaches the same words by laying out the entropy
+words as numpy does, letting numpy's C hash mix them into the pool, and
+applying SeedSequence's output hash to the pool in plain ints.
+
 Tags are the named constants below.  FAMILY serves two purposes: the
 stream an instance is generated from (``random_tsp_instance``,
 ``uniform_gap_family``) and the certify-phase gap samples (``sample_gaps``,
@@ -22,8 +30,7 @@ n_p (MPC_FIG4_BASE).
 from __future__ import annotations
 
 import numpy as np
-
-_SEED_MASK = (1 << 64) - 1
+from numpy.random.bit_generator import ISeedSequence
 
 # Library stream tags: one per sampling purpose, FAMILY aside (see above).
 SOLVE = 1
@@ -47,15 +54,54 @@ TABLE1_TRIAL = 200
 TSP_FIG2_TRIAL = 300
 MPC_FIG4_BASE = 400
 
+_SEED_MASK = (1 << 64) - 1
+_WORD = 0xFFFFFFFF
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# SeedSequence.generate_state's output hash, as (xor, multiplier) for each of
+# the 4 pool words: the hash constant starts at INIT_B and takes a factor
+# MULT_B before each multiply.
+_OUTPUT_HASH = tuple((_INIT_B * _MULT_B**i & _WORD, _INIT_B * _MULT_B**(i + 1) & _WORD)
+                     for i in range(4))
 
-def _seed_sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(seed) & _SEED_MASK,
-                                  spawn_key=tuple(int(p) & _SEED_MASK for p in path))
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words SeedSequence makes of int(value) mod 2^64, low first."""
+    value = int(value) & _SEED_MASK
+    return [value & _WORD, value >> 32] if value >> 32 else [value]
+
+
+def _key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
+    """SeedSequence(entropy=seed, spawn_key=path).generate_state(2, uint64)."""
+    words = _words(seed)
+    if path:  # numpy zero-pads the seed's words to its 4-word pool first
+        words += [0] * (4 - len(words))
+        for p in path:
+            words += _words(p)
+    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
+    out = []
+    for word, (xor, mult) in zip(pool, _OUTPUT_HASH):
+        word = (word ^ xor) * mult & _WORD
+        out.append(word ^ word >> 16)
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+class _PhiloxKey(ISeedSequence):
+    """A fixed Philox key, served through the one call Philox makes."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple[int, int]):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a fixed Philox key is only 2 uint64 words")
+        return np.array(self.key, dtype=np.uint64)
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for (seed, path). Deterministic and platform-stable."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(_key(seed, path))))
 
 
 def uniform_block(seed: int, path: tuple[int, ...], n: int, width: int) -> np.ndarray:
@@ -69,4 +115,4 @@ def uniform_block(seed: int, path: tuple[int, ...], n: int, width: int) -> np.nd
 
 def child_seed(seed: int, *path: int) -> int:
     """Derive a replayable 64-bit seed for a sub-task (e.g. one family instance)."""
-    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+    return _key(seed, path)[0]

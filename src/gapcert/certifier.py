@@ -89,8 +89,8 @@ def variance_of_costs(model: VarianceModel, costs: np.ndarray) -> np.ndarray:
     d = np.sort(model.d_costs)
     costs = np.atleast_1d(np.asarray(costs, dtype=float))
     pos = np.searchsorted(d, costs)
-    left = d[np.clip(pos - 1, 0, len(d) - 1)]
-    right = d[np.clip(pos, 0, len(d) - 1)]
+    left = d[np.maximum(pos - 1, 0)]  # pos is in [0, len(d)]
+    right = d[np.minimum(pos, len(d) - 1)]
     return np.minimum(np.abs(costs - left), np.abs(costs - right))
 
 

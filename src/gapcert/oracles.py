@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .percentile import DomainError, OracleError, Problem
+from .percentile import DomainError, OracleError, Problem, _check_count
 
 FD_START = 0.05
 FD_FLOOR = 1e-6
@@ -77,8 +77,7 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
     that project outside the space are rejected; the incumbent value is
     monotone nonincreasing throughout.
     """
-    if n0 < 1:
-        raise DomainError(f"n0 must be a positive integer, got {n0}")
+    _check_count("n0", n0)
     space = problem.space
     if not hasattr(space, "bounds") or not hasattr(space, "project"):
         raise DomainError("refine_min needs a space with bounds and projection")
@@ -92,7 +91,7 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
     costs = problem.evaluate_batch(samples)
     i = int(np.argmin(costs))
     x, fx = np.array(samples[i], dtype=float), float(costs[i])
-    evals, iters = n0, 0
+    evals, iters = int(n0), 0
     scan_x, k0, scan = None, 0, ()  # the stencil scan of levels k0.. at scan_x
     k, progressed = 0, False  # the level, and whether this pass of levels moved
     while iters < MAX_ITERS:

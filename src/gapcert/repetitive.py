@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Iterator
 from . import _rng
 from .oracles import OracleError, OracleResult, declared_min, exhaustive_min, \
     refine_min
-from .percentile import DomainError, Problem, confidence_of, percentile_solve
+from .percentile import DomainError, Problem, _check_count, confidence_of, \
+    percentile_solve
 
 # The default gap tolerance of each oracle method that has one.
 _GAP_TOLERANCES = {"exhaustive": 1e-9, "refine-min": 1e-6}
@@ -138,8 +139,7 @@ def sample_gaps(family: ProblemFamily, r: int, n_p: int,
     Stops at the first oracle failure with the OracleError, which names the
     failing instance's seed for replay.
     """
-    if r < 1:
-        raise DomainError(f"r must be a positive integer, got {r}")
+    _check_count("r", r)
     return [s for _, s in iter_gap_samples(family, n_p, oracle_cfg, seed,
                                            _rng.FAMILY, range(r))]
 
@@ -174,8 +174,7 @@ def validate_coverage(family: ProblemFamily, certificate: RepetitiveCertificate,
                       seed: int) -> float:
     """Fraction of m fresh instances whose measured gap stays within the
     certificate's bound."""
-    if m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
+    _check_count("m", m)
     covered = sum(s.gamma <= certificate.gamma_star for _, s in
                   iter_gap_samples(family, n_p, oracle_cfg, seed,
                                    _rng.VALIDATE, range(m)))

@@ -105,6 +105,33 @@ class TestVarianceAt:
         direct = [min(abs(c - dc) for dc in model.d_costs) for c in costs]
         assert np.allclose(batch, direct, atol=0)
 
+    def test_one_sided_bounds_match_clipped_indices(self):
+        # searchsorted puts pos in [0, len(d)], so clamping one side each
+        # picks the same neighbours as clipping both
+        def clipped(d_costs, costs):
+            d = np.sort(d_costs)
+            costs = np.atleast_1d(np.asarray(costs, dtype=float))
+            pos = np.searchsorted(d, costs)
+            left = d[np.clip(pos - 1, 0, len(d) - 1)]
+            right = d[np.clip(pos, 0, len(d) - 1)]
+            return np.minimum(np.abs(costs - left), np.abs(costs - right))
+
+        rng = np.random.default_rng(22)
+        problem = linear_problem()
+        for k in [1, 2, 3, 17, 200]:
+            d_costs = rng.uniform(2.0, 8.0, size=k)
+            lo, hi = d_costs.min(), d_costs.max()
+            costs = np.concatenate([
+                rng.uniform(0.0, 10.0, size=300), d_costs,
+                [lo, hi, lo - 1.0, hi + 1.0, np.nextafter(lo, -np.inf),
+                 np.nextafter(hi, np.inf), -np.inf, np.inf]])
+            model = model_with_costs(problem, d_costs)
+            assert np.array_equal(variance_of_costs(model, costs),
+                                  clipped(d_costs, costs))
+            for c in [lo - 1.0, lo, hi, hi + 1.0]:
+                assert np.array_equal(variance_of_costs(model, c),
+                                      clipped(d_costs, c))
+
     def test_monotone_in_d(self):
         # a larger subset can only shrink the minimum distance
         problem = linear_problem()

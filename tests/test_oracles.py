@@ -246,6 +246,19 @@ class TestRefineMin:
         with pytest.raises(DomainError):
             refine_min(make_benchmark("beale"), n0=0, seed=0)
 
+    @pytest.mark.parametrize("n0", [2.7, 2.0, True, np.float64(3.0), "3"])
+    def test_rejects_a_non_integer_n0(self, n0):
+        # 2.7 used to run and report a fractional evaluation count
+        with pytest.raises(DomainError, match="n0"):
+            refine_min(make_benchmark("beale"), n0=n0, seed=1)
+
+    def test_accepts_a_numpy_integer_n0(self):
+        a = refine_min(make_benchmark("beale"), n0=np.int64(50), seed=1)
+        b = refine_min(make_benchmark("beale"), n0=50, seed=1)
+        assert (a.value, a.evaluations) == (b.value, b.evaluations)
+        assert type(a.evaluations) is int  # a count that JSON can write
+        assert np.array_equal(a.minimizer, b.minimizer)
+
 
 # refine_min results recorded before its stencils were batched across
 # levels: (value, minimizer, converged).  Benchmarks at n0 = 2000; waypoint

@@ -187,6 +187,23 @@ def test_sample_gaps_validates_r():
         sample_gaps(uniform_gap_family(), r=0, n_p=1, oracle_cfg=DECLARED, seed=1)
 
 
+@pytest.mark.parametrize("r", [2.5, 2.0, True, np.float64(3.0)])
+def test_sample_gaps_refuses_a_non_integer_r(r):
+    # 2.5 used to end in a bare TypeError from range
+    with pytest.raises(DomainError, match="r must"):
+        sample_gaps(uniform_gap_family(), r=r, n_p=1, oracle_cfg=DECLARED, seed=1)
+
+
+@pytest.mark.parametrize("m", [0, 2.5, 2.0, True, np.float64(3.0)])
+def test_validate_coverage_refuses_a_bad_m(m):
+    cert = RepetitiveCertificate(gamma_star=0.8, r=1, epsilon=0.5,
+                                 confidence=0.5, n_p=1,
+                                 family="uniform-gaps", seed=0)
+    with pytest.raises(DomainError, match="m must"):
+        validate_coverage(uniform_gap_family(), cert, m=m, n_p=1,
+                          oracle_cfg=DECLARED, seed=1)
+
+
 class TestOracleTolerance:
     @pytest.mark.parametrize("method, tolerance", [
         ("exhaustive", 1e-9), ("refine-min", 1e-6), ("declared", 0.0),

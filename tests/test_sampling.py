@@ -96,6 +96,41 @@ def test_stream_matches_an_explicit_philox_key():
                               want.integers(2**63, size=3))
 
 
+def test_child_seed_is_the_first_seed_sequence_word():
+    # the contract: child_seed(seed, *path) is the first uint64 numpy's
+    # SeedSequence gives for (seed, path), each value taken mod 2^64
+    def want(seed, *path):
+        ss = np.random.SeedSequence(
+            entropy=seed & _rng._SEED_MASK,
+            spawn_key=tuple(p & _rng._SEED_MASK for p in path))
+        return int(ss.generate_state(1, np.uint64)[0])
+
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, -2**40]
+    # one- and two-word seeds with one- and two-word path elements, mixed
+    paths = [(), (0,), (5,), (2**32 - 1,), (2**32,), (2**64 - 1,), (-3,),
+             (7, 2**32), (2**40, 7), (0, 0, 0), (2**63, 1, 2**32 - 1, 9)]
+    cases = [(s, p) for s in edges for p in paths]
+    rng = np.random.default_rng(22)
+    for k in rng.integers(0, 5, size=400):
+        bits = rng.integers(1, 65, size=k + 1)
+        words = [int(v) >> (64 - int(b)) for v, b in
+                 zip(rng.integers(2**64, size=k + 1, dtype=np.uint64), bits)]
+        cases.append((words[0], tuple(words[1:])))
+    for seed, path in cases:
+        assert _rng.child_seed(seed, *path) == want(seed, *path), (seed, path)
+    assert _rng.child_seed(np.uint64(2**64 - 1), np.int64(3)) == want(2**64 - 1, 3)
+
+
+def test_philox_key_stub_serves_only_the_philox_call():
+    key = _rng._PhiloxKey((1, 2**64 - 1))
+    assert key.generate_state(2, np.uint64).tolist() == [1, 2**64 - 1]
+    for n_words, dtype in [(2, np.uint32), (1, np.uint64), (4, np.uint64), (2, None)]:
+        with pytest.raises(ValueError):
+            key.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        key.generate_state(2)
+
+
 def test_stream_tags_are_distinct():
     tags = {name: value for name, value in vars(_rng).items()
             if name.isupper() and isinstance(value, int)}
