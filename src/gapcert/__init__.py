@@ -29,6 +29,7 @@ from .certifier import (
     VarianceModel,
     certify_gap,
     certify_solution,
+    exceedance_costs,
     exceedance_probability,
     subsample_info,
 )

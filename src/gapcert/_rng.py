@@ -56,12 +56,13 @@ MPC_FIG4_BASE = 400
 
 _SEED_MASK = (1 << 64) - 1
 _WORD = 0xFFFFFFFF
+_POOL_SIZE = 4  # SeedSequence's pool, in 32-bit words
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-# SeedSequence.generate_state's output hash, as (xor, multiplier) for each of
-# the 4 pool words: the hash constant starts at INIT_B and takes a factor
-# MULT_B before each multiply.
+# SeedSequence.generate_state's output hash, as (xor, multiplier) for each
+# pool word: the hash constant starts at INIT_B and takes a factor MULT_B
+# before each multiply.
 _OUTPUT_HASH = tuple((_INIT_B * _MULT_B**i & _WORD, _INIT_B * _MULT_B**(i + 1) & _WORD)
-                     for i in range(4))
+                     for i in range(_POOL_SIZE))
 
 
 def _words(value: int) -> list[int]:
@@ -73,8 +74,8 @@ def _words(value: int) -> list[int]:
 def _key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
     """SeedSequence(entropy=seed, spawn_key=path).generate_state(2, uint64)."""
     words = _words(seed)
-    if path:  # numpy zero-pads the seed's words to its 4-word pool first
-        words += [0] * (4 - len(words))
+    if path:  # numpy zero-pads the seed's words to its pool size first
+        words += [0] * (_POOL_SIZE - len(words))
         for p in path:
             words += _words(p)
     pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()

@@ -85,7 +85,13 @@ def subsample_info(info: InfoSet, chi: float, seed: int,
 
 
 def variance_of_costs(model: VarianceModel, costs: np.ndarray) -> np.ndarray:
-    """min_i |cost - d_cost_i| for each cost, via one sorted-array lookup."""
+    """min_i |cost - d_cost_i| for each cost, via one sorted-array lookup.
+
+    Each value depends on its own cost alone, so callers that only reduce the
+    result (a maximum, a count) may pass the costs in any order.  They pass
+    them sorted: ``np.searchsorted`` runs about 4x faster on ascending keys,
+    more than paying for the sort on the thousands of costs of a tour space.
+    """
     d = np.sort(model.d_costs)
     costs = np.atleast_1d(np.asarray(costs, dtype=float))
     pos = np.searchsorted(d, costs)
@@ -108,7 +114,8 @@ def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
         raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
     problem = model.problem
     decisions = problem.space.sample(seed, n_v, path=(_rng.CERTIFY,))
-    costs = problem.evaluate_batch(decisions)
+    # np.sort copies: the batch may be the cost kernel's own array
+    costs = np.sort(problem.evaluate_batch(decisions))
     v_star = float(variance_of_costs(model, costs).max())
     warn = epsilon > 0 and n_v < min_samples(epsilon, 0.95)
     return GapCertificate(
@@ -147,19 +154,32 @@ def certify_solution(problem: Problem, solution: PercentileSolution, chi: float,
     return model, certify_model(model, solution, n_v, epsilon)
 
 
+def exceedance_costs(problem: Problem, m: int | None = None,
+                     seed: int | None = None) -> np.ndarray:
+    """The costs exceedance_probability scores, in ascending order and in a
+    fresh array: every cost of a finite space (m and seed unused), else the
+    costs of m uniform draws at (seed, LEVEL_SET), seed 0 when omitted."""
+    return np.sort(problem.uniform_costs(m, 0 if seed is None else seed,
+                                         _rng.LEVEL_SET))
+
+
 def exceedance_probability(model: VarianceModel, threshold: float,
-                           m: int | None = None, seed: int | None = None) -> float:
+                           m: int | None = None, seed: int | None = None, *,
+                           costs: np.ndarray | None = None) -> float:
     """Probability that a uniform decision's variance strictly exceeds the
     threshold: exact enumeration on finite spaces, the fraction of m samples
     otherwise.
 
     With threshold set to the solution's true optimality gap this is the
-    fairness probability p that caps the usable epsilon.
+    fairness probability p that caps the usable epsilon.  Several models of
+    one problem can share one draw: pass ``costs=exceedance_costs(problem,
+    m, seed)`` (m and seed are then unused).  The result does not depend on
+    the order of ``costs``, which is read and never written.
     """
     if threshold < 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
-    costs = model.problem.uniform_costs(m, 0 if seed is None else seed,
-                                        _rng.LEVEL_SET)
+    if costs is None:
+        costs = exceedance_costs(model.problem, m, seed)
     return float((variance_of_costs(model, costs) > threshold).mean())
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from . import _rng, repetitive
 from ._version import __version__
 from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, certificate_to_json, \
-    certify_model, certify_solution, exceedance_probability, solution_model, \
-    subsample_info
+    certify_model, certify_solution, exceedance_costs, exceedance_probability, \
+    solution_model, subsample_info
 from .mpc import mpc_family
 from .percentile import ENUMERATION_LIMIT, Problem, confidence_of, \
     min_samples, percentile_solve, write_infoset_csv
@@ -483,11 +483,11 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
                                           trial)
         gap = cfg.oracle_config.gap(solution.best.cost, truth.value,
                                     f"{problem.name} trial {trial}")
+        costs = exceedance_costs(problem, cfg.mc_samples, exceedance_seed)
         for chi in pending[trial]:
             model = subsample_info(solution.info, chi, subsample_seed,
                                    problem=problem)
-            p = exceedance_probability(model, gap, m=cfg.mc_samples,
-                                       seed=exceedance_seed)
+            p = exceedance_probability(model, gap, costs=costs)
             sink.add({"trial": trial, "chi": chi, "gap": gap, "p": p})
     records = sink.finish()
     by_chi = {}
@@ -551,6 +551,7 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
 def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     problem, timings = cfg.problem, {}
     j_star = _ground_truth(cfg, problem, timings).value
+    costs = exceedance_costs(problem)  # every tour's cost, sorted once
     sink = _RecordSink(out, cfg,
                        ["trial", "zeta", "gap", "p", "n_v", "v_star", "success"],
                        ["trial"])
@@ -560,7 +561,7 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
         gap = cfg.oracle_config.gap(solution.best.cost, j_star,
                                     f"{problem.name} trial {trial}")
         model = solution_model(problem, solution, cfg.chi)
-        p = exceedance_probability(model, gap)
+        p = exceedance_probability(model, gap, costs=costs)
         n_v, v_star = 0, float("nan")  # no certificate when p = 0
         if p > 0.0:
             n_v = min_samples(p, cfg.confidence)

@@ -50,23 +50,116 @@ def tsp_cost(instance: TspInstance, order) -> float:
     """Closed-tour length: consecutive hops plus the edge back to the start.
 
     Edge lengths are read from the instance's cached distance table and
-    summed in sorted order.  The table is exactly symmetric, so tours with
-    the same edges (rotations, reversals) sum the same sorted lengths and
-    compare exactly equal in floating point.
+    summed in ascending order (see ``tsp_cost_batch``).  The table is exactly
+    symmetric, so tours with the same edges (rotations, reversals) sum the
+    same sorted lengths and compare exactly equal in floating point.
     """
     return make_tsp_problem(instance).evaluate(order)
 
 
+# Rows per block of the tour-cost kernel.  A tsp-9 block's edge columns
+# (9 x 8,192 floats, 576 KiB) stay in a 2 MiB L2 cache through the sorting
+# network, and the kernel's working memory stays bounded however many tours a
+# call takes.  On 60,000 tsp-9 tours (2-vCPU Xeon, numpy 2.4), blocks of 4,096
+# and 16,384 rows were within 7% of this size, and one block of 65,536 rows
+# took 2.4x as long.
+_COST_BLOCK = 8192
+
+
 def tsp_cost_batch(instance: TspInstance, orders: np.ndarray) -> np.ndarray:
-    edges = instance.distances[orders, np.roll(orders, -1, axis=1)]  # (m, n)
-    edges.sort(axis=1)
-    return edges.sum(axis=1)
+    """Closed-tour lengths of the (m, n) orderings, each the sum of its n edge
+    lengths in ascending order.
+
+    Rows are processed in blocks of ``_COST_BLOCK``.  Each block gathers its
+    edges as n columns, one per tour position, sorts every row with a fixed
+    comparator network of whole-column ``np.minimum``/``np.maximum``, and sums
+    the sorted columns in the order numpy's row sum adds a row.  Distances are
+    finite and at least +0.0, so the network yields exactly the sorted row,
+    and the result equals ``np.sort(edges, axis=1).sum(axis=1)`` bit for bit.
+    """
+    orders = np.asarray(orders)
+    n = instance.count
+    if orders.ndim != 2 or orders.shape[1] != n:
+        raise DomainError(f"tours must be an (m, {n}) array")
+    if orders.size and (orders.min() < 0 or orders.max() >= n):
+        raise DomainError(f"tour entries must be waypoint indices 0..{n - 1}")
+    table = instance.distances.ravel()
+    network = _sorting_network(n)
+    out = np.empty(len(orders))
+    for start in range(0, len(orders), _COST_BLOCK):
+        block = orders[start:start + _COST_BLOCK]
+        stops = np.ascontiguousarray(block.T, dtype=np.intp)
+        flat = stops * n  # edge k runs from stop k to stop k + 1 (mod n)
+        flat[:-1] += stops[1:]
+        flat[-1] += stops[0]
+        cols = list(table.take(flat))
+        spare = np.empty_like(cols[0])
+        for i, j in network:
+            low, high = cols[i], cols[j]
+            np.minimum(low, high, out=spare)
+            np.maximum(low, high, out=high)
+            cols[i], spare = spare, low
+        out[start:start + len(block)] = _pairwise_sum(cols)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort for n inputs, as (i, j) comparators with
+    i < j that put the smaller value at i (28 comparators for n = 9).
+
+    It is the network for the next power of two with every comparator that
+    touches an input at or beyond n dropped, which sorts n inputs since the
+    missing ones act as +inf."""
+    size = 1 << (n - 1).bit_length()
+    pairs = []
+    merged = 1  # length of the sorted runs the next pass merges pairwise
+    while merged < size:
+        step = merged
+        while step:
+            for j in range(step % merged, size - step, 2 * step):
+                for i in range(min(step, size - j - step)):
+                    a, b = i + j, i + j + step
+                    if a // (2 * merged) == b // (2 * merged) and b < n:
+                        pairs.append((a, b))
+            step //= 2
+        merged *= 2
+    return tuple(pairs)
+
+
+def _pairwise_sum(cols: list) -> np.ndarray:
+    """The row sums of the columns, added in the order of numpy's pairwise
+    sum for one contiguous row (``pairwise_sum`` in numpy's
+    ``loops_utils.h.src``); adds into the given columns.
+
+    Below 8 terms it is a left fold.  Up to 128 terms, 8 accumulators take
+    every 8th term, combine as a tree, and the terms past the last multiple of
+    8 follow one at a time.  Longer rows split at half the length, rounded
+    down to a multiple of 8.  numpy starts from +0.0, which leaves a sum of
+    non-negative terms unchanged."""
+    n = len(cols)
+    if n < 8:
+        total = cols[0]
+        for col in cols[1:]:
+            total += col
+        return total
+    if n <= 128:
+        acc, rest = cols[:8], n - n % 8
+        for i in range(8, rest):
+            acc[i % 8] += cols[i]
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        for col in cols[rest:]:
+            total += col
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
 
 
 def make_tsp_problem(instance: TspInstance) -> Problem:
     return Problem(
         space=TourSpace(instance.count),
-        batch_cost=lambda orders: tsp_cost_batch(instance, np.asarray(orders)),
+        batch_cost=lambda orders: tsp_cost_batch(instance, orders),
         name=f"tsp-{instance.count}",
     )
 

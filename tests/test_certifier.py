@@ -24,9 +24,11 @@ from gapcert.certifier import (
     GapCertificate,
     certificate_to_json,
     certify_model,
+    exceedance_costs,
     solution_model,
     variance_of_costs,
 )
+from gapcert.mpc import mpc_family
 from gapcert.problems import make_tsp_problem, random_tsp_instance
 from gapcert.spaces import BoxSpace, PermutationSpace
 
@@ -333,6 +335,77 @@ class TestExceedanceAndLevelSets:
         assert exceedance_probability(model, 0.0) == \
             (~np.isin(costs, model.d_costs)).mean()
 
+
+class TestSortedCosts:
+    """certify_gap and exceedance_probability score sorted costs; the values
+    are those of the per-element formula on the costs in draw order, and the
+    caller's cost arrays are left as they were."""
+
+    @staticmethod
+    def problems():
+        tsp = make_tsp_problem(random_tsp_instance(7, seed=4))
+        mpc = mpc_family().instance(_rng.child_seed(5, _rng.FAMILY, 0))
+        return [tsp, make_benchmark("beale"), mpc]
+
+    @staticmethod
+    def per_element(model, costs):
+        """min_i |c - d_i| of each cost, by brute force."""
+        return np.abs(costs[:, None] - model.d_costs[None, :]).min(axis=1)
+
+    @staticmethod
+    def handing_out_its_batch(problem):
+        """problem, with a kernel that returns one array it keeps, read-only."""
+        kept = []
+
+        def batch_cost(decisions):
+            kept.append(problem.evaluate_batch(decisions))
+            kept[-1].flags.writeable = False
+            return kept[-1]
+
+        return Problem(space=problem.space, batch_cost=batch_cost,
+                       name=problem.name), kept
+
+    def test_values_of_the_unsorted_costs(self):
+        for problem in self.problems():
+            sol = percentile_solve(problem, 200, seed=11)
+            model = subsample_info(sol.info, 0.1, seed=12, problem=problem)
+            cert = certify_gap(model, 300, 0.01, seed=13)
+            costs = problem.evaluate_batch(
+                problem.space.sample(13, 300, path=(_rng.CERTIFY,)))
+            assert not np.all(costs[:-1] <= costs[1:])
+            assert cert.v_star == self.per_element(model, costs).max()
+            m = None if problem.space.cardinality else 2000
+            drawn = problem.uniform_costs(m, 14, _rng.LEVEL_SET)
+            variances = self.per_element(model, drawn)
+            for threshold in (0.0, float(np.median(variances))):
+                expected = float((variances > threshold).mean())
+                assert exceedance_probability(model, threshold, m=m,
+                                              seed=14) == expected
+                shuffled = np.random.default_rng(1).permutation(drawn)
+                assert exceedance_probability(model, threshold,
+                                              costs=shuffled) == expected
+
+    def test_leaves_the_callers_costs_alone(self):
+        for problem in self.problems():
+            sol = percentile_solve(problem, 100, seed=21)
+            wrapped, kept = self.handing_out_its_batch(problem)
+            model = subsample_info(sol.info, 0.2, seed=22, problem=wrapped)
+            certify_gap(model, 200, 0.01, seed=23)
+            costs = problem.evaluate_batch(
+                problem.space.sample(23, 200, path=(_rng.CERTIFY,)))
+            assert np.array_equal(kept[-1], costs)
+            m = None if problem.space.cardinality else 500
+            drawn = exceedance_costs(wrapped, m, seed=24)
+            assert np.all(drawn[:-1] <= drawn[1:])
+            unsorted = problem.uniform_costs(m, 24, _rng.LEVEL_SET).copy()
+            before = unsorted.copy()
+            exceedance_probability(model, 0.1, costs=unsorted)
+            assert np.array_equal(unsorted, before)
+            if problem.space.cardinality:
+                assert np.array_equal(wrapped.enumeration[0],
+                                      problem.enumeration[0])
+            else:
+                assert np.array_equal(kept[-1], before)
 
 
 def test_theorem2_coverage_small_scale():

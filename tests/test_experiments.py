@@ -840,6 +840,43 @@ class TestGroundTruth:
         assert (tmp_path / "dup" / "records.csv").read_bytes() \
             == (tmp_path / "once" / "records.csv").read_bytes()
 
+    @pytest.mark.parametrize("selector", [
+        {"benchmark": "beale", "mc_samples": 50, "oracle": {"n0": 200}},
+        {"tsp_random": 6}], ids=["monte-carlo", "exact"])
+    def test_chi_sweep_draws_its_costs_once_per_trial(self, tmp_path,
+                                                      monkeypatch, selector):
+        """One draw of exceedance costs per trial, shared by its chis, gives
+        the bytes of drawing them anew for every chi."""
+        import gapcert.experiments as exp
+        from gapcert.percentile import Problem
+        cfg = {"experiment": "chi-sweep", "seed": 5, "n_p": 20, "trials": 3,
+               "chis": [0.1, 0.5, 1.0], **selector}
+        calls = count_calls(monkeypatch, Problem, "uniform_costs")
+        run({**cfg, "out_dir": str(tmp_path / "shared")})
+        level_set = [args[1:] for args in calls if args[3] == _rng.LEVEL_SET]
+        assert level_set == [(cfg.get("mc_samples", 20000), _rng.child_seed(
+            5, _rng.CHI_SWEEP_EXCEEDANCE, trial), _rng.LEVEL_SET)
+            for trial in range(3)]
+        with monkeypatch.context() as mp:  # draw again for every chi
+            draws, exceedance = [], exp.exceedance_probability
+            mp.setattr(exp, "exceedance_costs",
+                       lambda problem, m, seed: draws.append((m, seed)))
+            mp.setattr(exp, "exceedance_probability",
+                       lambda model, gap, costs: exceedance(model, gap,
+                                                            *draws[-1]))
+            run({**cfg, "out_dir": str(tmp_path / "per-chi")})
+        for name in ("records.csv", "chi_p.csv"):
+            assert (tmp_path / "shared" / name).read_bytes() \
+                == (tmp_path / "per-chi" / name).read_bytes()
+
+    def test_tsp_fig2_sorts_its_tour_costs_once_per_run(self, tmp_path,
+                                                        monkeypatch):
+        import gapcert.experiments as exp
+        calls = count_calls(monkeypatch, exp, "exceedance_costs")
+        report = run({"experiment": "tsp-fig2", "seed": 2, "tsp_random": 6,
+                      "n_p": 20, "trials": 4, "out_dir": str(tmp_path)})
+        assert len(calls) == 1 and len(report.records) == 4
+
 
 class Crash(Exception):
     """Stands in for a kill signal in the middle of a run."""

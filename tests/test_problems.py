@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gapcert import DomainError
+from gapcert import DomainError, problems
 from gapcert.oracles import exhaustive_min
 from gapcert.problems import (
     BENCHMARK_NAMES,
@@ -16,8 +16,10 @@ from gapcert.problems import (
     random_tsp_instance,
     read_tsp_instance,
     tsp_cost,
+    tsp_cost_batch,
     write_tsp_instance,
 )
+from gapcert.spaces import TourSpace
 
 
 class TestTspCost:
@@ -101,6 +103,52 @@ class TestTspCost:
                                       reference(inst.waypoints, orders).view(np.int64))
                 tours += len(orders)
         assert tours >= 100_000
+
+    def test_network_kernel_matches_a_row_sort_bit_for_bit(self):
+        """The column kernel (a sorting network, then numpy's row-sum order)
+        gives the bits of sorting each row and summing it, for every branch of
+        that order (n < 8, 8..128, beyond 128), for row counts around the
+        block size, and for every canonical tour of n <= 10."""
+        block = problems._COST_BLOCK
+
+        def reference(inst, orders):
+            edges = inst.distances[orders, np.roll(orders, -1, axis=1)]
+            return np.sort(edges, axis=1).sum(axis=1)
+
+        def check(inst, orders):
+            got = make_tsp_problem(inst).evaluate_batch(orders)
+            assert got.shape == (len(orders),)
+            assert np.array_equal(got.view(np.int64),
+                                  reference(inst, orders).view(np.int64))
+
+        rng = np.random.default_rng(23)
+
+        def instance(n):
+            w = rng.uniform(-1, 1, (n, 2)) * rng.choice([1e-3, 1.0, 1e3])
+            w[-1] = w[0]  # a coincident pair: a zero edge
+            return TspInstance(w)
+
+        def tours(n, rows):
+            return rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+
+        for n in [*range(2, 41), 127, 128, 129, 300]:
+            inst, orders = instance(n), tours(n, 60)
+            check(inst, orders)
+            check(inst, orders.astype(np.uint8 if n < 256 else np.int32))
+        for n in (2, 9, 129):
+            inst = instance(n)
+            for rows in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+                check(inst, tours(n, rows))
+        for n in range(2, 11):
+            inst = instance(n)
+            for orders in TourSpace(n).enumerate_canonical():
+                check(inst, orders)
+
+    def test_batch_refuses_entries_outside_the_waypoints(self):
+        inst = TspInstance([[0, 0], [1, 0], [2, 0]])
+        for bad in ([[0, 1, 3]], [[0, 1, -1]], [[0, 1]], [0, 1, 2]):
+            with pytest.raises(DomainError):
+                tsp_cost_batch(inst, np.array(bad))
 
     def test_distance_table_is_shared_and_read_only(self, monkeypatch):
         inst = random_tsp_instance(7, seed=3)
