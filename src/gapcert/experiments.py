@@ -54,6 +54,17 @@ READS = {
     "validate": ("family", "oracle", "certificate", "n_p", "m_validate"),
 }
 EXPERIMENTS = tuple(READS)
+RECORDS = {  # experiment: (records.csv columns, key columns, a prefix)
+    "chi-sweep": (["trial", "chi", "gap", "p"], ["trial", "chi"]),
+    "table1": (["benchmark", "trial", "v_star", "gap", "success",
+                "certify_ms"], ["benchmark", "trial"]),
+    "tsp-fig2": (["trial", "zeta", "gap", "p", "n_v", "v_star", "success"],
+                 ["trial"]),
+    "mpc-fig4": (["phase", "n_p", "trial", "instance_seed", "solution_cost",
+                  "oracle_value", "gamma"], ["phase", "n_p", "trial"]),
+    "validate": (["trial", "instance_seed", "solution_cost", "oracle_value",
+                  "gamma", "covered"], ["trial"]),
+}
 GAP_EXPERIMENTS = tuple(e for e in READS if "family" in READS[e])
 
 
@@ -310,17 +321,17 @@ def uniform_gap_family() -> ProblemFamily:
 class _RecordSink:
     """Per-trial record store with crash-recovery flushing and resume.
 
-    Records are keyed, and runners compute only the ``pending`` trials.  The
-    sink decides once whether to resume or start over (module docstring).
-    The final CSV is rewritten sorted by key so resumed and fresh runs
-    produce identical bytes.
+    ``run`` builds a run's one sink from ``RECORDS`` and closes its file on
+    every exit; a run that raises keeps ``records.partial.csv`` to resume
+    (module docstring).  Runners compute only the ``pending`` trials, and
+    ``finish`` sorts by key, so resumed and fresh runs give the same bytes.
     """
 
     def __init__(self, out_dir: Path, config: ExperimentConfig, columns: list[str],
                  key_cols: list[str]):
         self.out = out_dir
         self.columns = columns
-        self.key_cols = key_cols
+        self._keys = len(key_cols)  # RECORDS puts the key columns first
         self.records: dict[tuple, dict] = {}
         self._partial = out_dir / "records.partial.csv"
         config_path = out_dir / "config.json"
@@ -334,16 +345,15 @@ class _RecordSink:
         if complete.startswith(header.encode("utf-8")):
             os.truncate(self._partial, len(complete))  # a crash's torn tail
             for line in complete.decode("utf-8").splitlines()[1:]:
-                rec = dict(zip(columns, line.split(",")))
-                self.records[self._key_of(rec)] = rec
+                self._keep(line.split(","))
         else:  # start over
             (out_dir / "records.csv").unlink(missing_ok=True)
             self._partial.write_text(header, encoding="utf-8", newline="")
         config_path.write_text(config_text, encoding="utf-8")
         self._fh = self._partial.open("a", encoding="utf-8", newline="")
 
-    def _key_of(self, rec: dict) -> tuple:
-        return tuple(str(rec[k]) for k in self.key_cols)
+    def _keep(self, row: list[str]) -> None:
+        self.records[tuple(row[:self._keys])] = dict(zip(self.columns, row))
 
     def trials(self, **key) -> dict[int, dict]:
         """Records matching the given key values, by trial number."""
@@ -357,18 +367,16 @@ class _RecordSink:
         return [trial for trial in range(count) if trial not in done]
 
     def add(self, rec: dict) -> None:
-        rec = {k: _fmt(rec[k]) for k in self.columns}
-        self.records[self._key_of(rec)] = rec
-        self._fh.write(",".join(rec[c] for c in self.columns) + "\n")
+        row = [_fmt(rec[k]) for k in self.columns]
+        self._keep(row)
+        self._fh.write(",".join(row) + "\n")
         self._fh.flush()
 
     def finish(self) -> list[dict]:
         """Write records.csv; return the records sorted by string key ("10" < "2")."""
-        self._fh.close()
         rows = [self.records[k] for k in sorted(self.records)]
         _write_csv(self.out / "records.csv", ",".join(self.columns),
                    (",".join(rec[c] for c in self.columns) for rec in rows))
-        self._partial.unlink(missing_ok=True)
         return rows
 
 
@@ -407,16 +415,26 @@ def run(raw: dict, out_dir=None) -> RunReport:
     Returns the report; the runner writes records.csv and its plot files,
     and this writes report.json, all under the output directory.  A config
     that fails validation, or a ``validate`` run whose certificate cannot be
-    read or does not match, raises ConfigError before the directory is made.
+    read or does not match, or an ``out_dir`` that cannot be a directory,
+    raises ConfigError before the directory is made.
     """
     config = ExperimentConfig.from_dict(raw)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     runner = _RUNNERS[config.experiment]
     if config.experiment == "validate":
         runner = functools.partial(runner, cert=_stored_certificate(config, out))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir {str(out)!r}: {exc}") from exc
     started = time.perf_counter()
-    records, summary, timings = runner(config, out)
+    if config.experiment not in RECORDS:
+        records, summary, timings = runner(config, out)
+    else:
+        sink = _RecordSink(out, config, *RECORDS[config.experiment])
+        with sink._fh:  # closed on every exit; a raise keeps the partial file
+            records, summary, timings = runner(config, out, sink)
+        sink._partial.unlink(missing_ok=True)
     timings["total_s"] = time.perf_counter() - started
     report = RunReport(config=config, records=records, summary=summary,
                        timings=timings)
@@ -466,10 +484,9 @@ def _run_certify(cfg: ExperimentConfig, out: Path):
     return records, summary, {"certify_s": certify_s}
 
 
-def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
+def _run_chi_sweep(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
     problem, timings = cfg.problem, {}
     truth = _ground_truth(cfg, problem, timings)
-    sink = _RecordSink(out, cfg, ["trial", "chi", "gap", "p"], ["trial", "chi"])
     pending = {}  # trial -> its pending chis, each distinct chi once
     for chi in dict.fromkeys(map(float, cfg.chis)):
         for trial in sink.pending(cfg.trials, chi=chi):
@@ -503,13 +520,9 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path):
     return records, summary, timings
 
 
-def _run_table1(cfg: ExperimentConfig, out: Path):
+def _run_table1(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
     problems = ([cfg.problem] if cfg.problem is not None
                 else [make_benchmark(name) for name in BENCHMARK_NAMES])
-    sink = _RecordSink(out, cfg,
-                       ["benchmark", "trial", "v_star", "gap", "success",
-                        "certify_ms"],
-                       ["benchmark", "trial"])
     oracle_values = {}
     timings = {}
     for problem in problems:
@@ -548,13 +561,10 @@ def _run_table1(cfg: ExperimentConfig, out: Path):
     return records, summary, timings
 
 
-def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
+def _run_tsp_fig2(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
     problem, timings = cfg.problem, {}
     j_star = _ground_truth(cfg, problem, timings).value
     costs = exceedance_costs(problem)  # every tour's cost, sorted once
-    sink = _RecordSink(out, cfg,
-                       ["trial", "zeta", "gap", "p", "n_v", "v_star", "success"],
-                       ["trial"])
     for trial in sink.pending(cfg.trials):
         solution = percentile_solve(problem, cfg.n_p, _rng.child_seed(
             cfg.seed, _rng.TSP_FIG2_TRIAL, trial))
@@ -585,13 +595,8 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path):
     return records, summary, timings
 
 
-_GAP_COLUMNS = ["instance_seed", "solution_cost", "oracle_value", "gamma"]
-
-
-def _run_mpc_fig4(cfg: ExperimentConfig, out: Path):
+def _run_mpc_fig4(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
     family, oracle = cfg.problem_family, cfg.oracle_config
-    sink = _RecordSink(out, cfg, ["phase", "n_p", "trial", *_GAP_COLUMNS],
-                       ["phase", "n_p", "trial"])
 
     def phase(name: str, n_p: int, seed: int, tag: int, count: int):
         """Gaps of samples 0..count-1 of one phase, sampling only those the
@@ -658,9 +663,8 @@ def _stored_certificate(cfg: ExperimentConfig, out: Path):
     return cert
 
 
-def _run_validate(cfg: ExperimentConfig, out: Path, cert):
+def _run_validate(cfg: ExperimentConfig, out: Path, sink: _RecordSink, cert):
     family, oracle = cfg.problem_family, cfg.oracle_config
-    sink = _RecordSink(out, cfg, ["trial", *_GAP_COLUMNS, "covered"], ["trial"])
     for i, s in iter_gap_samples(family, cfg.n_p, oracle, cfg.seed,
                                  _rng.VALIDATE, sink.pending(cfg.m_validate)):
         sink.add({"trial": i, **dataclasses.asdict(s),

@@ -14,8 +14,8 @@ import pytest
 from gapcert import OracleConfig, OracleError, OracleResult, _rng, \
     exhaustive_min
 from gapcert.cli import main
-from gapcert.experiments import READS, ConfigError, ExperimentConfig, \
-    RunReport, _RecordSink, apply_check, run
+from gapcert.experiments import READS, RECORDS, ConfigError, \
+    ExperimentConfig, RunReport, _RecordSink, apply_check, run
 from gapcert.problems import make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance, \
     write_tsp_instance
@@ -526,6 +526,24 @@ class TestCli:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_dir_that_cannot_be_a_directory(self, tmp_path, capsys,
+                                                below):
+        """An output path that is a file, or lies under one, is a config
+        error naming out_dir, and the file is left as it was."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = str(blocker / "run" if below else blocker)
+        raw = {"experiment": "solve", "seed": 5, "benchmark": "beale",
+               "n_p": 4, "out_dir": out}
+        with pytest.raises(ConfigError, match=f"out_dir {re.escape(repr(out))}"):
+            run(raw)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"config error: out_dir {out!r}" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
     @pytest.mark.parametrize("content", [
         None, {"points": [[0, 0], [1, 1]]}, {"waypoints": [[0, 0]]}],
         ids=["missing", "no-waypoints", "one-waypoint"])
@@ -998,6 +1016,34 @@ class TestResumeEveryRunner:
         assert len(calls) == 3
         assert (stale / "records.csv").read_bytes() \
             == (fresh / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize("experiment", list(CASES))
+    def test_the_handle_is_closed_when_the_run_raises(self, tmp_path,
+                                                      monkeypatch, experiment):
+        """The run closes records.partial.csv as the error leaves it, not at
+        garbage collection, and keeps the file for the resume."""
+        cfg = {"experiment": experiment, "seed": 9,
+               **self.CASES[experiment][0]}
+        if experiment == "validate":
+            cfg["certificate"] = TestValidate.uniform_certificate(tmp_path)
+        sinks = []
+
+        def raising(sink, rec):
+            sinks.append(sink)
+            raise Crash
+
+        monkeypatch.setattr(_RecordSink, "add", raising)
+        with pytest.raises(Crash):
+            run(cfg, out_dir=tmp_path / "out")
+        assert sinks[0]._fh.closed
+        assert (tmp_path / "out" / "records.partial.csv").exists()
+
+    def test_records_table(self):
+        """Every experiment but solve and certify keeps records, and its
+        key columns lead its columns."""
+        assert set(RECORDS) == set(READS) - {"solve", "certify"}
+        for columns, key_cols in RECORDS.values():
+            assert columns[:len(key_cols)] == key_cols
 
 
 class TestApplyCheckBranches:
