@@ -100,8 +100,9 @@ class Problem:
         else the costs of m >= 1 uniform draws at (seed, tag)."""
         if self.space.cardinality is not None:
             return self.enumeration[0]
-        if m is None or m < 1:
+        if m is None:
             raise DomainError("a continuous space needs a sample count m >= 1")
+        _check_count("m", m)
         return self.evaluate_batch(self.space.sample(seed, m, path=(tag,)))
 
     def evaluate(self, decision) -> float:

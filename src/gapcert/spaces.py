@@ -85,8 +85,11 @@ class PermutationSpace:
 
     Sampling runs one Fisher-Yates shuffle per row, driven by that row's
     fixed-width uniform block, which is exactly uniform over the n! orderings.
-    All rows take each swap step together, addressed by flat indices into the
-    row-major (rows, n) array.
+    The last min(n, 9) swap steps touch only the first min(n, 9) positions.
+    Their swap indices form one mixed-radix number per row, which picks that
+    row's ordering of those positions from a cached table of every such
+    shuffle (``_shuffles``).  For n > 9 the steps before them run as one swap
+    pass each, over all rows at once.
     """
 
     n_items: int
@@ -101,16 +104,25 @@ class PermutationSpace:
 
     def sample(self, seed: int, n: int, path: tuple[int, ...] = ()) -> np.ndarray:
         k = self.n_items
+        m = min(k, _SHUFFLE_ITEMS)
         u = _rng.uniform_block(seed, path, n, k - 1)
+        code = np.zeros(int(n), dtype=np.intp)
+        for j in range(m - 1, 0, -1):
+            code *= j + 1
+            code += (u[:, k - 1 - j] * (j + 1)).astype(np.intp)  # uniform on 0..j
+        order = _shuffles(m).take(code, axis=0)
+        if k == m:
+            return order.astype(np.intp)
         perms = np.tile(np.arange(k), (int(n), 1))
         flat = perms.reshape(-1)
         row_start = np.arange(0, flat.size, k)
-        for j in range(k - 1, 0, -1):
+        for j in range(k - 1, m - 1, -1):
             r = (u[:, k - 1 - j] * (j + 1)).astype(np.intp)  # uniform on 0..j
             r += row_start
             pj = perms[:, j].copy()
             perms[:, j] = flat[r]
             flat[r] = pj
+        perms[:, :m] = flat.take(order + row_start[:, None])
         return perms
 
     def contains(self, decision) -> bool:
@@ -170,6 +182,35 @@ def _canonical_tours(n: int) -> tuple[np.ndarray, ...]:
     for block in blocks:
         block.flags.writeable = False
     return tuple(blocks)
+
+
+# Most items one shuffle table decodes.  It is a memory cap: the table holds
+# 9!·9 B = 3.1 MiB at 9 items, and would hold 10!·10 B = 35 MiB at 10.
+_SHUFFLE_ITEMS = 9
+
+
+@lru_cache(maxsize=None)
+def _shuffles(m: int) -> np.ndarray:
+    """Every Fisher-Yates shuffle of 0..m-1, uint8 (m!, m), read-only.
+
+    Row ``(...(r[m-1]·(m-1) + r[m-2])·(m-2) + ... )·2 + r[1]``, each digit
+    ``r[j]`` in 0..j, is ``arange(m)`` after swapping positions j and r[j]
+    for j from m-1 down to 1.  Block r[m-1] of (m-1)! rows is therefore the
+    smaller table with r[m-1] appended, where each row's r[m-1] becomes m-1.
+    """
+    if m == 1:
+        table = np.zeros((1, 1), dtype=np.uint8)
+    else:
+        smaller = _shuffles(m - 1)
+        f = len(smaller)
+        table = np.empty((m * f, m), dtype=np.uint8)
+        for r in range(m):
+            block = table[r * f:(r + 1) * f]
+            block[:, :-1] = smaller
+            block[:, -1] = r
+            block[:, :-1][smaller == r] = m - 1
+    table.flags.writeable = False
+    return table
 
 
 # Longest suffix enumerated from one cached table, so blocks hold at most 7!

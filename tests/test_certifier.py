@@ -283,9 +283,11 @@ class TestExceedanceAndLevelSets:
 
     def test_continuous_space_needs_m(self):
         model = model_with_costs(linear_problem(), [1.0])
-        for m in (None, 0):
+        for m in (None, 0, 2.7, 3.0, True):
             with pytest.raises(DomainError):
                 exceedance_probability(model, 0.5, m=m)
+            with pytest.raises(DomainError):
+                exceedance_costs(model.problem, m=m)
 
     def test_exact_on_tours_monte_carlo_on_box(self):
         # the space decides: a tour space is enumerated whatever m and seed

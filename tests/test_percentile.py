@@ -229,7 +229,7 @@ class TestEstimateBetterFraction:
         assert estimate_better_fraction(problem, [3.0], m=400, seed=5) == \
             (draws[:, 0] < 3.0).mean()
         # a continuous space needs a sample count: no one-draw default
-        for m in (None, 0):
+        for m in (None, 0, 2.7, 3.0, True):
             with pytest.raises(DomainError):
                 estimate_better_fraction(problem, [3.0], m=m)
 

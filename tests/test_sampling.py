@@ -260,7 +260,7 @@ def reference_canonical(space):
         yield tours
 
 
-@pytest.mark.parametrize("k", range(2, 11))
+@pytest.mark.parametrize("k", range(2, 13))
 def test_sample_bitwise_equal_to_reference(k):
     space = PermutationSpace(k)
     for n in (0, 1, 2, 7, 4097, 60000):
@@ -270,6 +270,38 @@ def test_sample_bitwise_equal_to_reference(k):
             assert got.dtype == want.dtype and got.shape == want.shape == (n, k)
             assert got.flags.c_contiguous and got.flags.writeable
             assert np.array_equal(got, want), (k, n, seed, path)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_shuffle_table_is_every_shuffle(m):
+    table = spaces._shuffles(m)
+    assert table.dtype == np.uint8 and table.shape == (math.factorial(m), m)
+    assert not table.flags.writeable and spaces._shuffles(m) is table
+    # each row an ordering, no two rows alike: the code-to-ordering map is a
+    # bijection, so a uniform code gives a uniform ordering
+    assert (np.sort(table, axis=1) == np.arange(m)).all()
+    keys = table.astype(np.int64) @ (m ** np.arange(m, dtype=np.int64))
+    assert len(np.unique(keys)) == len(table)
+    # a sample of codes, folded from the swap indices, decodes to the swaps
+    n = 5000
+    u = _rng.uniform_block(7, (), n, m - 1)
+    code = np.zeros(n, dtype=np.intp)
+    for j in range(m - 1, 0, -1):
+        code = code * (j + 1) + (u[:, m - 1 - j] * (j + 1)).astype(np.intp)
+    want = reference_sample(PermutationSpace(m), 7, n)
+    assert np.array_equal(table[code], want)
+
+
+def test_tour_sample_working_memory():
+    space = TourSpace(9)
+    space.sample(0, 1)  # builds the shuffle table
+    tracemalloc.start()
+    try:
+        out = space.sample(0, 139_257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * out.nbytes, peak / out.nbytes
 
 
 @pytest.mark.parametrize("n", range(2, 11))
