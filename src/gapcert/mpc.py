@@ -23,8 +23,9 @@ moves at most ``REACH`` = ``HORIZON * V_MAX * DT`` (0.033 m) plus
 ``SAFETY_RADIUS + REACH`` from the start and no obstacle cell lies within
 ``REACH`` of it (``_horizon_clear``), no waypoint's rollout can break the
 barrier, so the cost kernel skips the rollout; the costs are the same bits.
-About 91% of sampled environments are clear.  ``rollout_feasible`` and
-``write_rollout_trace`` always run the rollout.
+92.3% of sampled environments are clear (4,617 of seeds 0-4,999); in the
+others only waypoints in reachable cells are rolled out.  ``rollout_feasible``
+and ``write_rollout_trace`` always run the rollout.
 """
 
 from __future__ import annotations
@@ -89,6 +90,17 @@ def _wrap_pi(angle):
     return np.where(wrapped == -math.pi, math.pi, wrapped)
 
 
+def _cells(x: np.ndarray, y: np.ndarray):
+    """(inside, col, row) arrays of ``cell_of``'s rule for point arrays; col
+    and row are clamped into the grid whether or not the point is inside."""
+    inside = (x >= X_MIN) & (x <= X_MAX) & (y >= Y_MIN) & (y <= Y_MAX)
+    col = np.minimum(np.maximum(
+        np.ceil((x - X_MIN) / CELL_W).astype(np.intp) - 1, 0), COLS - 1)
+    row = np.minimum(np.maximum(
+        np.ceil((y - Y_MIN) / CELL_H).astype(np.intp) - 1, 0), ROWS - 1)
+    return inside, col, row
+
+
 def cell_of(x, y):
     """Grid cell (col, row) of a planar point; boundary points go to the
     lower-index cell; (-1, -1) marks points outside the workspace.
@@ -100,17 +112,20 @@ def cell_of(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim or y.ndim:
-            inside = (x >= X_MIN) & (x <= X_MAX) & (y >= Y_MIN) & (y <= Y_MAX)
-            col = np.minimum(np.maximum(
-                np.ceil((x - X_MIN) / CELL_W).astype(np.intp) - 1, 0), COLS - 1)
-            row = np.minimum(np.maximum(
-                np.ceil((y - Y_MIN) / CELL_H).astype(np.intp) - 1, 0), ROWS - 1)
+            inside, col, row = _cells(x, y)
             return np.where(inside, col, -1), np.where(inside, row, -1)
     x, y = float(x), float(y)
     if not (X_MIN <= x <= X_MAX and Y_MIN <= y <= Y_MAX):
         return -1, -1
     return (min(max(math.ceil((x - X_MIN) / CELL_W) - 1, 0), COLS - 1),
             min(max(math.ceil((y - Y_MIN) / CELL_H) - 1, 0), ROWS - 1))
+
+
+def _flat_cell(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat cell index ``row * COLS + col`` of each point by ``cell_of``'s
+    rule, and ``ROWS * COLS`` for points outside the workspace."""
+    inside, col, row = _cells(x, y)
+    return np.where(inside, row * COLS + col, ROWS * COLS)
 
 
 @dataclass(frozen=True)
@@ -125,6 +140,11 @@ class Environment:
     rejections: int = 0
     so_mask: np.ndarray = field(init=False, repr=False)  # from so_cells
     goal_dist: np.ndarray = field(init=False, repr=False)  # from goal_cells
+    # read-only (ROWS * COLS + 1,) cost of each flat cell (``_flat_cell``):
+    # the goal distance, or PENALTY for unreachable cells and, in the last
+    # slot, for points outside the workspace
+    cell_costs: np.ndarray = field(init=False, repr=False)
+    start_clear: bool = field(init=False, repr=False)  # _horizon_clear(x_a)
 
     def __post_init__(self):
         so = set(self.so_cells)
@@ -134,9 +154,14 @@ class Environment:
         mask = np.zeros((ROWS, COLS), dtype=bool)
         for c, r in so:
             mask[r, c] = True
+        dist = _goal_distance_field(mask, self.goal_cells)
+        costs = np.append(np.where(dist < UNREACHABLE, dist, PENALTY), PENALTY)
+        costs.flags.writeable = False
         object.__setattr__(self, "so_mask", mask)
-        object.__setattr__(self, "goal_dist",
-                           _goal_distance_field(mask, self.goal_cells))
+        object.__setattr__(self, "goal_dist", dist)
+        object.__setattr__(self, "cell_costs", costs)
+        object.__setattr__(self, "start_clear",
+                           _horizon_clear(_state_array(self.x_a), self))
 
 
 def _goal_distance_field(so_mask: np.ndarray,
@@ -259,21 +284,28 @@ def augmented_cost_batch(waypoints: np.ndarray, env: Environment,
                          x_k=None) -> np.ndarray:
     """Each waypoint row's shortest-path-to-goal score, replaced by the flat
     penalty when the rollout is unsafe or the waypoint's cell is unreachable;
-    always in [0, penalty].  The rollout is skipped when ``_horizon_clear``
-    proves that it is feasible for every waypoint."""
+    always in [0, penalty].
+
+    The scores are one lookup in ``env.cell_costs``, which already holds the
+    penalty for unreachable cells and points outside the workspace.  Those
+    rows cost the penalty whatever the rollout says, so only the other rows
+    are rolled out, and the unsafe ones among them get the penalty.  The
+    rollout is skipped when ``_horizon_clear`` proves that it is feasible for
+    every waypoint; for the environment's own start (``x_k`` None) that flag
+    is ``env.start_clear``."""
     w = np.atleast_2d(np.asarray(waypoints, dtype=float))
-    x_k = env.x_a if x_k is None else _state_array(x_k)
-    if _horizon_clear(x_k, env):
-        feasible = np.ones(len(w), dtype=bool)
+    costs = env.cell_costs.take(_flat_cell(w[:, 0], w[:, 1]))
+    if x_k is None:
+        x_k, clear = env.x_a, env.start_clear
     else:
+        x_k = _state_array(x_k)
+        clear = _horizon_clear(x_k, env)
+    if not clear:
+        reachable = np.flatnonzero(costs != PENALTY)
         feasible = np.logical_and.reduce(
-            [h >= 0.0 for *_, h in _rollout(x_k, w, env)])
-    col, row = cell_of(w[:, 0], w[:, 1])
-    s = np.full(len(w), UNREACHABLE)
-    ok = col >= 0
-    s[ok] = env.goal_dist[row[ok], col[ok]]
-    feasible &= s < UNREACHABLE
-    return np.where(feasible, s, PENALTY)
+            [h >= 0.0 for *_, h in _rollout(x_k, w[reachable], env)])
+        costs[reachable[~feasible]] = PENALTY
+    return costs
 
 
 def _horizon_clear(x_k, env: Environment) -> bool:
@@ -339,7 +371,11 @@ class AnnulusSpace:
     def _candidates(self, u: np.ndarray) -> np.ndarray:
         r = np.sqrt(ANNULUS_MIN**2 + u[:, 0] * (ANNULUS_MAX**2 - ANNULUS_MIN**2))
         phi = TWO_PI * u[:, 1]
-        return self.center + np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+        out = np.empty((len(u), 2))
+        np.multiply(r, np.cos(phi), out=out[:, 0])
+        np.multiply(r, np.sin(phi), out=out[:, 1])
+        out += self.center
+        return out
 
     def _in_box(self, w: np.ndarray) -> np.ndarray:
         return ((w[:, 0] >= X_MIN) & (w[:, 0] <= X_MAX)
@@ -427,7 +463,7 @@ def mpc_family() -> ProblemFamily:
         env = sample_environment(instance_seed)
         return Problem(
             space=AnnulusSpace(env.x_a[:2]),
-            batch_cost=lambda w: augmented_cost_batch(w, env, env.x_a),
+            batch_cost=lambda w: augmented_cost_batch(w, env),
             name=f"mpc-waypoint-{instance_seed}",
         )
 

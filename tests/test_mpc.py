@@ -541,6 +541,63 @@ class TestHorizonSkip:
         assert len(calls) == 1
 
 
+class TestCellCostTable:
+    """``Environment.cell_costs``: the per-cell waypoint score, built once."""
+
+    def test_is_read_only(self):
+        env = sample_environment(3)
+        with pytest.raises(ValueError):
+            env.cell_costs[0] = 0.0
+        with pytest.raises(ValueError):
+            env.cell_costs.take([0, 1], out=env.cell_costs[:2])
+
+    @pytest.mark.parametrize("seed", [0, 38, 56])
+    def test_holds_the_goal_distance_or_the_penalty(self, seed):
+        env = sample_environment(seed)
+        dist = env.goal_dist.ravel()
+        assert env.cell_costs.shape == (mpc.ROWS * mpc.COLS + 1,)
+        assert env.cell_costs[-1] == mpc.PENALTY
+        assert np.array_equal(env.cell_costs[:-1],
+                              np.where(dist < UNREACHABLE, dist, mpc.PENALTY))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN cast
+    def test_flat_index_follows_cell_of(self):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.uniform(-1.7, 1.7, 500), [mpc.X_MIN, mpc.X_MAX,
+                            -0.8, 0.0, np.nan, 1.6 + 1e-9]])
+        y = np.concatenate([rng.uniform(-1.3, 1.3, 500), [mpc.Y_MIN, mpc.Y_MAX,
+                            0.24, 0.0, 0.0, 0.0]])
+        col, row = cell_of(x, y)
+        want = np.where(col >= 0, row * mpc.COLS + col, mpc.ROWS * mpc.COLS)
+        assert np.array_equal(mpc._flat_cell(x, y), want)
+
+    def test_start_clear_is_the_start_states_flag(self):
+        for seed in range(60):
+            env = sample_environment(seed)
+            assert env.start_clear == mpc._horizon_clear(env.x_a, env)
+        assert not open_environment(x_o=(0.1, 0.0)).start_clear
+
+    def test_only_reachable_rows_are_rolled_out(self, monkeypatch):
+        env = sample_environment(56)
+        assert not env.start_clear
+        w = AnnulusSpace(env.x_a[:2]).sample(56, 60)
+        rolled = []
+        rollout = mpc._rollout
+
+        def counted(x_k, waypoints, env_):
+            rolled.append(len(waypoints))
+            return rollout(x_k, waypoints, env_)
+
+        monkeypatch.setattr(mpc, "_rollout", counted)
+        got = augmented_cost_batch(w, env)
+        monkeypatch.undo()
+        cells = mpc._flat_cell(w[:, 0], w[:, 1])
+        reachable = env.cell_costs[cells] < mpc.PENALTY
+        assert rolled == [int(reachable.sum())] and 0 < rolled[0] < len(w)
+        want = full_rollout_cost(w, env, env.x_a)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def scalar_project(space, point):
     """The per-point projection written out with ``math.hypot``, the
     reference the row form must match bit for bit."""

@@ -390,6 +390,47 @@ class TestRefineMinEvaluations:
         assert res.evaluations == sum(rows)
 
 
+# (value, minimizer, converged, evaluations) of the waypoint instance 0 at
+# n0 = 2000 under a lowered MAX_ITERS, recorded before flat levels were
+# skipped in one step: every stencil sees a flat cost, so the descent walks
+# the 17 levels once without moving and the cap cuts the stencil scan
+FLAT_CAPPED_PINS = {
+    1: (1.28, [-0.16352834009179498, -0.6185518985655643], False, 2004),
+    5: (1.28, [-0.16352834009179498, -0.6185518985655643], False, 2020),
+    16: (1.28, [-0.16352834009179498, -0.6185518985655643], False, 2064),
+    18: (1.28, [-0.16352834009179498, -0.6185518985655643], True, 2068),
+}
+
+
+class TestRefineMinFlatRun:
+    """Levels without a descent direction are skipped together, one iteration
+    each; the iteration cap still stops the walk exactly where it falls."""
+
+    @pytest.mark.parametrize("cap", list(FLAT_CAPPED_PINS))
+    def test_iteration_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(oracles, "MAX_ITERS", cap)
+        problem, rows = _counted(mpc_family().instance(0))
+        res = refine_min(problem, n0=2000, seed=0)
+        assert (res.value, res.minimizer.tolist(), res.converged,
+                res.evaluations) == FLAT_CAPPED_PINS[cap]
+        assert res.evaluations == sum(rows)
+
+    @pytest.mark.parametrize("cap,converged", [(17, True), (16, False)])
+    def test_converged_when_the_last_pass_ends_on_the_cap(self, monkeypatch,
+                                                         cap, converged):
+        # the 17th iteration finishes the move-free pass over the 17 levels:
+        # the same descent as an uncapped run, which converged
+        monkeypatch.setattr(oracles, "MAX_ITERS", cap)
+        res = refine_min(mpc_family().instance(0), n0=2000, seed=0)
+        assert res.converged is converged
+        assert res.evaluations == 4 * cap + 2000
+
+    def test_ladder_powers_are_read_only(self):
+        for table in oracles._POWERS.values():
+            with pytest.raises(ValueError):
+                table[0] = 2.0
+
+
 def _assert_row_independent(problem, rows):
     whole = problem.evaluate_batch(rows)
     n = len(rows)
@@ -414,7 +455,10 @@ class TestBatchContract:
         rows[10:15] = rows[20] + 1e-7 * (hi - lo)
         _assert_row_independent(problem, rows)
 
-    @pytest.mark.parametrize("env_seed", [0, 9, 12, 113])
+    # 0, 9, 12 and 113 are horizon-clear, so no rollout runs; 56 and 214 are
+    # not, and their rows mix unreachable cells with unsafe rollouts, so the
+    # rollout of the reachable rows alone is split too
+    @pytest.mark.parametrize("env_seed", [0, 9, 12, 113, 56, 214])
     def test_waypoint_kernel(self, env_seed):
         problem = mpc_family().instance(env_seed)
         space = problem.space
