@@ -54,7 +54,7 @@ READS = {
     "validate": ("family", "oracle", "certificate", "n_p", "m_validate"),
 }
 EXPERIMENTS = tuple(READS)
-RECORDS = {  # experiment: (records.csv columns, key columns, a prefix)
+RECORDS = {  # experiment: (records.csv columns, its leading key columns)
     "chi-sweep": (["trial", "chi", "gap", "p"], ["trial", "chi"]),
     "table1": (["benchmark", "trial", "v_star", "gap", "success",
                 "certify_ms"], ["benchmark", "trial"]),
@@ -395,6 +395,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _mean(rows, column: str) -> float:
+    """A record column's mean, read back as floats: a 0/1 column's rate."""
+    return float(np.mean([float(r[column]) for r in rows]))
+
+
 def read_config(path=None, **overrides) -> dict:
     """The config at ``path`` (none: {}), updated by the non-None overrides."""
     raw = {}
@@ -507,10 +512,8 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
             p = exceedance_probability(model, gap, costs=costs)
             sink.add({"trial": trial, "chi": chi, "gap": gap, "p": p})
     records = sink.finish()
-    by_chi = {}
-    for rec in records:
-        by_chi.setdefault(float(rec["chi"]), []).append(float(rec["p"]))
-    mean_p = {chi: float(np.mean(ps)) for chi, ps in sorted(by_chi.items())}
+    mean_p = {chi: _mean([r for r in records if float(r["chi"]) == chi], "p")
+              for chi in sorted({float(r["chi"]) for r in records})}
     _write_csv(out / "chi_p.csv", "chi,mean_p",
                (f"{chi!r},{p!r}" for chi, p in mean_p.items()))
     summary = {"problem": problem.name, "oracle_value": truth.value,
@@ -523,8 +526,7 @@ def _run_chi_sweep(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
 def _run_table1(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
     problems = ([cfg.problem] if cfg.problem is not None
                 else [make_benchmark(name) for name in BENCHMARK_NAMES])
-    oracle_values = {}
-    timings = {}
+    oracle_values, timings = {}, {}
     for problem in problems:
         name = problem.name
         j_star = oracle_values[name] = _ground_truth(cfg, problem, timings).value
@@ -545,10 +547,8 @@ def _run_table1(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
     summary_rows = {}
     for name in oracle_values:
         rows = [r for r in records if r["benchmark"] == name]
-        fraction = float(np.mean([r["success"] == "1" for r in rows]))
-        mean_ms = float(np.mean([float(r["certify_ms"]) for r in rows]))
-        summary_rows[name] = {"success_fraction": fraction,
-                              "mean_certify_ms": mean_ms,
+        summary_rows[name] = {"success_fraction": _mean(rows, "success"),
+                              "mean_certify_ms": _mean(rows, "certify_ms"),
                               "oracle_value": oracle_values[name]}
     _write_csv(out / "table1.csv", "name,n_p,n_v,expected_success,"
                "success_fraction,mean_certify_ms",
@@ -582,16 +582,14 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
     _write_csv(out / "bound_vs_gap.csv", "trial,v_star,true_gap",
                (f"{r['trial']},{r['v_star']},{r['gap']}" for r in records))
     in_order = sorted(records, key=lambda r: int(r["trial"]))
-    hits = itertools.accumulate(r["success"] == "1" for r in in_order)
+    hits = itertools.accumulate(float(r["success"]) for r in in_order)
     _write_csv(out / "running_fraction.csv", "trial,fraction",
                (f"{r['trial']},{h / (i + 1)!r}"
                 for i, (r, h) in enumerate(zip(in_order, hits))))
-    successes = [r["success"] == "1" for r in records]
     summary = {"problem": problem.name, "true_optimum": j_star,
                "confidence": cfg.confidence,
-               "success_fraction": float(np.mean(successes)),
-               "mean_p": float(np.mean([float(r["p"]) for r in records])),
-               "mean_n_v": float(np.mean([int(r["n_v"]) for r in records]))}
+               "success_fraction": _mean(records, "success"),
+               "mean_p": _mean(records, "p"), "mean_n_v": _mean(records, "n_v")}
     return records, summary, timings
 
 
@@ -608,8 +606,7 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
         return [float(r["gamma"])
                 for r in sink.trials(phase=name, n_p=n_p).values()]
 
-    timings = {}
-    summary_rows = {}
+    timings, summary_rows = {}, {}
     for n_p in dict.fromkeys(cfg.n_p_list):  # each distinct n_p once
         base = _rng.child_seed(cfg.seed, _rng.MPC_FIG4_BASE, n_p)
         t0 = time.perf_counter()
@@ -623,7 +620,7 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
         if cfg.m_validate > 0:
             t1 = time.perf_counter()
             gammas = phase("validate", n_p, base, _rng.VALIDATE, cfg.m_validate)
-            coverage = float(np.mean([g <= cert.gamma_star for g in gammas]))
+            coverage = float(np.mean([cert.covers(g) for g in gammas]))
             timings[f"validate_np{n_p}_s"] = time.perf_counter() - t1
         counts, edges = np.histogram(gammas, bins=40)  # validation, else certify
         _write_csv(out / f"fig4_hist_np{n_p}.csv", "bin_left,bin_right,count",
@@ -668,11 +665,10 @@ def _run_validate(cfg: ExperimentConfig, out: Path, sink: _RecordSink, cert):
     for i, s in iter_gap_samples(family, cfg.n_p, oracle, cfg.seed,
                                  _rng.VALIDATE, sink.pending(cfg.m_validate)):
         sink.add({"trial": i, **dataclasses.asdict(s),
-                  "covered": s.gamma <= cert.gamma_star})
+                  "covered": cert.covers(s.gamma)})
     records = sink.finish()
-    coverage = float(np.mean([r["covered"] == "1" for r in records]))
     summary = {"family": family.description, "gamma_star": cert.gamma_star,
-               "m": cfg.m_validate, "coverage": coverage}
+               "m": cfg.m_validate, "coverage": _mean(records, "covered")}
     return records, summary, {}
 
 

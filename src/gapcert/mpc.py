@@ -92,13 +92,12 @@ def _wrap_pi(angle):
 
 def _cells(x: np.ndarray, y: np.ndarray):
     """(inside, col, row) arrays of ``cell_of``'s rule for point arrays; col
-    and row are clamped into the grid whether or not the point is inside."""
+    and row are clamped into the grid in float before the integer cast, so a
+    NaN, infinite or huge coordinate casts without a warning."""
     inside = (x >= X_MIN) & (x <= X_MAX) & (y >= Y_MIN) & (y <= Y_MAX)
-    col = np.minimum(np.maximum(
-        np.ceil((x - X_MIN) / CELL_W).astype(np.intp) - 1, 0), COLS - 1)
-    row = np.minimum(np.maximum(
-        np.ceil((y - Y_MIN) / CELL_H).astype(np.intp) - 1, 0), ROWS - 1)
-    return inside, col, row
+    col = np.fmin(np.fmax(np.ceil((x - X_MIN) / CELL_W), 1.0), COLS)
+    row = np.fmin(np.fmax(np.ceil((y - Y_MIN) / CELL_H), 1.0), ROWS)
+    return inside, col.astype(np.intp) - 1, row.astype(np.intp) - 1
 
 
 def cell_of(x, y):

@@ -101,6 +101,10 @@ class RepetitiveCertificate:
     family: str
     seed: int
 
+    def covers(self, gamma: float) -> bool:
+        """Whether a measured gap is within the bound, gamma_star inclusive."""
+        return gamma <= self.gamma_star
+
 
 def sample_gap(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
                seed: int) -> GapSample:
@@ -175,7 +179,7 @@ def validate_coverage(family: ProblemFamily, certificate: RepetitiveCertificate,
     """Fraction of m fresh instances whose measured gap stays within the
     certificate's bound."""
     _check_count("m", m)
-    covered = sum(s.gamma <= certificate.gamma_star for _, s in
+    covered = sum(certificate.covers(s.gamma) for _, s in
                   iter_gap_samples(family, n_p, oracle_cfg, seed,
                                    _rng.VALIDATE, range(m)))
     return covered / m

@@ -13,12 +13,15 @@ import pytest
 
 from gapcert import OracleConfig, OracleError, OracleResult, _rng, \
     exhaustive_min
+from gapcert.certifier import certificate_to_json
 from gapcert.cli import main
 from gapcert.experiments import READS, RECORDS, ConfigError, \
     ExperimentConfig, RunReport, _RecordSink, apply_check, run
 from gapcert.problems import make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance, \
     write_tsp_instance
+from gapcert.repetitive import certificate_from_json, iter_gap_samples, \
+    validate_coverage
 from gapcert.spaces import PermutationSpace, TourSpace
 
 
@@ -251,6 +254,14 @@ class TestMpcFig4:
         g = report.summary["by_n_p"]["1"]["gamma_star"]
         assert 0.0 <= g <= 1.0
 
+    def test_covers_a_gap_equal_to_gamma_star(self, tmp_path):
+        # at n_p = 60 every tsp-5 solve finds its optimum: all gaps are 0.0
+        report = run({"experiment": "mpc-fig4", "seed": 1, "family": "tsp:5",
+                      "r": 5, "n_p_list": [60], "m_validate": 10,
+                      "out_dir": str(tmp_path)})
+        assert report.summary["by_n_p"]["60"]["gamma_star"] == 0.0
+        assert report.summary["coverage"] == {"60": 1.0}
+
 
 class TestChiSweep:
     def test_exact_mode_on_small_tour_problem(self, tmp_path):
@@ -363,6 +374,34 @@ class TestValidate:
         with pytest.raises(ConfigError, match="certificate"):
             run({"experiment": "validate", "seed": 1, "family": "uniform-gaps",
                  "n_p": 1, "m_validate": 2, "out_dir": str(tmp_path)})
+
+    def test_coverage_paths_agree_exactly(self, tmp_path):
+        # mpc-fig4's validation phase, a validate run and validate_coverage
+        # decide coverage by one rule and give the same rate, bit for bit
+        fig4 = run({"experiment": "mpc-fig4", "seed": 3, "r": 5,
+                    "family": "uniform-gaps", "n_p_list": [2],
+                    "m_validate": 40, "out_dir": str(tmp_path / "fig4")})
+        cert = certificate_from_json((tmp_path / "fig4" / "certificate_np2.json")
+                                     .read_text(encoding="utf-8"))
+        family, oracle = fig4.config.problem_family, fig4.config.oracle_config
+        coverage = fig4.summary["by_n_p"]["2"]["coverage"]
+        assert 0.0 < coverage < 1.0
+        assert coverage == validate_coverage(
+            family, cert, 40, 2, oracle,
+            seed=_rng.child_seed(3, _rng.MPC_FIG4_BASE, 2))
+        # validate's bound is the 21st smallest of its own 40 gaps, which
+        # counts as covered
+        gaps = sorted(s.gamma for _, s in iter_gap_samples(
+            family, 2, oracle, 8, _rng.VALIDATE, range(40)))
+        path = tmp_path / "certificate.json"
+        path.write_text(certificate_to_json(
+            dataclasses.replace(cert, gamma_star=gaps[20])), encoding="utf-8")
+        val = run({"experiment": "validate", "seed": 8, "n_p": 2,
+                   "family": "uniform-gaps", "m_validate": 40,
+                   "certificate": str(path), "out_dir": str(tmp_path / "val")})
+        cert = certificate_from_json(path.read_text(encoding="utf-8"))
+        assert val.summary["coverage"] == validate_coverage(
+            family, cert, 40, 2, oracle, seed=8) == 21 / 40
 
 
 class TestReproducibilityAndResume:

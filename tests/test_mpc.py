@@ -532,7 +532,6 @@ class TestHorizonSkip:
         want = full_rollout_cost(w, env, np.asarray(x_k))
         assert np.array_equal(got, want)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_uncontrolled_agent_runs_the_rollout(self, monkeypatch):
         env = open_environment(x_o=(math.nan, 0.0))
         calls = count_rollouts(monkeypatch)
@@ -560,7 +559,6 @@ class TestCellCostTable:
         assert np.array_equal(env.cell_costs[:-1],
                               np.where(dist < UNREACHABLE, dist, mpc.PENALTY))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN cast
     def test_flat_index_follows_cell_of(self):
         rng = np.random.default_rng(8)
         x = np.concatenate([rng.uniform(-1.7, 1.7, 500), [mpc.X_MIN, mpc.X_MAX,
@@ -570,6 +568,16 @@ class TestCellCostTable:
         col, row = cell_of(x, y)
         want = np.where(col >= 0, row * mpc.COLS + col, mpc.ROWS * mpc.COLS)
         assert np.array_equal(mpc._flat_cell(x, y), want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [1, 56])
+    def test_non_finite_and_huge_rows_cost_the_penalty(self, seed):
+        env = sample_environment(seed)
+        bad = [math.nan, math.inf, -math.inf, 1e300, -1e300]
+        w = np.array([(v, 0.0) for v in bad] + [(0.0, v) for v in bad])
+        assert (augmented_cost_batch(w, env) == mpc.PENALTY).all()
+        col, row = cell_of(w[:, 0], w[:, 1])
+        assert set(col.tolist()) == set(row.tolist()) == {-1}
 
     def test_start_clear_is_the_start_states_flag(self):
         for seed in range(60):
@@ -734,7 +742,6 @@ class TestScalarCell:
         rand = rng.uniform([-1.8, -1.4], [1.8, 1.4], (500, 2)).tolist()
         return grid + [tuple(p) for p in rand]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_scalar_equals_array_elementwise(self):
         pts = self.points()
         col, row = cell_of(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))

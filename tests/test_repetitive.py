@@ -1,5 +1,6 @@
 """Gap random variables, amortized certificates, and coverage validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from gapcert.repetitive import (
     build_certificate,
     certificate_from_json,
     certificate_from_samples,
+    iter_gap_samples,
     sample_gap,
     sample_gaps,
     validate_coverage,
@@ -164,6 +166,23 @@ class TestValidateCoverage:
         cov = validate_coverage(family, cert, m=4000, n_p=1,
                                 oracle_cfg=DECLARED, seed=13)
         assert cov == pytest.approx(0.8, abs=0.03)
+
+
+    def test_a_gap_equal_to_gamma_star_is_covered(self):
+        family = uniform_gap_family()
+        # the certificate is the largest of the very gaps it then validates
+        gaps = [s.gamma for _, s in iter_gap_samples(
+            family, 1, DECLARED, 4, _rng.VALIDATE, range(6))]
+        cert = certificate_from_samples(gaps, 0.5, 1, "uniform-gaps", seed=4)
+        assert cert.covers(cert.gamma_star) and cert.covers(0.0)
+        assert not cert.covers(math.nextafter(cert.gamma_star, math.inf))
+        below = dataclasses.replace(
+            cert, gamma_star=math.nextafter(cert.gamma_star, 0.0))
+        assert not below.covers(cert.gamma_star)
+        assert validate_coverage(family, cert, m=6, n_p=1, oracle_cfg=DECLARED,
+                                 seed=4) == 1.0
+        assert validate_coverage(family, below, m=6, n_p=1,
+                                 oracle_cfg=DECLARED, seed=4) == 5 / 6
 
 
 def test_known_quantile_coverage_consistency_small_scale():
