@@ -26,6 +26,16 @@ barrier, so the cost kernel skips the rollout; the costs are the same bits.
 92.3% of sampled environments are clear (4,617 of seeds 0-4,999); in the
 others only waypoints in reachable cells are rolled out.  ``rollout_feasible``
 and ``write_rollout_trace`` always run the rollout.
+
+Each problem of ``mpc_family`` carries a ``lower_bound`` (``_ring_bound``):
+the least cost of the cells whose closed rectangle meets the waypoint ring.
+A waypoint costs its cell's cost or the larger penalty, so none costs less,
+on any start.  The cells are widened by ``BOUND_SLACK`` (1e-9), which covers
+``_cells`` moving a point one rounding step across an edge, and the ring's
+outer radius by ``RADIUS_TOL + BOUND_SLACK``, which covers the radii
+``AnnulusSpace.contains`` accepts.  The inner radius excludes no cell: every
+point of the plane has a point of each cell at least half the cell's
+diagonal (0.31 m) away.  ``refine_min`` stops once a sample meets the bound.
 """
 
 from __future__ import annotations
@@ -65,10 +75,18 @@ OMEGA_MAX = math.pi
 MAX_ANNULUS_ROUNDS = 256  # the sampler raises at this round: <= 255 refills
 RADIUS_TOL = 1e-9         # ring membership slack for projected points
 REACH_SLACK = 1e-9        # floating-point rounding allowance on the reach
+BOUND_SLACK = 1e-9        # widening of the cells and the ring in _ring_bound
 # farthest the agent can move over the horizon: |v| <= V_MAX in every step
 REACH = HORIZON * V_MAX * DT + REACH_SLACK
 
 TWO_PI = 2.0 * math.pi
+
+# lower and upper corners of each flat cell (index row * COLS + col), (40, 2),
+# widened by BOUND_SLACK on every side
+_CELL_ROW, _CELL_COL = np.divmod(np.arange(ROWS * COLS), COLS)
+_CELL_LO = np.stack([X_MIN + _CELL_COL * CELL_W,
+                     Y_MIN + _CELL_ROW * CELL_H], axis=1) - BOUND_SLACK
+_CELL_HI = _CELL_LO + (CELL_W + 2 * BOUND_SLACK, CELL_H + 2 * BOUND_SLACK)
 
 
 @dataclass(frozen=True)
@@ -333,6 +351,16 @@ def _horizon_clear(x_k, env: Environment) -> bool:
     return not env.so_mask[r0:r1 + 1, c0:c1 + 1].any()
 
 
+def _ring_bound(env: Environment) -> float:
+    """The ``lower_bound`` of the environment's waypoint ring: the least cost
+    of the cells, widened by ``BOUND_SLACK``, whose nearest point lies within
+    ``ANNULUS_MAX + RADIUS_TOL + BOUND_SLACK`` of the ring's centre."""
+    lo, hi = _CELL_LO - env.x_a[:2], _CELL_HI - env.x_a[:2]
+    near = np.hypot(*np.maximum(np.maximum(lo, -hi), 0.0).T)
+    meets = near <= ANNULUS_MAX + RADIUS_TOL + BOUND_SLACK
+    return float(np.min(env.cell_costs[:-1], initial=PENALTY, where=meets))
+
+
 def _state_array(state) -> np.ndarray:
     return np.asarray(state, dtype=float).ravel()
 
@@ -464,6 +492,7 @@ def mpc_family() -> ProblemFamily:
             space=AnnulusSpace(env.x_a[:2]),
             batch_cost=lambda w: augmented_cost_batch(w, env),
             name=f"mpc-waypoint-{instance_seed}",
+            lower_bound=_ring_bound(env),
         )
 
     return ProblemFamily(build=build, description="mpc-waypoint")

@@ -18,8 +18,18 @@ wraps and the iteration cap fall where a level-by-level walk puts them.  The
 curvature is computed only at the level it lands on.  Each line search
 likewise projects, evaluates and checks the membership of its candidate rows
 (the curvature trials, then each backtracking ladder) as one batch, built
-only when the batch before it found no strict improvement.  ``evaluations``
-counts the rows actually evaluated.
+only when the batch before it found no strict improvement, and checks
+membership only on the rows that improve.  ``evaluations`` counts the rows
+actually evaluated.
+
+A problem may supply a ``lower_bound`` that no point of its space undercuts
+(``mpc`` supplies its ring bound).  Its n0 samples are then evaluated in the
+growing prefixes ``_BOUND_PREFIXES`` first, and ``refine_min`` returns once
+the running best meets the bound.  The result is the same bits: by the
+samplers' prefix property the first best sample is the same, and a descent
+from it could accept no point, so it would end after one pass of the levels,
+converged exactly when ``MAX_ITERS`` allows that pass.  ``evaluations``
+counts the prefix evaluated.  A cost below the bound raises ``OracleError``.
 
 The descent's tuning is fixed in module constants.  Difference steps run
 from ``FD_START`` halving down to ``FD_FLOOR``, and the first line-search
@@ -49,6 +59,9 @@ FINE_BACKTRACK = 0.85
 MIN_STEP = 1e-12
 MAX_ITERS = 2000
 CURVATURE_FLOOR = 1e-12
+# Sample counts at which a problem's lower bound is checked before the rest
+# of the n0 samples are drawn
+_BOUND_PREFIXES = (32, 256)
 
 # The difference steps, fractions of box width: FD_START halving to FD_FLOOR.
 _FDS = [FD_START]
@@ -90,22 +103,53 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
     that project outside the space are rejected; the incumbent value is
     monotone nonincreasing throughout.  ``converged`` says that the descent
     stopped after a whole pass of levels without a move, within the cap.
+
+    A sample that meets ``problem.lower_bound`` ends the search: no point of
+    the space costs less, so the descent would make one pass without a move.
+    A cost below the bound raises ``OracleError``.
     """
     _check_count("n0", n0)
     space = problem.space
     if not hasattr(space, "bounds") or not hasattr(space, "project"):
         raise DomainError("refine_min needs a space with bounds and projection")
+    bound = problem.lower_bound
+    stop = -math.inf if bound is None else bound
+    n0 = int(n0)
+    # by the samplers' prefix property the prefixes' rows, and so the first
+    # best sample, are those of the one n0 batch drawn without a bound
+    sizes = [n0] if bound is None else \
+        [m for m in _BOUND_PREFIXES if m < n0] + [n0]
+    x, fx, evals = None, math.inf, 0
+    for m in sizes:
+        samples = space.sample(seed, m, path=(_rng.ORACLE,))
+        costs = problem.evaluate_batch(samples[evals:])
+        i = int(np.argmin(costs))
+        if costs[i] < fx:
+            x, fx = np.array(samples[evals + i], dtype=float), float(costs[i])
+        evals = m
+        if fx <= stop:
+            converged = MAX_ITERS >= len(_FDS)
+            break
+    else:
+        x, fx, evals, converged = _descend(problem, x, fx, evals)
+    if fx < stop:
+        raise OracleError(f"refine_min found cost {fx!r} on {problem.name!r}, "
+                          f"below its lower bound {bound!r}")
+    return OracleResult(value=fx, minimizer=x, method="refine-min",
+                        evaluations=evals, converged=converged)
+
+
+def _descend(problem: Problem, x: np.ndarray, fx: float, evals: int):
+    """Projected finite-difference descent from the incumbent (x, fx), after
+    ``evals`` evaluations: the final (x, fx, evals, converged)."""
+    space = problem.space
     lower, upper = space.bounds
     width = upper - lower
     wmax = float(np.max(width))
     d = lower.size
     eye = np.eye(d, dtype=bool)
 
-    samples = space.sample(seed, n0, path=(_rng.ORACLE,))
-    costs = problem.evaluate_batch(samples)
-    i = int(np.argmin(costs))
-    x, fx = np.array(samples[i], dtype=float), float(costs[i])
-    evals, iters, converged = int(n0), 0, False
+    iters, converged = 0, False
     scan_x, k0, sc = None, 0, ()  # the stencil scan of levels k0.. at scan_x
     k, progressed = 0, False  # the level, and whether this pass of levels moved
     while iters < MAX_ITERS:
@@ -152,7 +196,10 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
                 projected = space.project(cands)
                 values = problem.evaluate_batch(projected)
                 evals += len(values)
-                hits = np.flatnonzero((values < fx) & space.contains(projected))
+                # membership is checked only on the improving rows
+                hits = np.flatnonzero(values < fx)
+                if hits.size:
+                    hits = hits[space.contains(projected[hits])]
                 if hits.size:
                     x, fx = projected[hits[0]].copy(), float(values[hits[0]])
                     moved = progressed = True
@@ -165,8 +212,7 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
                 converged = True
                 break
             k, progressed = 0, False
-    return OracleResult(value=fx, minimizer=x, method="refine-min",
-                        evaluations=evals, converged=converged)
+    return x, fx, evals, converged
 
 
 def _ladder(x, g, gmax, ratio, wmax) -> np.ndarray:

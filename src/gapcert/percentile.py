@@ -57,13 +57,17 @@ class Problem:
     batches freely (``refine_min`` evaluates many stencils at once).
     ``evaluate`` is its one-row view.  ``declared_optimum`` carries an
     analytically known minimum where one exists (used by synthetic families
-    and tests, never inferred).
+    and tests, never inferred).  ``lower_bound`` is likewise a fact the
+    problem supplies, never an option: a promise that no decision
+    ``space.contains`` accepts costs less than it.  ``refine_min`` stops as
+    soon as a sample meets it and raises ``OracleError`` on a cost below it.
     """
 
     space: object
     batch_cost: Callable
     name: str = ""
     declared_optimum: float | None = None
+    lower_bound: float | None = None
 
     @functools.cached_property
     def enumeration(self) -> tuple[np.ndarray, np.ndarray]:

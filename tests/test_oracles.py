@@ -18,6 +18,7 @@ from gapcert.oracles import (
     refine_min,
 )
 from gapcert import _rng
+from gapcert import mpc
 from gapcert.mpc import mpc_family
 from gapcert.problems import (
     BENCHMARK_NAMES,
@@ -342,6 +343,11 @@ def _counted(problem):
     return Problem(space=problem.space, batch_cost=cost), rows
 
 
+def _bound_free(problem):
+    """The problem without its lower bound, so refine_min runs in full."""
+    return Problem(space=problem.space, batch_cost=problem.batch_cost)
+
+
 # (value, minimizer, converged, evaluations) under a lowered MAX_ITERS, where
 # the stencil scan is cut to the iterations left: a benchmark at n0 = 2000
 # and a waypoint instance at n0 = 3, both descending.
@@ -421,9 +427,20 @@ class TestRefineMinFlatRun:
         # the 17th iteration finishes the move-free pass over the 17 levels:
         # the same descent as an uncapped run, which converged
         monkeypatch.setattr(oracles, "MAX_ITERS", cap)
-        res = refine_min(mpc_family().instance(0), n0=2000, seed=0)
+        res = refine_min(_bound_free(mpc_family().instance(0)), n0=2000,
+                         seed=0)
         assert res.converged is converged
         assert res.evaluations == 4 * cap + 2000
+
+    @pytest.mark.parametrize("cap,converged", [(17, True), (16, False)])
+    def test_bounded_twin_stops_at_the_bound(self, monkeypatch, cap,
+                                             converged):
+        # a sample meets the ring bound, so no descent runs, and converged
+        # reads as the descent's one move-free pass would under the cap
+        monkeypatch.setattr(oracles, "MAX_ITERS", cap)
+        res = refine_min(mpc_family().instance(0), n0=2000, seed=0)
+        assert res.converged is converged
+        assert res.evaluations <= 2000
 
     def test_ladder_powers_are_read_only(self):
         for table in oracles._POWERS.values():
@@ -483,3 +500,114 @@ def test_declared_min():
                    batch_cost=lambda d: np.ones(len(d)))
     with pytest.raises(OracleError):
         declared_min(bare)
+
+
+# The bound gate's instances: 3,000 environments, over 200 of them with a
+# start that is not horizon-clear, so their rollouts run.
+GATE_SEEDS = range(3000)
+
+
+@pytest.fixture(scope="module")
+def gate_problems():
+    family = mpc_family()
+    return [family.instance(seed) for seed in GATE_SEEDS]
+
+
+class TestRingBound:
+    """``refine_min`` stops once a sample meets the waypoint ring's lower
+    bound, with the same result as the search without the bound; the bound
+    holds for every point the ring accepts."""
+
+    def test_gate_has_non_clear_starts(self):
+        assert sum(not mpc.sample_environment(seed).start_clear
+                   for seed in GATE_SEEDS) >= 200
+
+    @pytest.mark.parametrize("cap", [None, 1, 5, 16, 17, 18])
+    @pytest.mark.parametrize("n0", [2000, 3])
+    def test_same_result_as_without_the_bound(self, monkeypatch, gate_problems,
+                                              n0, cap):
+        if cap is not None:
+            monkeypatch.setattr(oracles, "MAX_ITERS", cap)
+        stopped = 0
+        for seed, problem in zip(GATE_SEEDS, gate_problems):
+            a = refine_min(problem, n0=n0, seed=seed)
+            b = refine_min(_bound_free(problem), n0=n0, seed=seed)
+            assert (a.value, a.minimizer.tolist(), a.converged) == \
+                (b.value, b.minimizer.tolist(), b.converged), seed
+            assert a.value >= problem.lower_bound, seed
+            if a.evaluations <= n0:
+                stopped += 1
+            else:  # no sample met the bound: the same descent ran
+                assert a.evaluations == b.evaluations, seed
+        assert stopped >= len(GATE_SEEDS) // 2
+
+    def test_never_above_dense_samples(self, gate_problems):
+        for seed, problem in zip(GATE_SEEDS[:500], gate_problems):
+            w = problem.space.sample(seed, 20_000, path=(0xB0,))
+            assert problem.lower_bound <= problem.evaluate_batch(w).min(), seed
+
+    def test_never_above_ring_edge_and_cell_edge_points(self, gate_problems):
+        # radii 1e-15 inside the ring's accepted limits, at 720 angles; and
+        # points of the ring on each cell edge line, and one ulp to either
+        # side of it
+        lo = mpc.ANNULUS_MIN - mpc.RADIUS_TOL + 1e-15
+        hi = mpc.ANNULUS_MAX + mpc.RADIUS_TOL - 1e-15
+        angles = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
+        unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        lines = (np.arange(mpc.X_MIN, mpc.X_MAX, mpc.CELL_W)[1:],
+                 np.arange(mpc.Y_MIN, mpc.Y_MAX, mpc.CELL_H)[1:])
+        on_edges = 0
+        for problem in gate_problems[:300]:
+            space = problem.space
+            c = space.center
+            points = [c + lo * unit, c + hi * unit]
+            for r in np.linspace(lo, hi, 7):
+                for axis in (0, 1):
+                    off = lines[axis] - c[axis]
+                    near = np.abs(off) < r
+                    across = np.sqrt(r * r - off[near] ** 2)
+                    for line in (np.nextafter(lines[axis][near], -np.inf),
+                                 lines[axis][near],
+                                 np.nextafter(lines[axis][near], np.inf)):
+                        for sign in (-1.0, 1.0):
+                            pts = np.empty((len(line), 2))
+                            pts[:, axis] = line
+                            pts[:, 1 - axis] = c[1 - axis] + sign * across
+                            points.append(pts)
+            w = np.concatenate(points)
+            w = w[space.contains(w)]
+            on_edges += int(np.isin(w[:, 0], lines[0]).sum()
+                            + np.isin(w[:, 1], lines[1]).sum())
+            assert len(w) >= 360
+            assert problem.lower_bound <= problem.evaluate_batch(w).min()
+        assert on_edges >= 1000
+
+    def test_a_cell_the_ring_touches_only_at_its_edge_counts(self):
+        # the outer circle meets the goal cell (3, 2) only at its right edge
+        # x = 0, and that edge point belongs to the goal cell by _cells' rule
+        env = mpc.Environment(x_a=np.array([mpc.ANNULUS_MAX, 0.0, 0.0]),
+                              x_o=np.array([1.5, 1.1]), so_cells=(),
+                              goal_cells=((3, 2),), seed=0)
+        edge = np.array([[0.0, 0.0]])
+        assert mpc.AnnulusSpace(env.x_a).contains(edge)[0]
+        assert mpc.augmented_cost_batch(edge, env)[0] == 0.0
+        assert mpc._ring_bound(env) == 0.0
+
+    def test_the_inner_radius_excludes_no_cell(self):
+        # _ring_bound tests only the outer radius: every cell reaches at
+        # least half its diagonal from any point, beyond the inner radius
+        assert mpc.ANNULUS_MIN + mpc.RADIUS_TOL + mpc.BOUND_SLACK < \
+            math.hypot(mpc.CELL_W, mpc.CELL_H) / 2
+
+    def test_a_bound_set_too_high_raises(self):
+        problem = mpc_family().instance(0)
+        high = Problem(space=problem.space, batch_cost=problem.batch_cost,
+                       name="too-high", lower_bound=problem.lower_bound + 0.5)
+        with pytest.raises(OracleError, match="too-high.*lower bound"):
+            refine_min(high, n0=2000, seed=0)
+        # the best sample (0.75) is above the bound; the descent's value
+        # (3.8e-7) is below it
+        beale = make_benchmark("beale")
+        with pytest.raises(OracleError, match="lower bound"):
+            refine_min(Problem(space=beale.space, batch_cost=beale.batch_cost,
+                               lower_bound=1e-3), n0=50, seed=1)
