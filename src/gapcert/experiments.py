@@ -602,7 +602,7 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
         for i, s in iter_gap_samples(family, n_p, oracle, seed, tag,
                                      sink.pending(count, phase=name, n_p=n_p)):
             sink.add({"phase": name, "n_p": n_p, "trial": i,
-                      **dataclasses.asdict(s)})
+                      **vars(s)})
         return [float(r["gamma"])
                 for r in sink.trials(phase=name, n_p=n_p).values()]
 
@@ -664,7 +664,7 @@ def _run_validate(cfg: ExperimentConfig, out: Path, sink: _RecordSink, cert):
     family, oracle = cfg.problem_family, cfg.oracle_config
     for i, s in iter_gap_samples(family, cfg.n_p, oracle, cfg.seed,
                                  _rng.VALIDATE, sink.pending(cfg.m_validate)):
-        sink.add({"trial": i, **dataclasses.asdict(s),
+        sink.add({"trial": i, **vars(s),
                   "covered": cert.covers(s.gamma)})
     records = sink.finish()
     summary = {"family": family.description, "gamma_star": cert.gamma_star,

@@ -35,7 +35,11 @@ on any start.  The cells are widened by ``BOUND_SLACK`` (1e-9), which covers
 outer radius by ``RADIUS_TOL + BOUND_SLACK``, which covers the radii
 ``AnnulusSpace.contains`` accepts.  The inner radius excludes no cell: every
 point of the plane has a point of each cell at least half the cell's
-diagonal (0.31 m) away.  ``refine_min`` stops once a sample meets the bound.
+diagonal (0.31 m) away.  Both users of the bound draw through
+``percentile.best_of``: the percentile solve of ``sample_gap`` and
+``refine_min``'s n0 samples stop once a sample meets it.  They draw 32
+waypoints first and extend them (``AnnulusSpace.sample``'s ``start`` rows,
+whose refill rounds run over the new rows only) when the bound is not met.
 """
 
 from __future__ import annotations
@@ -87,6 +91,16 @@ _CELL_ROW, _CELL_COL = np.divmod(np.arange(ROWS * COLS), COLS)
 _CELL_LO = np.stack([X_MIN + _CELL_COL * CELL_W,
                      Y_MIN + _CELL_ROW * CELL_H], axis=1) - BOUND_SLACK
 _CELL_HI = _CELL_LO + (CELL_W + 2 * BOUND_SLACK, CELL_H + 2 * BOUND_SLACK)
+
+# the 4-connected (neighbour, edge weight) pairs of each flat cell, in the
+# step order right, left, up, down; the weight is the distance between the
+# cells' centres
+_NEIGHBOURS = tuple(
+    tuple(((r + dr) * COLS + c + dc, w)
+          for dr, dc, w in ((0, 1, CELL_W), (0, -1, CELL_W),
+                            (1, 0, CELL_H), (-1, 0, CELL_H))
+          if 0 <= r + dr < ROWS and 0 <= c + dc < COLS)
+    for r, c in zip(_CELL_ROW.tolist(), _CELL_COL.tolist()))
 
 
 @dataclass(frozen=True)
@@ -156,6 +170,9 @@ class Environment:
     seed: int
     rejections: int = 0
     so_mask: np.ndarray = field(init=False, repr=False)  # from so_cells
+    # read-only (ROWS * COLS + 1,) obstacle flag of each flat cell
+    # (``_flat_cell``); the last slot, outside the workspace, is False
+    so_flat: np.ndarray = field(init=False, repr=False)
     goal_dist: np.ndarray = field(init=False, repr=False)  # from goal_cells
     # read-only (ROWS * COLS + 1,) cost of each flat cell (``_flat_cell``):
     # the goal distance, or PENALTY for unreachable cells and, in the last
@@ -173,8 +190,10 @@ class Environment:
             mask[r, c] = True
         dist = _goal_distance_field(mask, self.goal_cells)
         costs = np.append(np.where(dist < UNREACHABLE, dist, PENALTY), PENALTY)
-        costs.flags.writeable = False
+        flat = np.append(mask.ravel(), False)
+        costs.flags.writeable = flat.flags.writeable = False
         object.__setattr__(self, "so_mask", mask)
+        object.__setattr__(self, "so_flat", flat)
         object.__setattr__(self, "goal_dist", dist)
         object.__setattr__(self, "cell_costs", costs)
         object.__setattr__(self, "start_clear",
@@ -186,26 +205,26 @@ def _goal_distance_field(so_mask: np.ndarray,
     """Multi-source Dijkstra from the goal cells over obstacle-free cells,
     4-connected, edge weight = distance between adjacent cell centers.
 
-    Runs on flat lists indexed ``row * COLS + col``; Python float addition
-    is the same IEEE operation as numpy's, so the field is the same bits."""
+    Runs on flat cell indices ``row * COLS + col`` with the ``_NEIGHBOURS``
+    table.  Flat index order is (row, col) order, so the heap pops cells in
+    the same order as a heap of (distance, row, col), and Python float
+    addition is the same IEEE operation as numpy's: the field is the same
+    bits."""
     blocked = so_mask.ravel().tolist()
     dist = [UNREACHABLE] * (ROWS * COLS)
     heap = []
     for c, r in goal_cells:
         dist[r * COLS + c] = 0.0
-        heapq.heappush(heap, (0.0, r, c))
+        heapq.heappush(heap, (0.0, r * COLS + c))
     while heap:
-        d, r, c = heapq.heappop(heap)
-        if d > dist[r * COLS + c]:
+        d, f = heapq.heappop(heap)
+        if d > dist[f]:
             continue
-        for dr, dc, w in ((0, 1, CELL_W), (0, -1, CELL_W),
-                          (1, 0, CELL_H), (-1, 0, CELL_H)):
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < ROWS and 0 <= nc < COLS and not blocked[nr * COLS + nc]:
-                nd = d + w
-                if nd < dist[nr * COLS + nc]:
-                    dist[nr * COLS + nc] = nd
-                    heapq.heappush(heap, (nd, nr, nc))
+        for g, w in _NEIGHBOURS[f]:
+            nd = d + w
+            if nd < dist[g] and not blocked[g]:
+                dist[g] = nd
+                heapq.heappush(heap, (nd, g))
     out = np.array(dist).reshape(ROWS, COLS)
     out[so_mask] = UNREACHABLE
     return out
@@ -229,13 +248,9 @@ def _control(x, y, theta, wx, wy):
     return np.where(hold, 0.0, v), np.where(hold, 0.0, om)
 
 
-def _barrier(x, y, x_o, so_mask) -> np.ndarray:
-    col, row = cell_of(x, y)
-    valid = col >= 0
-    in_so = np.zeros_like(valid)
-    in_so[valid] = so_mask[row[valid], col[valid]]
+def _barrier(x, y, x_o, so_flat) -> np.ndarray:
     d = np.hypot(x - x_o[0], y - x_o[1]) - SAFETY_RADIUS
-    return np.where(in_so, OBSTACLE_BARRIER, d)
+    return np.where(so_flat.take(_flat_cell(x, y)), OBSTACLE_BARRIER, d)
 
 
 def _rollout(x_k, waypoints: np.ndarray, env: Environment):
@@ -252,7 +267,7 @@ def _rollout(x_k, waypoints: np.ndarray, env: Environment):
     for _ in range(HORIZON):
         v, om = _control(x, y, th, waypoints[:, 0], waypoints[:, 1])
         x, y, th = _step(x, y, th, v, om)
-        yield x, y, th, v, om, _barrier(x, y, env.x_o, env.so_mask)
+        yield x, y, th, v, om, _barrier(x, y, env.x_o, env.so_flat)
 
 
 def dynamics_step(state: UnicycleState, control: ControlInput) -> UnicycleState:
@@ -278,7 +293,7 @@ def barrier(x_a, x_o, env: Environment) -> float:
     planar distance to the uncontrolled agent minus the safety radius."""
     a = np.asarray(x_a, dtype=float).ravel()
     return float(_barrier(a[:1], a[1:2], np.asarray(x_o, dtype=float).ravel(),
-                          env.so_mask)[0])
+                          env.so_flat)[0])
 
 
 def rollout_feasible(x_k, waypoint, env: Environment) -> bool:
@@ -376,7 +391,8 @@ class AnnulusSpace:
     with k one past the last pending row, and each pending row i takes that
     block's row i.  By the block's prefix property, row i of a round is the
     same for every k > i, so sample i depends only on (seed, i) and the
-    sample size never changes it.
+    sample size never changes it.  Samples start..n-1 alone (``start``) are
+    the same rows, drawn and refilled without the rows before them.
     """
 
     center: np.ndarray
@@ -408,16 +424,20 @@ class AnnulusSpace:
         return ((w[:, 0] >= X_MIN) & (w[:, 0] <= X_MAX)
                 & (w[:, 1] >= Y_MIN) & (w[:, 1] <= Y_MAX))
 
-    def sample(self, seed: int, n: int, path: tuple[int, ...] = ()) -> np.ndarray:
-        out = self._candidates(_rng.uniform_block(seed, path, n, 2))
-        pending = np.flatnonzero(~self._in_box(out))
+    def sample(self, seed: int, n: int, path: tuple[int, ...] = (),
+               start: int = 0) -> np.ndarray:
+        """Samples start..n-1 of the n seeded at (seed, path); refill rounds
+        run over those rows only."""
+        out = self._candidates(_rng.uniform_block(seed, path, n, 2, start))
+        pending = np.flatnonzero(~self._in_box(out))  # rows of out
         round_no = 0
         while pending.size:
             round_no += 1
             if round_no >= MAX_ANNULUS_ROUNDS:
                 raise RuntimeError("annulus sampler exceeded its rejection cap; "
                                    "the ring barely intersects the workspace")
-            u = _rng.uniform_block(seed, (*path, round_no), pending[-1] + 1, 2)
+            u = _rng.uniform_block(seed, (*path, round_no),
+                                   start + pending[-1] + 1, 2, start)
             out[pending] = self._candidates(u[pending])
             pending = pending[~self._in_box(out[pending])]
         return out

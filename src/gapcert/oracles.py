@@ -23,13 +23,17 @@ membership only on the rows that improve.  ``evaluations`` counts the rows
 actually evaluated.
 
 A problem may supply a ``lower_bound`` that no point of its space undercuts
-(``mpc`` supplies its ring bound).  Its n0 samples are then evaluated in the
-growing prefixes ``_BOUND_PREFIXES`` first, and ``refine_min`` returns once
-the running best meets the bound.  The result is the same bits: by the
-samplers' prefix property the first best sample is the same, and a descent
-from it could accept no point, so it would end after one pass of the levels,
-converged exactly when ``MAX_ITERS`` allows that pass.  ``evaluations``
-counts the prefix evaluated.  A cost below the bound raises ``OracleError``.
+(``mpc`` supplies its ring bound).  The n0 samples are drawn by
+``percentile.best_of``, the helper ``sample_gap``'s percentile solve uses
+too: on a bounded problem it evaluates the growing prefixes
+``percentile._BOUND_PREFIXES`` first, each drawing only its new rows
+(``space.sample``'s ``start``), and stops once the running best meets the
+bound.  ``refine_min`` then returns that sample.  The result is the same
+bits: by the samplers' prefix property the first best sample is the same,
+and a descent from it could accept no point, so it would end after one pass
+of the levels, converged exactly when ``MAX_ITERS`` allows that pass.
+``evaluations`` counts the prefix evaluated.  A cost below the bound, from
+the samples or the descent, raises ``OracleError``.
 
 The descent's tuning is fixed in module constants.  Difference steps run
 from ``FD_START`` halving down to ``FD_FLOOR``, and the first line-search
@@ -49,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .percentile import DomainError, OracleError, Problem, _check_count
+from .percentile import DomainError, OracleError, Problem, _check_bound, \
+    _check_count, best_of
 
 FD_START = 0.05
 FD_FLOOR = 1e-6
@@ -59,9 +64,6 @@ FINE_BACKTRACK = 0.85
 MIN_STEP = 1e-12
 MAX_ITERS = 2000
 CURVATURE_FLOOR = 1e-12
-# Sample counts at which a problem's lower bound is checked before the rest
-# of the n0 samples are drawn
-_BOUND_PREFIXES = (32, 256)
 
 # The difference steps, fractions of box width: FD_START halving to FD_FLOOR.
 _FDS = [FD_START]
@@ -112,29 +114,13 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
     space = problem.space
     if not hasattr(space, "bounds") or not hasattr(space, "project"):
         raise DomainError("refine_min needs a space with bounds and projection")
-    bound = problem.lower_bound
-    stop = -math.inf if bound is None else bound
-    n0 = int(n0)
-    # by the samplers' prefix property the prefixes' rows, and so the first
-    # best sample, are those of the one n0 batch drawn without a bound
-    sizes = [n0] if bound is None else \
-        [m for m in _BOUND_PREFIXES if m < n0] + [n0]
-    x, fx, evals = None, math.inf, 0
-    for m in sizes:
-        samples = space.sample(seed, m, path=(_rng.ORACLE,))
-        costs = problem.evaluate_batch(samples[evals:])
-        i = int(np.argmin(costs))
-        if costs[i] < fx:
-            x, fx = np.array(samples[evals + i], dtype=float), float(costs[i])
-        evals = m
-        if fx <= stop:
-            converged = MAX_ITERS >= len(_FDS)
-            break
+    x, fx, evals = best_of(problem, int(n0), seed, _rng.ORACLE)
+    x = np.asarray(x, dtype=float)
+    if problem.lower_bound is not None and fx <= problem.lower_bound:
+        converged = MAX_ITERS >= len(_FDS)
     else:
         x, fx, evals, converged = _descend(problem, x, fx, evals)
-    if fx < stop:
-        raise OracleError(f"refine_min found cost {fx!r} on {problem.name!r}, "
-                          f"below its lower bound {bound!r}")
+        _check_bound(problem, fx)
     return OracleResult(value=fx, minimizer=x, method="refine-min",
                         evaluations=evals, converged=converged)
 

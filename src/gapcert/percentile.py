@@ -59,8 +59,11 @@ class Problem:
     analytically known minimum where one exists (used by synthetic families
     and tests, never inferred).  ``lower_bound`` is likewise a fact the
     problem supplies, never an option: a promise that no decision
-    ``space.contains`` accepts costs less than it.  ``refine_min`` stops as
-    soon as a sample meets it and raises ``OracleError`` on a cost below it.
+    ``space.contains`` accepts costs less than it.  ``best_of`` draws in
+    growing prefixes, each extending the last through ``space.sample``'s
+    ``start`` rows, and stops as soon as a sample meets the bound, for both
+    of its users: the percentile solve of ``sample_gap`` and
+    ``refine_min``'s n0 samples.  A cost below it raises ``OracleError``.
     """
 
     space: object
@@ -210,6 +213,48 @@ def percentile_solve(problem: Problem, n_p: int, seed: int) -> PercentileSolutio
     i = int(np.argmin(costs))
     info = InfoSet(decisions=decisions, costs=costs, seed=int(seed))
     return PercentileSolution(best=info[i], best_index=i, info=info)
+
+
+# Sample counts m at which ``best_of`` checks a problem's lower bound before
+# it draws more of its n samples: each m with 4 * m <= n
+_BOUND_PREFIXES = (32, 256)
+
+
+def best_of(problem: Problem, n: int, seed: int, tag: int):
+    """The first cheapest of the n uniform decisions at (seed, tag), as
+    ``percentile_solve`` draws them: (decision, cost, rows evaluated).
+
+    On a problem with a ``lower_bound`` the rows are drawn and evaluated in
+    the growing prefixes ``_BOUND_PREFIXES`` first, each extending the one
+    before (``space.sample``'s ``start``), and the draw stops once the
+    running best meets the bound.  By the samplers' prefix property the rows
+    are those of the one n batch, and no later row can cost less, so the
+    decision and cost are the same bits.  A cost below the bound raises
+    ``OracleError``.  A problem without a bound draws one batch of n.
+    """
+    bound = problem.lower_bound
+    sizes = [n] if bound is None else \
+        [m for m in _BOUND_PREFIXES if 4 * m <= n] + [n]
+    best, cost, done = None, math.inf, 0
+    for m in sizes:
+        rows = problem.space.sample(seed, m, path=(tag,), start=done)
+        costs = problem.evaluate_batch(rows)
+        i = int(np.argmin(costs))
+        if costs[i] < cost:
+            best, cost = rows[i].copy(), float(costs[i])
+        done = m
+        if bound is not None and cost <= bound:
+            break
+    _check_bound(problem, cost)
+    return best, cost, done
+
+
+def _check_bound(problem: Problem, cost: float) -> None:
+    """Raise ``OracleError`` when ``cost`` is below the problem's
+    ``lower_bound``, which the problem promised no decision undercuts."""
+    if problem.lower_bound is not None and cost < problem.lower_bound:
+        raise OracleError(f"cost {cost!r} on {problem.name!r} is below its "
+                          f"lower bound {problem.lower_bound!r}")
 
 
 def estimate_better_fraction(problem: Problem, candidate, m: int | None = None,

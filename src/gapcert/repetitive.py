@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Iterator
 from . import _rng
 from .oracles import OracleError, OracleResult, declared_min, exhaustive_min, \
     refine_min
-from .percentile import DomainError, Problem, _check_count, confidence_of, \
-    percentile_solve
+from .percentile import DomainError, Problem, _check_count, best_of, \
+    confidence_of
 
 # The default gap tolerance of each oracle method that has one.
 _GAP_TOLERANCES = {"exhaustive": 1e-9, "refine-min": 1e-6}
@@ -111,16 +111,21 @@ def sample_gap(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
     """Draw one instance, percentile-solve it, and measure the gap to the
     oracle's optimum (``OracleConfig.gap``, which names the instance seed
     when the oracle is undercut).
+
+    The solve is ``best_of``, which stops at the problem's lower bound: its
+    cost is the same float as ``percentile_solve(problem, n_p, ...)``'s.
     """
+    _check_count("n_p", n_p)
     instance_seed = _rng.child_seed(seed, _rng.GAP_INSTANCE)
     problem = family.instance(instance_seed)
-    solution = percentile_solve(problem, n_p, _rng.child_seed(seed, _rng.GAP_SOLVE))
+    _, cost, _ = best_of(problem, n_p, _rng.child_seed(seed, _rng.GAP_SOLVE),
+                         _rng.SOLVE)
     oracle = oracle_cfg.run(problem, _rng.child_seed(seed, _rng.GAP_ORACLE))
-    gamma = oracle_cfg.gap(solution.best.cost, oracle.value,
+    gamma = oracle_cfg.gap(cost, oracle.value,
                            f"instance seed {instance_seed} "
                            f"({family.description})")
     return GapSample(gamma=gamma, instance_seed=instance_seed,
-                     solution_cost=float(solution.best.cost),
+                     solution_cost=cost,
                      oracle_value=float(oracle.value),
                      oracle_method=oracle.method)
 

@@ -373,7 +373,7 @@ class TestSingleKernel:
         env = sample_environment(9)
         want = np.stack([*mpc._step(x, y, th, v, om),
                          *mpc._control(x, y, th, wx, wy),
-                         mpc._barrier(x, y, env.x_o, env.so_mask)],
+                         mpc._barrier(x, y, env.x_o, env.so_flat)],
                         axis=1)
         got = []
         for i in range(n):
@@ -718,6 +718,31 @@ class TestAnnulusRefill:
                 space._candidates(mpc._rng.uniform_block(i, path, n, 2))).all()
         assert refilled > 500   # refill rounds run for many of these centres
 
+    def test_rows_from_start_are_the_tail(self):
+        # centres within 0.2 m of a workspace edge, where refills run
+        centers = [c for c in self.centers()
+                   if min(abs(c[0] - mpc.X_MIN), abs(c[0] - mpc.X_MAX),
+                          abs(c[1] - mpc.Y_MIN), abs(c[1] - mpc.Y_MAX)) <= 0.2]
+        assert len(centers) >= 100
+        refilled = 0
+        for i, c in enumerate(centers[:100]):
+            n = (2, 33, 300, 2000)[i % 4]
+            path = () if i % 3 else (i % 5,)
+            space = AnnulusSpace(c)
+            try:
+                whole = space.sample(i, n, path)
+            except RuntimeError:   # a ring that barely meets the workspace
+                continue
+            for start in (1, 32, 256, n // 2, n):
+                if start > n:
+                    continue
+                got = space.sample(i, n, path, start=start)
+                assert np.array_equal(got.view(np.int64),
+                                      whole[start:].view(np.int64)), (c, start)
+            first = space._candidates(mpc._rng.uniform_block(i, path, n, 2))
+            refilled += not space._in_box(first[n // 2:]).all()
+        assert refilled > 50
+
     def test_ring_off_the_workspace_raises_the_same_error(self):
         for center in ((5.0, 5.0), (-1.9, 0.0)):
             space = AnnulusSpace(center)
@@ -788,7 +813,8 @@ def indexed_goal_distance(so_mask, goal_cells):
 
 
 class TestGoalDistanceField:
-    """The flat-list Dijkstra gives the numpy-indexed one's field bit for bit."""
+    """The flat-index Dijkstra gives the numpy-indexed one's field bit for
+    bit."""
 
     @staticmethod
     def assert_same(so_mask, goals):
@@ -813,6 +839,26 @@ class TestGoalDistanceField:
                               replace=False)
             self.assert_same(mask, tuple((int(f) % mpc.COLS, int(f) // mpc.COLS)
                                          for f in flat))
+
+    def test_many_random_draws(self):
+        # the reference pops (distance, row, col) from its heap, the field
+        # pops (distance, flat index): the same order
+        rng = np.random.default_rng(37)
+        cells = mpc.ROWS * mpc.COLS
+        for i in range(20_000):
+            if i % 2:   # sample_environment's draw: disjoint obstacles, goals
+                flat = rng.choice(cells, mpc.N_OBSTACLES + mpc.N_GOALS,
+                                  replace=False)
+                mask = np.zeros(cells, dtype=bool)
+                mask[flat[:mpc.N_OBSTACLES]] = True
+                goals = flat[mpc.N_OBSTACLES:]
+            else:       # any density, goals possibly on obstacles
+                mask = rng.random(cells) < rng.uniform(0.0, 0.7)
+                goals = rng.choice(cells, int(rng.integers(0, 6)),
+                                   replace=False)
+            self.assert_same(mask.reshape(mpc.ROWS, mpc.COLS),
+                             tuple((int(f) % mpc.COLS, int(f) // mpc.COLS)
+                                   for f in goals))
 
     def test_walled_off_and_unreachable_cells(self):
         walled = np.zeros((mpc.ROWS, mpc.COLS), dtype=bool)

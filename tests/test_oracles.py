@@ -1,5 +1,6 @@
 """Ground-truth oracles: exact enumeration and sampled local refinement."""
 
+import dataclasses
 import itertools
 import math
 
@@ -19,14 +20,18 @@ from gapcert.oracles import (
 )
 from gapcert import _rng
 from gapcert import mpc
+from gapcert.experiments import uniform_gap_family
 from gapcert.mpc import mpc_family
+from gapcert.percentile import best_of
 from gapcert.problems import (
     BENCHMARK_NAMES,
     TspInstance,
     make_benchmark,
+    make_tsp_family,
     make_tsp_problem,
     random_tsp_instance,
 )
+from gapcert.repetitive import OracleConfig, ProblemFamily, sample_gap
 from gapcert.spaces import BoxSpace, PermutationSpace, TourSpace
 
 
@@ -611,3 +616,63 @@ class TestRingBound:
         with pytest.raises(OracleError, match="lower bound"):
             refine_min(Problem(space=beale.space, batch_cost=beale.batch_cost,
                                lower_bound=1e-3), n0=50, seed=1)
+
+
+class TestGapSolve:
+    """``sample_gap``'s percentile solve stops at the problem's lower bound,
+    with the same cost as ``percentile_solve`` over all n_p samples."""
+
+    @staticmethod
+    def assert_same_cost(family, oracle, n_p, seed):
+        s = sample_gap(family, n_p, oracle, seed)
+        problem = family.instance(s.instance_seed)
+        want = percentile_solve(problem, n_p,
+                                _rng.child_seed(seed, _rng.GAP_SOLVE)).best.cost
+        assert type(s.solution_cost) is float
+        assert s.solution_cost.hex() == want.hex(), (n_p, seed)
+
+    def test_bounded_gate_instances(self, gate_problems):
+        # gap sample j draws gate problem j; its declared optimum is its
+        # bound, so the oracle costs nothing.  Every n_p solves at one seed,
+        # so the nested stream gives percentile_solve's cost at each n_p
+        # from the first n_p costs of one 500-sample solve.
+        problems = {_rng.child_seed(j, _rng.GAP_INSTANCE):
+                    dataclasses.replace(p, declared_optimum=p.lower_bound)
+                    for j, p in zip(GATE_SEEDS, gate_problems)}
+        family = ProblemFamily(build=problems.__getitem__, description="gate")
+        declared = OracleConfig(method="declared")
+        for j, problem in zip(GATE_SEEDS, gate_problems):
+            costs = percentile_solve(
+                problem, 500, _rng.child_seed(j, _rng.GAP_SOLVE)).info.costs
+            for n_p in (200, 300, 500):
+                got = sample_gap(family, n_p, declared, j).solution_cost
+                assert type(got) is float
+                assert got.hex() == float(costs[:n_p].min()).hex(), (n_p, j)
+
+    def test_prefix_rows(self, gate_problems):
+        # prefixes of m rows with 4 m <= n, each checked against the bound
+        for n in (200, 300, 500):
+            rows = [best_of(p, n, seed, _rng.SOLVE)[2]
+                    for seed, p in zip(GATE_SEEDS[:300], gate_problems)]
+            assert set(rows) == {32, n}
+            assert rows.count(32) >= 0.8 * len(rows)
+        assert {best_of(p, 2000, seed, _rng.SOLVE)[2] for seed, p in
+                zip(GATE_SEEDS[:300], gate_problems)} == {32, 256, 2000}
+        assert best_of(gate_problems[0], 3, 0, _rng.SOLVE)[2] == 3
+
+    @pytest.mark.parametrize("family,oracle", [
+        (make_tsp_family(6), OracleConfig(method="exhaustive")),
+        (uniform_gap_family(), OracleConfig(method="declared"))],
+        ids=["tsp:6", "uniform-gaps"])
+    @pytest.mark.parametrize("n_p", [200, 300, 500])
+    def test_families_without_a_bound(self, family, oracle, n_p):
+        for seed in range(40):
+            self.assert_same_cost(family, oracle, n_p, seed)
+
+    def test_a_solve_below_the_bound_raises(self):
+        problem = mpc_family().instance(0)
+        high = Problem(space=problem.space, batch_cost=problem.batch_cost,
+                       name="too-high", lower_bound=problem.lower_bound + 0.5)
+        family = ProblemFamily(build=lambda seed: high, description="high")
+        with pytest.raises(OracleError, match="too-high.*lower bound"):
+            sample_gap(family, 300, OracleConfig(), 0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gapcert import DomainError, Problem, _rng
+from gapcert import DomainError, Problem, _rng, percentile_solve
 from gapcert.certifier import certificate_to_json
 from gapcert.experiments import uniform_gap_family
 from gapcert.oracles import OracleError
@@ -211,6 +211,16 @@ def test_sample_gaps_refuses_a_non_integer_r(r):
     # 2.5 used to end in a bare TypeError from range
     with pytest.raises(DomainError, match="r must"):
         sample_gaps(uniform_gap_family(), r=r, n_p=1, oracle_cfg=DECLARED, seed=1)
+
+
+@pytest.mark.parametrize("n_p", [0, 2.7, True])
+def test_sample_gap_refuses_a_bad_n_p(n_p):
+    family = uniform_gap_family()
+    with pytest.raises(DomainError) as want:
+        percentile_solve(family.instance(1), n_p, 1)
+    with pytest.raises(DomainError) as got:
+        sample_gap(family, n_p=n_p, oracle_cfg=DECLARED, seed=1)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("m", [0, 2.5, 2.0, True, np.float64(3.0)])
