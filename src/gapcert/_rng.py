@@ -105,17 +105,13 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(_key(seed, path))))
 
 
-def uniform_block(seed: int, path: tuple[int, ...], n: int, width: int,
-                  start: int = 0) -> np.ndarray:
-    """Rows start..n-1 of the (n, width) uniforms in [0, 1) where row i
-    depends only on (seed, path, i).
+def uniform_block(seed: int, path: tuple[int, ...], n: int, width: int) -> np.ndarray:
+    """(n, width) uniforms in [0, 1) where row i depends only on (seed, path, i).
 
     Rows are consecutive fixed-width slices of one counter-based stream, so the
-    first n' rows are identical for any n >= n' (prefix property).  The rows
-    before ``start`` are drawn and dropped: for the few hundred rows skipped
-    in practice that costs less than ``Philox.advance``.
+    first n' rows are identical for any n >= n' (prefix property).
     """
-    return stream(seed, *path).random((int(n), int(width)))[int(start):]
+    return stream(seed, *path).random((int(n), int(width)))
 
 
 def child_seed(seed: int, *path: int) -> int:

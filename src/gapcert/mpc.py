@@ -38,8 +38,8 @@ point of the plane has a point of each cell at least half the cell's
 diagonal (0.31 m) away.  Both users of the bound draw through
 ``percentile.best_of``: the percentile solve of ``sample_gap`` and
 ``refine_min``'s n0 samples stop once a sample meets it.  They draw 32
-waypoints first and extend them (``AnnulusSpace.sample``'s ``start`` rows,
-whose refill rounds run over the new rows only) when the bound is not met.
+waypoints first and redraw a longer prefix of the same stream, evaluating
+only its new rows, when the bound is not met.
 """
 
 from __future__ import annotations
@@ -171,7 +171,8 @@ class Environment:
     rejections: int = 0
     so_mask: np.ndarray = field(init=False, repr=False)  # from so_cells
     # read-only (ROWS * COLS + 1,) obstacle flag of each flat cell
-    # (``_flat_cell``); the last slot, outside the workspace, is False
+    # (``_flat_cell``); the last slot, outside the workspace, is False.
+    # so_mask is its (ROWS, COLS) view without that slot.
     so_flat: np.ndarray = field(init=False, repr=False)
     goal_dist: np.ndarray = field(init=False, repr=False)  # from goal_cells
     # read-only (ROWS * COLS + 1,) cost of each flat cell (``_flat_cell``):
@@ -188,10 +189,12 @@ class Environment:
         mask = np.zeros((ROWS, COLS), dtype=bool)
         for c, r in so:
             mask[r, c] = True
+        flat = np.append(mask.ravel(), False)
+        flat.flags.writeable = False
+        mask = flat[:-1].reshape(ROWS, COLS)
         dist = _goal_distance_field(mask, self.goal_cells)
         costs = np.append(np.where(dist < UNREACHABLE, dist, PENALTY), PENALTY)
-        flat = np.append(mask.ravel(), False)
-        costs.flags.writeable = flat.flags.writeable = False
+        costs.flags.writeable = False
         object.__setattr__(self, "so_mask", mask)
         object.__setattr__(self, "so_flat", flat)
         object.__setattr__(self, "goal_dist", dist)
@@ -391,8 +394,7 @@ class AnnulusSpace:
     with k one past the last pending row, and each pending row i takes that
     block's row i.  By the block's prefix property, row i of a round is the
     same for every k > i, so sample i depends only on (seed, i) and the
-    sample size never changes it.  Samples start..n-1 alone (``start``) are
-    the same rows, drawn and refilled without the rows before them.
+    sample size never changes it.
     """
 
     center: np.ndarray
@@ -424,20 +426,16 @@ class AnnulusSpace:
         return ((w[:, 0] >= X_MIN) & (w[:, 0] <= X_MAX)
                 & (w[:, 1] >= Y_MIN) & (w[:, 1] <= Y_MAX))
 
-    def sample(self, seed: int, n: int, path: tuple[int, ...] = (),
-               start: int = 0) -> np.ndarray:
-        """Samples start..n-1 of the n seeded at (seed, path); refill rounds
-        run over those rows only."""
-        out = self._candidates(_rng.uniform_block(seed, path, n, 2, start))
-        pending = np.flatnonzero(~self._in_box(out))  # rows of out
+    def sample(self, seed: int, n: int, path: tuple[int, ...] = ()) -> np.ndarray:
+        out = self._candidates(_rng.uniform_block(seed, path, n, 2))
+        pending = np.flatnonzero(~self._in_box(out))
         round_no = 0
         while pending.size:
             round_no += 1
             if round_no >= MAX_ANNULUS_ROUNDS:
                 raise RuntimeError("annulus sampler exceeded its rejection cap; "
                                    "the ring barely intersects the workspace")
-            u = _rng.uniform_block(seed, (*path, round_no),
-                                   start + pending[-1] + 1, 2, start)
+            u = _rng.uniform_block(seed, (*path, round_no), pending[-1] + 1, 2)
             out[pending] = self._candidates(u[pending])
             pending = pending[~self._in_box(out[pending])]
         return out

@@ -26,12 +26,12 @@ A problem may supply a ``lower_bound`` that no point of its space undercuts
 (``mpc`` supplies its ring bound).  The n0 samples are drawn by
 ``percentile.best_of``, the helper ``sample_gap``'s percentile solve uses
 too: on a bounded problem it evaluates the growing prefixes
-``percentile._BOUND_PREFIXES`` first, each drawing only its new rows
-(``space.sample``'s ``start``), and stops once the running best meets the
-bound.  ``refine_min`` then returns that sample.  The result is the same
-bits: by the samplers' prefix property the first best sample is the same,
-and a descent from it could accept no point, so it would end after one pass
-of the levels, converged exactly when ``MAX_ITERS`` allows that pass.
+``percentile._BOUND_PREFIXES`` first, each evaluating only its new rows,
+and stops once the running best meets the bound (``_meets_bound``).
+``refine_min`` then returns that sample.  The result is the same bits: by
+the samplers' prefix property the first best sample is the same, and a
+descent from it could accept no point, so it would end after one pass of
+the levels, converged exactly when ``MAX_ITERS`` allows that pass.
 ``evaluations`` counts the prefix evaluated.  A cost below the bound, from
 the samples or the descent, raises ``OracleError``.
 
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import _rng
 from .percentile import DomainError, OracleError, Problem, _check_bound, \
-    _check_count, best_of
+    _check_count, _meets_bound, best_of
 
 FD_START = 0.05
 FD_FLOOR = 1e-6
@@ -116,7 +116,7 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
         raise DomainError("refine_min needs a space with bounds and projection")
     x, fx, evals = best_of(problem, int(n0), seed, _rng.ORACLE)
     x = np.asarray(x, dtype=float)
-    if problem.lower_bound is not None and fx <= problem.lower_bound:
+    if _meets_bound(problem, fx):
         converged = MAX_ITERS >= len(_FDS)
     else:
         x, fx, evals, converged = _descend(problem, x, fx, evals)

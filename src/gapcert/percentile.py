@@ -60,10 +60,10 @@ class Problem:
     and tests, never inferred).  ``lower_bound`` is likewise a fact the
     problem supplies, never an option: a promise that no decision
     ``space.contains`` accepts costs less than it.  ``best_of`` draws in
-    growing prefixes, each extending the last through ``space.sample``'s
-    ``start`` rows, and stops as soon as a sample meets the bound, for both
-    of its users: the percentile solve of ``sample_gap`` and
-    ``refine_min``'s n0 samples.  A cost below it raises ``OracleError``.
+    growing prefixes, each evaluating only its new rows, and stops as soon
+    as a sample meets the bound, for both of its users: the percentile solve
+    of ``sample_gap`` and ``refine_min``'s n0 samples.  A cost below it
+    raises ``OracleError``.
     """
 
     space: object
@@ -224,29 +224,34 @@ def best_of(problem: Problem, n: int, seed: int, tag: int):
     """The first cheapest of the n uniform decisions at (seed, tag), as
     ``percentile_solve`` draws them: (decision, cost, rows evaluated).
 
-    On a problem with a ``lower_bound`` the rows are drawn and evaluated in
-    the growing prefixes ``_BOUND_PREFIXES`` first, each extending the one
-    before (``space.sample``'s ``start``), and the draw stops once the
-    running best meets the bound.  By the samplers' prefix property the rows
-    are those of the one n batch, and no later row can cost less, so the
+    On a problem with a ``lower_bound`` the rows are drawn in the growing
+    prefixes ``_BOUND_PREFIXES`` first, each evaluating only the rows the
+    one before did not, and the draw stops once the running best meets the
+    bound (``_meets_bound``).  By the samplers' prefix property the rows are
+    those of the one n batch, and no later row can cost less, so the
     decision and cost are the same bits.  A cost below the bound raises
     ``OracleError``.  A problem without a bound draws one batch of n.
     """
-    bound = problem.lower_bound
-    sizes = [n] if bound is None else \
+    sizes = [n] if problem.lower_bound is None else \
         [m for m in _BOUND_PREFIXES if 4 * m <= n] + [n]
     best, cost, done = None, math.inf, 0
     for m in sizes:
-        rows = problem.space.sample(seed, m, path=(tag,), start=done)
+        rows = problem.space.sample(seed, m, path=(tag,))[done:]
         costs = problem.evaluate_batch(rows)
         i = int(np.argmin(costs))
         if costs[i] < cost:
             best, cost = rows[i].copy(), float(costs[i])
         done = m
-        if bound is not None and cost <= bound:
+        if _meets_bound(problem, cost):
             break
     _check_bound(problem, cost)
     return best, cost, done
+
+
+def _meets_bound(problem: Problem, cost: float) -> bool:
+    """Whether ``cost`` reaches the problem's ``lower_bound``, so that no
+    decision can cost less."""
+    return problem.lower_bound is not None and cost <= problem.lower_bound
 
 
 def _check_bound(problem: Problem, cost: float) -> None:

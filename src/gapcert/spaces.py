@@ -54,10 +54,8 @@ class BoxSpace:
     def cardinality(self) -> int | None:
         return None
 
-    def sample(self, seed: int, n: int, path: tuple[int, ...] = (),
-               start: int = 0) -> np.ndarray:
-        """Samples start..n-1 of the n seeded at (seed, path)."""
-        u = _rng.uniform_block(seed, path, n, self.dim, start)
+    def sample(self, seed: int, n: int, path: tuple[int, ...] = ()) -> np.ndarray:
+        u = _rng.uniform_block(seed, path, n, self.dim)
         return self.lower + u * (self.upper - self.lower)
 
     def contains(self, decision):
@@ -104,20 +102,18 @@ class PermutationSpace:
     def cardinality(self) -> int:
         return math.factorial(self.n_items)
 
-    def sample(self, seed: int, n: int, path: tuple[int, ...] = (),
-               start: int = 0) -> np.ndarray:
-        """Samples start..n-1 of the n seeded at (seed, path)."""
+    def sample(self, seed: int, n: int, path: tuple[int, ...] = ()) -> np.ndarray:
         k = self.n_items
         m = min(k, _SHUFFLE_ITEMS)
-        u = _rng.uniform_block(seed, path, n, k - 1, start)
-        code = np.zeros(len(u), dtype=np.intp)
+        u = _rng.uniform_block(seed, path, n, k - 1)
+        code = np.zeros(int(n), dtype=np.intp)
         for j in range(m - 1, 0, -1):
             code *= j + 1
             code += (u[:, k - 1 - j] * (j + 1)).astype(np.intp)  # uniform on 0..j
         order = _shuffles(m).take(code, axis=0)
         if k == m:
             return order.astype(np.intp)
-        perms = np.tile(np.arange(k), (len(u), 1))
+        perms = np.tile(np.arange(k), (int(n), 1))
         flat = perms.reshape(-1)
         row_start = np.arange(0, flat.size, k)
         for j in range(k - 1, m - 1, -1):

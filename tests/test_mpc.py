@@ -718,31 +718,6 @@ class TestAnnulusRefill:
                 space._candidates(mpc._rng.uniform_block(i, path, n, 2))).all()
         assert refilled > 500   # refill rounds run for many of these centres
 
-    def test_rows_from_start_are_the_tail(self):
-        # centres within 0.2 m of a workspace edge, where refills run
-        centers = [c for c in self.centers()
-                   if min(abs(c[0] - mpc.X_MIN), abs(c[0] - mpc.X_MAX),
-                          abs(c[1] - mpc.Y_MIN), abs(c[1] - mpc.Y_MAX)) <= 0.2]
-        assert len(centers) >= 100
-        refilled = 0
-        for i, c in enumerate(centers[:100]):
-            n = (2, 33, 300, 2000)[i % 4]
-            path = () if i % 3 else (i % 5,)
-            space = AnnulusSpace(c)
-            try:
-                whole = space.sample(i, n, path)
-            except RuntimeError:   # a ring that barely meets the workspace
-                continue
-            for start in (1, 32, 256, n // 2, n):
-                if start > n:
-                    continue
-                got = space.sample(i, n, path, start=start)
-                assert np.array_equal(got.view(np.int64),
-                                      whole[start:].view(np.int64)), (c, start)
-            first = space._candidates(mpc._rng.uniform_block(i, path, n, 2))
-            refilled += not space._in_box(first[n // 2:]).all()
-        assert refilled > 50
-
     def test_ring_off_the_workspace_raises_the_same_error(self):
         for center in ((5.0, 5.0), (-1.9, 0.0)):
             space = AnnulusSpace(center)

@@ -1,5 +1,6 @@
 """Ground-truth oracles: exact enumeration and sampled local refinement."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -676,3 +677,33 @@ class TestGapSolve:
         family = ProblemFamily(build=lambda seed: high, description="high")
         with pytest.raises(OracleError, match="too-high.*lower bound"):
             sample_gap(family, 300, OracleConfig(), 0)
+
+
+class TestRefineMinBetweenPrefixes:
+    """At an n0 from 33 to 1023 the prefix rule 4 m <= n0 leaves out the
+    256-row prefix: at n0 = 300 a bounded ``refine_min`` checks the bound
+    after 32 rows and then after all 300, so an instance first meeting it
+    within rows 33-256 reports 300 evaluations.  Value, minimizer and
+    converged are those of the search without the bound."""
+
+    def test_n0_300(self, gate_problems):
+        evaluations = {}
+        for seed, problem in zip(GATE_SEEDS[:300], gate_problems):
+            rows = []
+
+            def cost(w, problem=problem):
+                rows.append(len(w))
+                return problem.batch_cost(w)
+
+            a = refine_min(dataclasses.replace(problem, batch_cost=cost),
+                           n0=300, seed=seed)
+            b = refine_min(_bound_free(problem), n0=300, seed=seed)
+            assert (a.value, a.minimizer.tolist(), a.converged) == \
+                (b.value, b.minimizer.tolist(), b.converged), seed
+            assert a.evaluations == sum(rows), seed
+            evaluations[seed] = a.evaluations
+        # 265 meet the bound within 32 rows and 21 within 300; 14 descend
+        assert collections.Counter(evaluations.values()) == \
+            {32: 265, 300: 21, 368: 11, 796: 1, 1010: 2}
+        assert [s for s in GATE_SEEDS[:120] if evaluations[s] == 300] == \
+            [33, 55, 68, 100, 103, 114]

@@ -40,23 +40,6 @@ def test_box_prefix_property():
     assert np.array_equal(small, large[:100])
 
 
-@pytest.mark.parametrize("space", [
-    BoxSpace([-2.0, 0.0, 10.0], [-1.0, 5.0, 11.0]),
-    *(PermutationSpace(k) for k in (2, 5, 9, 10, 12)), TourSpace(7)],
-    ids=lambda space: f"{type(space).__name__}-{getattr(space, 'n_items', 3)}")
-def test_sample_from_start_is_the_tail(space):
-    # permutations of at most _SHUFFLE_ITEMS items, and of more
-    for n in (0, 1, 33, 300, 2000):
-        for start in sorted({0, 1, 31, 32, 256, n // 2, n}):
-            if start > n:
-                continue
-            for seed, path in ((0, ()), (2**63 + 5, (_rng.SOLVE, 9))):
-                got = space.sample(seed, n, path=path, start=start)
-                want = space.sample(seed, n, path=path)[start:]
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got, want), (n, start, seed)
-
-
 def test_box_rows_equal_single_points():
     space = BoxSpace([-2.0, 0.0, 10.0], [-1.0, 5.0, 11.0])
     rng = np.random.default_rng(4)
