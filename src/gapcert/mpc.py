@@ -24,10 +24,20 @@ moves at most ``REACH`` = ``HORIZON * V_MAX * DT`` (0.033 m) plus
 ``REACH`` of it (``_horizon_clear``), no waypoint's rollout can break the
 barrier, so the cost kernel skips the rollout; the costs are the same bits.
 92.3% of sampled environments are clear (4,617 of seeds 0-4,999); in the
-others only waypoints in reachable cells are rolled out.  ``rollout_feasible``
-and ``write_rollout_trace`` always run the rollout.
+others only waypoints in reachable cells are rolled out.
+
+The first step moves the agent at most ``V_MAX * DT`` (6.6 mm).  When the
+uncontrolled agent is closer than ``SAFETY_RADIUS - V_MAX * DT -
+REACH_SLACK`` to the start (``_horizon_doomed``), every first predicted
+position lies inside the safety radius or in an obstacle cell, so every
+waypoint's rollout breaks the barrier at its first step and every waypoint
+costs the penalty: the cost kernel fills it without a rollout, the same
+bits.  1.5% of sampled environments are doomed (77 of seeds 0-4,999); none
+is both clear and doomed.  ``rollout_feasible`` and ``write_rollout_trace``
+always run the rollout.
 
 Each problem of ``mpc_family`` carries a ``lower_bound`` (``_ring_bound``):
+the penalty on a doomed start, where every waypoint costs it, and otherwise
 the least cost of the cells whose closed rectangle meets the waypoint ring.
 A waypoint costs its cell's cost or the larger penalty, so none costs less,
 on any start.  The cells are widened by ``BOUND_SLACK`` (1e-9), which covers
@@ -180,6 +190,10 @@ class Environment:
     # slot, for points outside the workspace
     cell_costs: np.ndarray = field(init=False, repr=False)
     start_clear: bool = field(init=False, repr=False)  # _horizon_clear(x_a)
+    # _horizon_doomed(x_a): the other agent is closer than SAFETY_RADIUS -
+    # V_MAX * DT - REACH_SLACK, so every waypoint costs PENALTY
+    # (77 of seeds 0-4,999; 4,617 are clear)
+    start_doomed: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         so = set(self.so_cells)
@@ -199,8 +213,9 @@ class Environment:
         object.__setattr__(self, "so_flat", flat)
         object.__setattr__(self, "goal_dist", dist)
         object.__setattr__(self, "cell_costs", costs)
-        object.__setattr__(self, "start_clear",
-                           _horizon_clear(_state_array(self.x_a), self))
+        x_a = _state_array(self.x_a)
+        object.__setattr__(self, "start_clear", _horizon_clear(x_a, self))
+        object.__setattr__(self, "start_doomed", _horizon_doomed(x_a, self))
 
 
 def _goal_distance_field(so_mask: np.ndarray,
@@ -326,15 +341,21 @@ def augmented_cost_batch(waypoints: np.ndarray, env: Environment,
     rows cost the penalty whatever the rollout says, so only the other rows
     are rolled out, and the unsafe ones among them get the penalty.  The
     rollout is skipped when ``_horizon_clear`` proves that it is feasible for
-    every waypoint; for the environment's own start (``x_k`` None) that flag
-    is ``env.start_clear``."""
+    every waypoint, and when ``_horizon_doomed`` proves that it fails at the
+    first step for every waypoint (the other agent closer than
+    ``SAFETY_RADIUS - V_MAX * DT - REACH_SLACK``; 77 of seeds 0-4,999), where
+    every row gets the penalty.  For the environment's own start (``x_k``
+    None) the flags are ``env.start_clear`` and ``env.start_doomed``."""
     w = np.atleast_2d(np.asarray(waypoints, dtype=float))
-    costs = env.cell_costs.take(_flat_cell(w[:, 0], w[:, 1]))
     if x_k is None:
-        x_k, clear = env.x_a, env.start_clear
+        x_k, clear, doomed = env.x_a, env.start_clear, env.start_doomed
     else:
         x_k = _state_array(x_k)
         clear = _horizon_clear(x_k, env)
+        doomed = _horizon_doomed(x_k, env)
+    if doomed:
+        return np.full(len(w), PENALTY)
+    costs = env.cell_costs.take(_flat_cell(w[:, 0], w[:, 1]))
     if not clear:
         reachable = np.flatnonzero(costs != PENALTY)
         feasible = np.logical_and.reduce(
@@ -369,10 +390,33 @@ def _horizon_clear(x_k, env: Environment) -> bool:
     return not env.so_mask[r0:r1 + 1, c0:c1 + 1].any()
 
 
+def _horizon_doomed(x_k, env: Environment) -> bool:
+    """True when the barrier provably fails at the rollout's first step from
+    x_k, whatever the waypoint.
+
+    ``_control`` saturates |v| at ``V_MAX``, so the first predicted position
+    lies within ``V_MAX * DT`` (plus ``REACH_SLACK`` for rounding) of x_k.
+    When the uncontrolled agent is closer than ``SAFETY_RADIUS`` less that
+    step, the position is inside the safety radius, and the barrier there is
+    negative: the distance less the radius, or ``OBSTACLE_BARRIER`` in an
+    obstacle cell.  A non-finite start is never doomed.
+    """
+    x, y, theta = x_k[:3].tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+        return False
+    ox, oy = env.x_o[:2].tolist()
+    return (math.hypot(x - ox, y - oy) + V_MAX * DT + REACH_SLACK
+            < SAFETY_RADIUS)
+
+
 def _ring_bound(env: Environment) -> float:
-    """The ``lower_bound`` of the environment's waypoint ring: the least cost
-    of the cells, widened by ``BOUND_SLACK``, whose nearest point lies within
-    ``ANNULUS_MAX + RADIUS_TOL + BOUND_SLACK`` of the ring's centre."""
+    """The ``lower_bound`` of the environment's waypoint ring: ``PENALTY`` on
+    a doomed start (``env.start_doomed``), where every waypoint costs it, and
+    otherwise the least cost of the cells, widened by ``BOUND_SLACK``, whose
+    nearest point lies within ``ANNULUS_MAX + RADIUS_TOL + BOUND_SLACK`` of
+    the ring's centre."""
+    if env.start_doomed:
+        return PENALTY
     lo, hi = _CELL_LO - env.x_a[:2], _CELL_HI - env.x_a[:2]
     near = np.hypot(*np.maximum(np.maximum(lo, -hi), 0.0).T)
     meets = near <= ANNULUS_MAX + RADIUS_TOL + BOUND_SLACK

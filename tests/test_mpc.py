@@ -209,10 +209,13 @@ class TestGridAndBarrier:
             Environment(x_a=np.zeros(3), x_o=np.zeros(2),
                         so_cells=((0, 0),), goal_cells=((0, 0),), seed=0)
 
-    @pytest.mark.parametrize("name", ["so_mask", "goal_dist"])
+    @pytest.mark.parametrize("name", ["so_mask", "so_flat", "goal_dist",
+                                      "cell_costs", "start_clear",
+                                      "start_doomed"])
     def test_derived_tables_are_not_arguments(self, name):
-        """The obstacle mask and goal distances follow from the cells; an
-        argument for either would be overwritten, so it is refused."""
+        """The obstacle tables, goal distances, cell costs and start flags
+        follow from the other fields; an argument for any of them would be
+        overwritten, so it is refused."""
         with pytest.raises(TypeError, match=name):
             Environment(x_a=np.zeros(3), x_o=np.zeros(2), so_cells=(),
                         goal_cells=((0, 0),), seed=0,
@@ -412,6 +415,17 @@ def full_rollout_cost(w, env, x_k):
     return np.where(feasible & (s < UNREACHABLE), s, mpc.PENALTY)
 
 
+def per_row_cost(w, env, x_k) -> list:
+    """The waypoint cost row by row, from ``rollout_feasible`` and
+    ``shortest_goal_distance``."""
+    out = []
+    for row in w:
+        feasible = rollout_feasible(x_k, row, env)
+        d = shortest_goal_distance(row, env)
+        out.append(d if feasible and d < UNREACHABLE else mpc.PENALTY)
+    return out
+
+
 def count_rollouts(monkeypatch) -> list:
     calls = []
     rollout = mpc._rollout
@@ -538,6 +552,106 @@ class TestHorizonSkip:
         w = AnnulusSpace(env.x_a[:2]).sample(6, 20)
         assert (augmented_cost_batch(w, env) == mpc.PENALTY).all()
         assert len(calls) == 1
+
+
+# the other agent's distance below which every start is doomed
+DOOM_MARGIN = mpc.SAFETY_RADIUS - mpc.V_MAX * mpc.DT - mpc.REACH_SLACK
+
+
+@pytest.fixture(scope="module")
+def doomed_environments():
+    """Every doomed start among seeds 0-4,999, and the number of clear ones."""
+    envs = [sample_environment(seed) for seed in range(5000)]
+    assert not any(env.start_clear and env.start_doomed for env in envs)
+    return ([env for env in envs if env.start_doomed],
+            sum(env.start_clear for env in envs))
+
+
+def ring_waypoints(env):
+    """Dense waypoints of the ring around the start: 360 angles, and the
+    direction straight away from the other agent, each at both ring radii
+    and three radii between."""
+    angles = np.linspace(0.0, 2 * math.pi, 360, endpoint=False)
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    away = env.x_a[:2] - env.x_o
+    unit = np.concatenate([unit, [away / np.hypot(*away)]])
+    radii = np.linspace(mpc.ANNULUS_MIN, mpc.ANNULUS_MAX, 5)
+    return np.concatenate([env.x_a[:2] + r * unit for r in radii])
+
+
+class TestHorizonDoom:
+    """``_horizon_doomed``: when the other agent is within ``DOOM_MARGIN``
+    of the start, every waypoint's rollout breaks the barrier at its first
+    step, so ``augmented_cost_batch`` gives every row the penalty without a
+    rollout, and ``_ring_bound`` is the penalty."""
+
+    def test_share_of_sampled_environments(self, doomed_environments):
+        doomed, clear = doomed_environments
+        assert (len(doomed), clear) == (77, 4617)
+
+    def test_first_step_breaks_the_barrier(self, doomed_environments):
+        for env in doomed_environments[0]:
+            w = ring_waypoints(env)
+            *_, h = next(mpc._rollout(env.x_a, w, env))
+            assert (h < 0.0).all(), env.seed
+            assert mpc._ring_bound(env) == mpc.PENALTY
+
+    @pytest.mark.parametrize("angle", [0.0, 1.0, 2.5, -2.0])
+    def test_flag_flips_at_the_margin(self, angle):
+        direction = np.array([math.cos(angle), math.sin(angle)])
+        inside = open_environment(x_o=(DOOM_MARGIN - 1e-6) * direction)
+        outside = open_environment(x_o=(DOOM_MARGIN + 1e-6) * direction)
+        assert inside.start_doomed and not inside.start_clear
+        assert not outside.start_doomed and not outside.start_clear
+        # the margin is tight: just outside it, backing straight away from
+        # the other agent keeps the barrier at the first step
+        w = -mpc.ANNULUS_MAX * direction[None, :]
+        start = np.array([0.0, 0.0, angle])
+        *_, h = next(mpc._rollout(start, w, outside))
+        assert h[0] >= 0.0
+
+    def test_costs_equal_the_per_row_rollout(self, monkeypatch,
+                                             doomed_environments):
+        # each doomed environment at its own start, given and not, and the
+        # origin as a given start on a clear environment whose other agent
+        # is 0.11 m from it
+        other = open_environment(x_a=(-0.5, -0.5, 0.0), x_o=(0.1, 0.05))
+        assert other.start_clear and mpc._horizon_doomed(np.zeros(3), other)
+        cases = []
+        for env in doomed_environments[0]:
+            w = AnnulusSpace(env.x_a[:2]).sample(env.seed, 40)
+            cases += [(w, env, None, env.x_a), (w, env, env.x_a, env.x_a),
+                      (w - env.x_a[:2], other, np.zeros(3), np.zeros(3))]
+        calls = count_rollouts(monkeypatch)
+        got = [augmented_cost_batch(w, env, x_k) for w, env, x_k, _ in cases]
+        assert calls == []
+        monkeypatch.undo()
+        for costs, (w, env, _, start) in zip(got, cases):
+            want = per_row_cost(w, env, start)
+            assert costs.dtype == np.float64
+            assert costs.tolist() == want == [mpc.PENALTY] * len(w), env.seed
+
+    def test_start_doomed_is_the_start_states_flag(self):
+        for seed in range(60):
+            env = sample_environment(seed)
+            assert env.start_doomed == mpc._horizon_doomed(env.x_a, env)
+        assert open_environment(x_o=(0.1, 0.0)).start_doomed
+        assert not open_environment().start_doomed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("x_k", [
+        (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan),
+        (0.0, 0.0, -math.inf), (-math.inf, 0.0, 0.0)])
+    def test_non_finite_start_is_never_doomed(self, monkeypatch, x_k):
+        env = open_environment(x_o=(0.0, 0.0))
+        assert env.start_doomed
+        assert not mpc._horizon_doomed(np.asarray(x_k), env)
+        calls = count_rollouts(monkeypatch)
+        w = AnnulusSpace(env.x_a[:2]).sample(6, 20)
+        got = augmented_cost_batch(w, env, x_k)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert np.array_equal(got, full_rollout_cost(w, env, np.asarray(x_k)))
 
 
 class TestCellCostTable:

@@ -528,6 +528,36 @@ class TestRingBound:
         assert sum(not mpc.sample_environment(seed).start_clear
                    for seed in GATE_SEEDS) >= 200
 
+    def test_gate_has_doomed_starts(self):
+        # the comparisons with the bound-free search cover the penalty bound
+        assert sum(mpc.sample_environment(seed).start_doomed
+                   for seed in GATE_SEEDS) >= 40
+
+    def test_penalty_on_doomed_starts_else_the_least_ring_cell_cost(
+            self, gate_problems):
+        # each cell's nearest point to the ring's centre, by scalar clamps;
+        # cells widened by BOUND_SLACK, the ring by RADIUS_TOL + BOUND_SLACK
+        reach = mpc.ANNULUS_MAX + mpc.RADIUS_TOL + mpc.BOUND_SLACK
+        doomed = 0
+        for seed, problem in zip(GATE_SEEDS, gate_problems):
+            env = mpc.sample_environment(seed)
+            cx, cy = env.x_a[:2].tolist()
+            least = mpc.PENALTY
+            for f in range(mpc.ROWS * mpc.COLS):
+                row, col = divmod(f, mpc.COLS)
+                x0 = mpc.X_MIN + col * mpc.CELL_W - mpc.BOUND_SLACK
+                y0 = mpc.Y_MIN + row * mpc.CELL_H - mpc.BOUND_SLACK
+                x1 = x0 + (mpc.CELL_W + 2 * mpc.BOUND_SLACK)
+                y1 = y0 + (mpc.CELL_H + 2 * mpc.BOUND_SLACK)
+                near = math.hypot(max(x0 - cx, cx - x1, 0.0),
+                                  max(y0 - cy, cy - y1, 0.0))
+                if near <= reach:
+                    least = min(least, float(env.cell_costs[f]))
+            want = mpc.PENALTY if env.start_doomed else least
+            assert problem.lower_bound == want, seed
+            doomed += env.start_doomed and least < mpc.PENALTY
+        assert doomed >= 40  # the penalty raised the bound on these
+
     @pytest.mark.parametrize("cap", [None, 1, 5, 16, 17, 18])
     @pytest.mark.parametrize("n0", [2000, 3])
     def test_same_result_as_without_the_bound(self, monkeypatch, gate_problems,
@@ -702,8 +732,9 @@ class TestRefineMinBetweenPrefixes:
                 (b.value, b.minimizer.tolist(), b.converged), seed
             assert a.evaluations == sum(rows), seed
             evaluations[seed] = a.evaluations
-        # 265 meet the bound within 32 rows and 21 within 300; 14 descend
+        # 271 meet the bound within 32 rows, the 6 doomed starts among them,
+        # and 21 within 300; 8 descend
         assert collections.Counter(evaluations.values()) == \
-            {32: 265, 300: 21, 368: 11, 796: 1, 1010: 2}
+            {32: 271, 300: 21, 368: 5, 796: 1, 1010: 2}
         assert [s for s in GATE_SEEDS[:120] if evaluations[s] == 300] == \
             [33, 55, 68, 100, 103, 114]
