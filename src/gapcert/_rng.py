@@ -29,6 +29,8 @@ n_p (MPC_FIG4_BASE).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -112,6 +114,15 @@ def uniform_block(seed: int, path: tuple[int, ...], n: int, width: int) -> np.nd
     first n' rows are identical for any n >= n' (prefix property).
     """
     return stream(seed, *path).random((int(n), int(width)))
+
+
+def uniform_blocks(seed: int, path: tuple[int, ...], n: int, width: int,
+                   rows: int) -> Iterator[np.ndarray]:
+    """``uniform_block(seed, path, n, width)`` as consecutive blocks of at
+    most ``rows`` rows, drawn one at a time from the same stream."""
+    gen, n = stream(seed, *path), int(n)
+    for start in range(0, n, rows):
+        yield gen.random((min(rows, n - start), int(width)))
 
 
 def child_seed(seed: int, *path: int) -> int:

@@ -100,6 +100,14 @@ def variance_of_costs(model: VarianceModel, costs: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(costs - left), np.abs(costs - right))
 
 
+def _problem_of(model: VarianceModel) -> Problem:
+    """The problem that scores a model's fresh decisions."""
+    if model.problem is None:
+        raise DomainError("the variance model has no problem to evaluate "
+                          "decisions with; pass problem= to subsample_info")
+    return model.problem
+
+
 def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
                 seed: int) -> GapCertificate:
     """Second percentile pass: the max variance over n_v fresh uniform draws,
@@ -112,10 +120,9 @@ def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
     _check_count("n_v", n_v)
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
-    problem = model.problem
-    decisions = problem.space.sample(seed, n_v, path=(_rng.CERTIFY,))
-    # np.sort copies: the batch may be the cost kernel's own array
-    costs = np.sort(problem.evaluate_batch(decisions))
+    problem = _problem_of(model)
+    # np.sort copies: the costs may be the cost kernel's own array
+    costs = np.sort(problem.sample_costs(seed, n_v, (_rng.CERTIFY,)))
     v_star = float(variance_of_costs(model, costs).max())
     warn = epsilon > 0 and n_v < min_samples(epsilon, 0.95)
     return GapCertificate(
@@ -176,10 +183,10 @@ def exceedance_probability(model: VarianceModel, threshold: float,
     m, seed)`` (m and seed are then unused).  The result does not depend on
     the order of ``costs``, which is read and never written.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
     if costs is None:
-        costs = exceedance_costs(model.problem, m, seed)
+        costs = exceedance_costs(_problem_of(model), m, seed)
     return float((variance_of_costs(model, costs) > threshold).mean())
 
 

@@ -63,7 +63,9 @@ class Problem:
     growing prefixes, each evaluating only its new rows, and stops as soon
     as a sample meets the bound, for both of its users: the percentile solve
     of ``sample_gap`` and ``refine_min``'s n0 samples.  A cost below it
-    raises ``OracleError``.
+    raises ``OracleError``.  On a ``TourSpace`` the cost must not change
+    under rotation or reversal of a tour: ``enumeration`` and
+    ``sample_costs`` read one cost per class.
     """
 
     space: object
@@ -110,7 +112,22 @@ class Problem:
         if m is None:
             raise DomainError("a continuous space needs a sample count m >= 1")
         _check_count("m", m)
-        return self.evaluate_batch(self.space.sample(seed, m, path=(tag,)))
+        return self.sample_costs(seed, m, (tag,))
+
+    def sample_costs(self, seed: int, n: int,
+                     path: tuple[int, ...] = ()) -> np.ndarray:
+        """The costs of ``space.sample(seed, n, path)``.
+
+        Once ``enumeration`` is cached on a tour space of 3 to 9 waypoints,
+        each draw's cost is read from it at the draw's class
+        (``TourSpace.sample_classes``), with the bits of evaluating the drawn
+        tour.  Otherwise the draws are evaluated.  This never starts an
+        enumeration."""
+        space = self.space
+        if ("enumeration" in self.__dict__ and isinstance(space, TourSpace)
+                and space.class_sampling):
+            return self.enumeration[0].take(space.sample_classes(seed, n, path))
+        return self.evaluate_batch(space.sample(seed, n, path=path))
 
     def evaluate(self, decision) -> float:
         """The cost of one decision of ``space``; anything else is refused."""

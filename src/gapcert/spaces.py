@@ -106,11 +106,7 @@ class PermutationSpace:
         k = self.n_items
         m = min(k, _SHUFFLE_ITEMS)
         u = _rng.uniform_block(seed, path, n, k - 1)
-        code = np.zeros(int(n), dtype=np.intp)
-        for j in range(m - 1, 0, -1):
-            code *= j + 1
-            code += (u[:, k - 1 - j] * (j + 1)).astype(np.intp)  # uniform on 0..j
-        order = _shuffles(m).take(code, axis=0)
+        order = _shuffles(m).take(_shuffle_codes(u, m), axis=0)
         if k == m:
             return order.astype(np.intp)
         perms = np.tile(np.arange(k), (int(n), 1))
@@ -143,10 +139,39 @@ class TourSpace(PermutationSpace):
 
     Sampling, membership, cardinality (n!) and ``enumerate`` are those of the
     permutation space.  A tour's cost does not change under rotation or
-    reversal, so exact quantities only need one tour per class.  Those
-    canonical tours do not depend on the waypoints: each n's table is built
-    once, on first use, and shared read-only by every tour space of that n.
+    reversal, so exact quantities only need one tour per class, and a sampled
+    tour's cost is its class's (``sample_classes``).  Those canonical tours,
+    and the class of each shuffle, do not depend on the waypoints: each n's
+    table is built once, on first use, and shared read-only by every tour
+    space of that n.
     """
+
+    @property
+    def class_sampling(self) -> bool:
+        """Whether ``sample_classes`` is defined: 3 to 9 waypoints."""
+        return 3 <= self.n_items <= _SHUFFLE_ITEMS
+
+    def sample_classes(self, seed: int, n: int,
+                       path: tuple[int, ...] = ()) -> np.ndarray:
+        """For each row ``sample(seed, n, path)`` returns, the index of its
+        canonical tour in ``enumerate_canonical`` order, uint16 (n,).
+
+        Each row's class is read from its shuffle code in a cached table
+        (``_tour_classes``), so no tour is decoded.  Each class holds 2n of
+        the n! codes, so the classes of uniform codes are uniform.  The
+        uniforms are drawn in blocks, so no (n, n-1) array is held.
+        """
+        if not self.class_sampling:
+            raise SpaceError(f"sample_classes needs 3 to {_SHUFFLE_ITEMS} "
+                             f"waypoints, got {self.n_items}")
+        k = self.n_items
+        table = _tour_classes(k)
+        classes = np.empty(int(n), dtype=np.uint16)
+        start = 0
+        for u in _rng.uniform_blocks(seed, path, n, k - 1, _CLASS_BLOCK):
+            classes[start:start + len(u)] = table.take(_shuffle_codes(u, k))
+            start += len(u)
+        return classes
 
     def enumerate_canonical(self) -> Iterator[np.ndarray]:
         """Yield one tour per rotation/reversal class, in lexicographic order:
@@ -209,6 +234,52 @@ def _shuffles(m: int) -> np.ndarray:
             block[:, :-1] = smaller
             block[:, -1] = r
             block[:, :-1][smaller == r] = m - 1
+    table.flags.writeable = False
+    return table
+
+
+def _shuffle_codes(u: np.ndarray, m: int) -> np.ndarray:
+    """Each row's index into ``_shuffles(m)``: the swap indices of the last
+    m-1 Fisher-Yates steps, read from the row's uniforms (k-1 columns for k
+    items, column k-1-j for step j) and folded into one mixed-radix number."""
+    k = u.shape[1] + 1
+    code = np.zeros(len(u), dtype=np.intp)
+    for j in range(m - 1, 0, -1):
+        code *= j + 1
+        code += (u[:, k - 1 - j] * (j + 1)).astype(np.intp)  # uniform on 0..j
+    return code
+
+
+# Rows per block of a class table build and of ``sample_classes``, which
+# keeps their temporaries under 1 MB.
+_CLASS_BLOCK = 8192
+
+
+@lru_cache(maxsize=None)
+def _tour_classes(k: int) -> np.ndarray:
+    """The class of every shuffle of ``_shuffles(k)``, as its canonical
+    tour's index in ``enumerate_canonical`` order: uint16 (k!,), read-only,
+    for 3 <= k <= 9 (726 KB at 9).
+
+    A shuffle's canonical tour is the shuffle rotated to start at 0, and
+    reversed after the 0 when its second stop exceeds its last.  Tours that
+    start at 0 order lexicographically as their base-k numbers, so a class's
+    index is its tour's number's position among the canonical tours'.
+    """
+    weights = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    canonical = np.concatenate([tours @ weights for tours in _canonical_tours(k)])
+    shuffles = _shuffles(k)
+    steps = np.arange(k, dtype=np.uint8)
+    table = np.empty(len(shuffles), dtype=np.uint16)
+    for start in range(0, len(shuffles), _CLASS_BLOCK):
+        rows = shuffles[start:start + _CLASS_BLOCK]
+        zero = rows.argmin(axis=1).astype(np.uint8)[:, None]
+        forward = np.take_along_axis(rows, (zero + steps) % k, axis=1)
+        backward = np.take_along_axis(rows, (zero + k - steps) % k, axis=1)
+        tours = np.where((forward[:, 1] < forward[:, -1])[:, None],
+                         forward, backward)
+        table[start:start + len(rows)] = np.searchsorted(canonical,
+                                                         tours @ weights)
     table.flags.writeable = False
     return table
 

@@ -30,7 +30,7 @@ from gapcert.certifier import (
 )
 from gapcert.mpc import mpc_family
 from gapcert.problems import make_tsp_problem, random_tsp_instance
-from gapcert.spaces import BoxSpace, PermutationSpace
+from gapcert.spaces import BoxSpace, PermutationSpace, TourSpace
 
 
 def linear_problem():
@@ -228,6 +228,72 @@ class TestCertifyGap:
         assert hi == sol.best.cost
         # not guaranteed, but overwhelmingly likely at these sample sizes
         assert lo <= truth.value <= hi
+
+
+class TestEnumeratedTours:
+    """On tours, certify_gap reads its draws' costs from an enumeration that
+    is already cached, and never starts one."""
+
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_same_certificate_before_and_after_enumeration(self, k):
+        instance = random_tsp_instance(k, seed=21)
+        fresh, enumerated = (make_tsp_problem(instance) for _ in range(2))
+        exhaustive_min(enumerated)
+        for n_v, seed in ((1, 0), (299, 5), (20_000, 2**63 + 7)):
+            certs = []
+            for problem in (fresh, enumerated):
+                sol = percentile_solve(problem, 100, seed=3)
+                model = subsample_info(sol.info, 0.1, seed=4, problem=problem)
+                certs.append(certify_gap(model, n_v, 0.01, seed))
+            assert certs[0] == certs[1]
+            assert np.float64(certs[0].v_star).tobytes() == \
+                np.float64(certs[1].v_star).tobytes()
+        assert "enumeration" not in fresh.__dict__
+
+    def test_never_enumerates(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("certify_gap enumerated the tours")
+
+        monkeypatch.setattr(TourSpace, "enumerate_canonical", never)
+        problem = make_tsp_problem(random_tsp_instance(9, seed=1))
+        sol = percentile_solve(problem, 100, seed=2)
+        model = subsample_info(sol.info, 0.1, seed=3, problem=problem)
+        cert = certify_gap(model, 139_257, 18 / 362_880, seed=4)
+        assert cert.v_star >= 0.0 and "enumeration" not in problem.__dict__
+
+
+class TestModelWithoutProblem:
+    """A model built without a problem cannot score fresh decisions."""
+
+    @staticmethod
+    def model():
+        problem = make_tsp_problem(random_tsp_instance(6, seed=2))
+        return subsample_info(percentile_solve(problem, 30, seed=1).info, 0.2, 3)
+
+    def test_certify_gap(self):
+        with pytest.raises(DomainError, match="pass problem= to subsample_info"):
+            certify_gap(self.model(), 10, 0.1, seed=1)
+
+    def test_exceedance_probability(self):
+        with pytest.raises(DomainError, match="pass problem= to subsample_info"):
+            exceedance_probability(self.model(), 0.1)
+
+    def test_exceedance_probability_of_given_costs(self):
+        model = self.model()
+        costs = np.array([model.d_costs[0], model.d_costs[0] + 1.0])
+        assert exceedance_probability(model, 0.0, costs=costs) == 0.5
+
+
+class TestThreshold:
+    def test_nan_threshold_is_refused(self):
+        problem = make_tsp_problem(random_tsp_instance(6, seed=2))
+        model = subsample_info(percentile_solve(problem, 30, seed=1).info, 0.2,
+                               3, problem=problem)
+        for threshold in (float("nan"), np.nan, -1.0):
+            with pytest.raises(DomainError, match="threshold must be >= 0"):
+                exceedance_probability(model, threshold)
+        assert exceedance_probability(model, float("inf")) == 0.0
+        assert exceedance_probability(model, 0.0) > 0.0
 
 
 class TestCertifySolution:

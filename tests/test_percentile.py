@@ -22,7 +22,7 @@ from gapcert import (
 )
 from gapcert.oracles import exhaustive_min
 from gapcert.problems import make_tsp_problem, random_tsp_instance
-from gapcert.spaces import BoxSpace, PermutationSpace
+from gapcert.spaces import BoxSpace, PermutationSpace, TourSpace
 
 
 def constant_problem(c=3.5):
@@ -242,6 +242,63 @@ def check_infoset_csv(path, info, dtype):
     manifest = path.with_suffix(".manifest.json").read_text(encoding="utf-8")
     assert json.loads(manifest) == {"seed": info.seed, "n_p": len(info),
                                     "decision_dtype": dtype}
+
+
+class TestSampleCosts:
+    """``sample_costs`` reads an enumerated tour space's costs at the draws'
+    classes, with the bits of evaluating the drawn tours."""
+
+    DRAWS = [(0, (), 0), (0, (), 1), (3, (_rng.CERTIFY,), 777),
+             (2**63 + 5, (3, 9), 8193), (11, (_rng.LEVEL_SET,), 20_000)]
+
+    @staticmethod
+    def evaluated(problem, seed, n, path):
+        return problem.evaluate_batch(problem.space.sample(seed, n, path=path))
+
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_bitwise_equal_to_evaluating_the_draws(self, k, monkeypatch):
+        tours = make_tsp_problem(random_tsp_instance(k, seed=k))
+        evaluated = []
+
+        def batch_cost(orders):
+            evaluated.append(len(orders))
+            return tours.batch_cost(orders)
+
+        problem = Problem(space=tours.space, batch_cost=batch_cost)
+        for seed, path, n in self.DRAWS:
+            got = problem.sample_costs(seed, n, path)
+            assert got.tobytes() == self.evaluated(tours, seed, n, path).tobytes()
+        exhaustive_min(problem)
+        want = [self.evaluated(tours, seed, n, path)
+                for seed, path, n in self.DRAWS]
+        evaluated.clear()
+        if k <= 9:  # the lookup decodes no tour and evaluates none
+            def never(*args, **kwargs):
+                raise AssertionError("draws decoded")
+
+            monkeypatch.setattr(PermutationSpace, "sample", never)
+        else:  # tsp-10 has no class table
+            monkeypatch.setattr(TourSpace, "sample_classes", None)
+        for (seed, path, n), costs in zip(self.DRAWS, want):
+            got = problem.sample_costs(seed, n, path)
+            assert got.dtype == np.float64 and got.tobytes() == costs.tobytes()
+        assert sum(evaluated) == (0 if k <= 9 else sum(n for *_, n in self.DRAWS))
+
+    def test_never_starts_an_enumeration(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("tours enumerated")
+
+        monkeypatch.setattr(TourSpace, "enumerate_canonical", never)
+        problem = make_tsp_problem(random_tsp_instance(9, seed=1))
+        problem.sample_costs(0, 50, (_rng.CERTIFY,))
+        assert "enumeration" not in problem.__dict__
+
+    def test_other_spaces_evaluate_their_draws(self):
+        problem = Problem(space=BoxSpace([0.0, 0.0], [1.0, 2.0]),
+                          batch_cost=lambda d: d.sum(axis=1))
+        got = problem.sample_costs(4, 300, (_rng.CERTIFY,))
+        assert got.tobytes() == self.evaluated(problem, 4, 300,
+                                               (_rng.CERTIFY,)).tobytes()
 
 
 def test_infoset_csv_tour_rows_and_manifest(tmp_path):

@@ -304,6 +304,38 @@ def test_tour_sample_working_memory():
     assert peak < 2.25 * out.nbytes, peak / out.nbytes
 
 
+def test_tour_class_table_working_memory():
+    # the shuffle and canonical tour tables are cached for sampling and
+    # enumeration anyway; an unblocked build would hold (9!, 9) index arrays
+    spaces._shuffles(9), spaces._canonical_tours(9)
+    tracemalloc.start()
+    try:
+        table = spaces._tour_classes.__wrapped__(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, spaces._tour_classes(9))
+    assert peak < 4 * table.nbytes, peak / table.nbytes
+
+
+def test_enumerated_tour_certificate_working_memory():
+    # the draws' costs are read from the enumeration, so certify_gap holds
+    # less than the (n_v, 9) tours the sample path would build
+    problem = make_tsp_problem(random_tsp_instance(9, 3))
+    gapcert.exhaustive_min(problem)
+    model = gapcert.subsample_info(gapcert.percentile_solve(problem, 1000, 3).info,
+                                   0.1, 1, problem=problem)
+    gapcert.certify_gap(model, 1000, 0.01, 4)  # builds the class table
+    n_v = 139_257
+    tracemalloc.start()
+    try:
+        gapcert.certify_gap(model, n_v, 18 / math.factorial(9), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_v * 9 * np.dtype(np.intp).itemsize, peak
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_canonical_tours_equal_reference_block_for_block(n):
     got = list(TourSpace(n).enumerate_canonical())
@@ -345,3 +377,60 @@ def test_canonical_tours_beyond_the_limit_are_refused(monkeypatch):
             TourSpace(11).enumerate_canonical()
     after = spaces._canonical_tours.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+# -- tour classes read from shuffle codes ------------------------------------
+
+def canonical_form(tours):
+    """Each tour rotated to start at 0, then reversed after the 0 when its
+    second stop exceeds its last, one row at a time."""
+    out = np.empty_like(tours)
+    for row, tour in zip(out, tours):
+        tour = np.roll(tour, -int(np.flatnonzero(tour == 0)[0]))
+        row[:] = tour if tour[1] < tour[-1] else np.r_[tour[:1], tour[:0:-1]]
+    return out
+
+
+def test_uniform_blocks_are_the_uniform_block_in_pieces():
+    for n, rows in ((0, 3), (1, 3), (12, 5), (15, 5), (15, 100)):
+        blocks = list(_rng.uniform_blocks(9, (2,), n, 4, rows))
+        assert [len(b) for b in blocks] == [min(rows, n - s)
+                                            for s in range(0, n, rows)]
+        got = np.concatenate(blocks) if blocks else np.empty((0, 4))
+        assert np.array_equal(got, _rng.uniform_block(9, (2,), n, 4))
+
+
+def test_tour_class_table_is_cached_read_only_uint16():
+    table = spaces._tour_classes(9)
+    assert table.dtype == np.uint16 and table.shape == (math.factorial(9),)
+    assert not table.flags.writeable and spaces._tour_classes(9) is table
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_each_tour_class_holds_2k_shuffle_codes(k):
+    # so a uniform code gives a uniform class
+    counts = np.bincount(spaces._tour_classes(k))
+    assert len(counts) == math.factorial(k - 1) // 2
+    assert (counts == 2 * k).all()
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_sampled_classes_index_the_canonical_form_of_the_samples(k):
+    space = TourSpace(k)
+    canonical = np.concatenate(list(space.enumerate_canonical()))
+    for seed, path, n in ((0, (), 0), (0, (), 1), (11, (_rng.CERTIFY,), 700),
+                          (2**63 + 5, (3, 9), spaces._CLASS_BLOCK + 1)):
+        classes = space.sample_classes(seed, n, path)
+        assert classes.dtype == np.uint16 and classes.shape == (n,)
+        assert np.array_equal(canonical[classes],
+                              canonical_form(space.sample(seed, n, path)))
+
+
+@pytest.mark.parametrize("k", (2, 10, 11))
+def test_sample_classes_needs_3_to_9_waypoints(k):
+    space = TourSpace(k)
+    assert not space.class_sampling
+    with pytest.raises(SpaceError, match="3 to 9"):
+        space.sample_classes(0, 5)
