@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _rng
-from .percentile import DomainError, InfoSet, PercentileSolution, Problem, \
-    _check_count, confidence_of, min_samples
+from .percentile import COUNT, FRACTION, PROBABILITY, DomainError, InfoSet, \
+    PercentileSolution, Problem, check, confidence_of, min_samples
 
 DEFAULT_CHI = 0.1
 DEFAULT_EPSILON = 0.01  # safe when the unknown exceedance probability p >= 1e-2
@@ -67,8 +67,7 @@ def subsample_info(info: InfoSet, chi: float, seed: int,
     (certify_gap, exceedance_probability); omit it only for cost-only
     inspection.
     """
-    if not 0.0 < chi <= 1.0:
-        raise DomainError(f"chi must be in (0, 1], got {chi}")
+    check(FRACTION, "chi", chi)
     if len(info) == 0:
         raise DomainError("cannot subsample an empty information set")
     k = max(1, int(math.floor(chi * len(info))))
@@ -117,9 +116,8 @@ def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
     independent of the information set even under seed reuse.  A warning flag
     is set when n_v is too small to reach 95% confidence at this epsilon.
     """
-    _check_count("n_v", n_v)
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
+    check(COUNT, "n_v", n_v)
+    check(PROBABILITY, "epsilon", epsilon)
     problem = _problem_of(model)
     # np.sort copies: the costs may be the cost kernel's own array
     costs = np.sort(problem.sample_costs(seed, n_v, (_rng.CERTIFY,)))

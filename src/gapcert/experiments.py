@@ -19,7 +19,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -33,8 +32,9 @@ from .certifier import DEFAULT_CHI, DEFAULT_EPSILON, certificate_to_json, \
     certify_model, certify_solution, exceedance_costs, exceedance_probability, \
     solution_model, subsample_info
 from .mpc import mpc_family
-from .percentile import ENUMERATION_LIMIT, Problem, confidence_of, \
-    min_samples, percentile_solve, write_infoset_csv
+from .percentile import CONFIDENCE, COUNT_FIELD, ENUMERATION_LIMIT, \
+    FRACTION, INTEGER, NUMBER, OBJECT, SEED, STRING, Problem, Rule, check, \
+    confidence_of, min_samples, percentile_solve, write_infoset_csv
 from .problems import BENCHMARK_NAMES, make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance
 from .repetitive import OracleConfig, ProblemFamily, iter_gap_samples
@@ -70,6 +70,27 @@ GAP_EXPERIMENTS = tuple(e for e in READS if "family" in READS[e])
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
+
+
+# The rule of each config field but experiment, family, oracle and check,
+# which are checked by their structure, and of each oracle key and check
+# bound (percentile.check).  Each of LISTS is a non-empty list of values
+# that meet the field's rule.  validate also needs m_validate >= 1.
+NULLABLE_STRING = STRING._replace(types=(str, type(None)))
+FIELD_RULES = {
+    "seed": SEED, "out_dir": STRING, "benchmark": NULLABLE_STRING,
+    "tsp_file": NULLABLE_STRING, "certificate": NULLABLE_STRING,
+    "n_p": COUNT_FIELD, "n_v": COUNT_FIELD, "trials": COUNT_FIELD,
+    "r": COUNT_FIELD, "mc_samples": COUNT_FIELD,
+    "m_validate": Rule(INTEGER, lambda v: v >= 0, "an integer >= 0"),
+    "tsp_random": Rule((*INTEGER, type(None)), lambda v: v is None or v >= 2,
+                       "an integer >= 2"),
+    "epsilon": FRACTION, "chi": FRACTION, "confidence": CONFIDENCE,
+    "chis": FRACTION, "n_p_list": COUNT_FIELD}
+LISTS, LIST = ("chis", "n_p_list"), Rule((list,), len, "a non-empty list")
+ORACLE_RULES = {"method": STRING, "n0": COUNT_FIELD, "gap_tolerance": Rule(
+    NUMBER, lambda v: v >= 0.0, "a number in [0, inf)")}
+BOUND = Rule(NUMBER, math.isfinite, "a number in (-inf, inf)")
 
 
 @dataclass
@@ -120,46 +141,27 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
-        _check_integer("seed", self.seed)
-        _check_real("seed", self.seed, lambda v: 0 <= v < 2**64, "[0, 2**64)")
-        for name in ("out_dir", "benchmark", "tsp_file", "certificate"):
-            value = getattr(self, name)
-            if not (isinstance(value, str)
-                    or (value is None and name != "out_dir")):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
+        for name, rule in FIELD_RULES.items():
+            values = getattr(self, name)
+            if name in LISTS:
+                check(LIST, name, values, ConfigError)
+            for value in values if name in LISTS else [values]:
+                check(rule, name, value, ConfigError)
+        if self.experiment == "validate":
+            check(COUNT_FIELD, "m_validate", self.m_validate, ConfigError)
         _check_bounds(self.check)
-        for name in ("n_p", "n_v", "trials", "r", "mc_samples"):
-            _check_integer(name, getattr(self, name), 1)
-        _check_integer("m_validate", self.m_validate,
-                       1 if self.experiment == "validate" else 0)
-        if self.tsp_random is not None:
-            _check_integer("tsp_random", self.tsp_random, 2)
-        _check_real("epsilon", self.epsilon, lambda v: 0.0 < v <= 1.0, "(0, 1]")
-        _check_real("chi", self.chi, lambda v: 0.0 < v <= 1.0, "(0, 1]")
-        _check_real("confidence", self.confidence, lambda v: 0.0 <= v < 1.0,
-                    "[0, 1)")
-        for name, values in (("chis", self.chis), ("n_p_list", self.n_p_list)):
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"{name} must be a non-empty list, got "
-                                  f"{values!r}")
-        for chi in self.chis:
-            _check_real("chis", chi, lambda v: 0.0 < v <= 1.0, "(0, 1]")
-        for n_p in self.n_p_list:
-            _check_integer("n_p_list", n_p, 1)
         n = str(self.family).removeprefix("tsp:")
         if self.family not in (None, "mpc", "uniform-gaps") and not (
                 str(self.family).startswith("tsp:") and n.isdecimal()
                 and int(n) >= 2):
             raise ConfigError(f"family must be 'mpc', 'uniform-gaps' or "
                               f"'tsp:<n>' with n >= 2, got {self.family!r}")
-        if not isinstance(self.oracle, dict):
-            raise ConfigError(f"oracle must be an object, got {self.oracle!r}")
-        unknown = set(self.oracle) - {"method", "n0", "gap_tolerance"}
+        check(OBJECT, "oracle", self.oracle, ConfigError)
+        unknown = set(self.oracle) - set(ORACLE_RULES)
         if unknown:
             raise ConfigError(f"unknown oracle fields: {sorted(unknown)}")
-        _check_integer("oracle.n0", self.oracle.get("n0", 1), 1)  # if set
-        _check_real("oracle.gap_tolerance", self.oracle.get("gap_tolerance", 0),
-                    lambda v: v >= 0.0, "[0, inf)")
+        for key, value in self.oracle.items():
+            check(ORACLE_RULES[key], f"oracle.{key}", value, ConfigError)
         reads = READS[self.experiment]
         unread = sorted(set(fields) - {"experiment", "seed", "out_dir",
                                        "check", *reads})
@@ -246,31 +248,15 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-def _check_integer(name: str, value, minimum: int | None = None) -> None:
-    """JSON integers only: a float such as 2.7, a string or a boolean is
-    refused, never truncated."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _check_real(name: str, value, in_range, interval: str) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not in_range(value)):
-        raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
-
-
-def _check_bounds(check) -> list[tuple[str, str, float]]:
+def _check_bounds(bounds) -> list[tuple[str, str, float]]:
     """The (summary field, "min" or "max", bound) of each ``check`` entry;
     each key ends in ``_min`` or ``_max`` and each bound is a finite number."""
-    if not isinstance(check, dict):
-        raise ConfigError(f"check must be an object, got {check!r}")
-    for key, bound in check.items():
+    check(OBJECT, "check", bounds, ConfigError)
+    for key, bound in bounds.items():
         if not (isinstance(key, str) and key.endswith(("_min", "_max"))):
             raise ConfigError(f"check key {key!r} must end with _min or _max")
-        _check_real(f"check.{key}", bound, math.isfinite, "(-inf, inf)")
-    return [(key[:-4], key[-3:], bound) for key, bound in check.items()]
+        check(BOUND, f"check.{key}", bound, ConfigError)
+    return [(key[:-4], key[-3:], bound) for key, bound in bounds.items()]
 
 
 @dataclass
@@ -408,8 +394,7 @@ def read_config(path=None, **overrides) -> dict:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("the config file must hold a JSON object")
+        check(OBJECT, "the config file", raw, ConfigError)
     return {**raw, **{k: v for k, v in overrides.items() if v is not None}}
 
 
@@ -648,7 +633,7 @@ def _stored_certificate(cfg: ExperimentConfig, out: Path):
     try:
         cert = repetitive.certificate_from_json(
             cert_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"certificate {cert_path}: {type(exc).__name__}: "
                           f"{exc}") from exc
     family = cfg.problem_family
@@ -704,7 +689,7 @@ def apply_check(report: RunReport) -> list[str]:
         for label, v in items:
             if v is None:
                 failures.append(f"{label}: no value to check")
-            elif not isinstance(v, numbers.Real):
+            elif not isinstance(v, NUMBER):
                 failures.append(f"{label}: {v!r} is not a number")
             elif op == "min" and float(v) < float(bound):
                 failures.append(f"{label}: {v} < required minimum {bound}")

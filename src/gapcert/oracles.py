@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .percentile import DomainError, OracleError, Problem, _check_bound, \
-    _check_count, _meets_bound, best_of
+from .percentile import COUNT, DomainError, OracleError, Problem, \
+    _check_bound, _meets_bound, best_of, check
 
 FD_START = 0.05
 FD_FLOOR = 1e-6
@@ -110,7 +110,7 @@ def refine_min(problem: Problem, n0: int = 2000, seed: int = 0) -> OracleResult:
     the space costs less, so the descent would make one pass without a move.
     A cost below the bound raises ``OracleError``.
     """
-    _check_count("n0", n0)
+    check(COUNT, "n0", n0)
     space = problem.space
     if not hasattr(space, "bounds") or not hasattr(space, "project"):
         raise DomainError("refine_min needs a space with bounds and projection")

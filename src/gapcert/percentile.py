@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class Problem:
             return self.enumeration[0]
         if m is None:
             raise DomainError("a continuous space needs a sample count m >= 1")
-        _check_count("m", m)
+        check(COUNT, "m", m)
         return self.sample_costs(seed, m, (tag,))
 
     def sample_costs(self, seed: int, n: int,
@@ -178,19 +178,41 @@ class PercentileSolution:
     info: InfoSet
 
 
-def _check_count(name: str, n) -> None:
-    """Refuse a sample count that is not a positive Python or numpy integer;
-    a bool or a whole float is not a count."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"{name} must be a positive integer, got {n!r}")
+class Rule(NamedTuple):
+    """How ``check`` tests a value read from outside: its types (the first
+    is the one it converts to), its range, and the words for both."""
+    types: tuple
+    in_range: Callable
+    what: str
+
+
+def check(rule: Rule, name: str, value, error=DomainError) -> None:
+    """Raise ``error`` naming ``name`` unless ``rule`` accepts ``value``; a
+    bool is never a number.  Every value read from outside is checked here."""
+    # rule[0] and rule[1], its types and range: an index is the fastest read
+    if value.__class__ is bool or not isinstance(value, rule[0]) \
+            or not rule[1](value):
+        raise error(f"{name} must be {rule.what}, got {value!r}")
+
+
+# The rules that the library's arguments, the experiment config and the
+# family certificate share
+INTEGER, NUMBER = (int, np.integer), (float, int, np.floating, np.integer)
+COUNT = Rule(INTEGER, lambda v: v >= 1, "a positive integer")  # arguments
+COUNT_FIELD = COUNT._replace(what="an integer >= 1")  # config, certificate
+SEED = Rule(INTEGER, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+STRING = Rule((str,), lambda v: True, "a string")
+OBJECT = Rule((dict,), lambda v: True, "an object")
+PROBABILITY = Rule(NUMBER, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+FRACTION = Rule(NUMBER, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+CONFIDENCE = Rule(NUMBER, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
 def confidence_of(epsilon: float, n: int) -> float:
     """Confidence 1 - (1-epsilon)^n that the best of n uniform samples is in
     the 100(1-epsilon) percentile."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
-    _check_count("n", n)
+    check(PROBABILITY, "epsilon", epsilon)
+    check(COUNT, "n", n)
     if epsilon == 1.0:
         return 1.0
     # -expm1(n*log1p(-eps)) keeps full precision for small eps and large n
@@ -203,10 +225,8 @@ def min_samples(epsilon: float, confidence: float) -> int:
     Computed in closed form, then verified at the integer boundary so the
     result is exact despite floating point.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 <= confidence < 1.0:
-        raise DomainError(f"confidence must be in [0, 1), got {confidence}")
+    check(FRACTION, "epsilon", epsilon)
+    check(CONFIDENCE, "confidence", confidence)
     if epsilon == 1.0 or confidence == 0.0:
         return 1
     n = max(1, math.ceil(math.log1p(-confidence) / math.log1p(-epsilon)))
@@ -224,7 +244,7 @@ def percentile_solve(problem: Problem, n_p: int, seed: int) -> PercentileSolutio
     index.  The sample stream is nested: growing n_p extends it without
     changing earlier samples.
     """
-    _check_count("n_p", n_p)
+    check(COUNT, "n_p", n_p)
     decisions = problem.space.sample(seed, n_p, path=(_rng.SOLVE,))
     costs = problem.evaluate_batch(decisions)
     i = int(np.argmin(costs))

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Iterator
 from . import _rng
 from .oracles import OracleError, OracleResult, declared_min, exhaustive_min, \
     refine_min
-from .percentile import DomainError, Problem, _check_count, best_of, \
-    confidence_of
+from .percentile import COUNT, COUNT_FIELD, NUMBER, OBJECT, PROBABILITY, \
+    SEED, STRING, DomainError, Problem, Rule, best_of, check, confidence_of
 
 # The default gap tolerance of each oracle method that has one.
 _GAP_TOLERANCES = {"exhaustive": 1e-9, "refine-min": 1e-6}
@@ -115,7 +115,7 @@ def sample_gap(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
     The solve is ``best_of``, which stops at the problem's lower bound: its
     cost is the same float as ``percentile_solve(problem, n_p, ...)``'s.
     """
-    _check_count("n_p", n_p)
+    check(COUNT, "n_p", n_p)
     instance_seed = _rng.child_seed(seed, _rng.GAP_INSTANCE)
     problem = family.instance(instance_seed)
     _, cost, _ = best_of(problem, n_p, _rng.child_seed(seed, _rng.GAP_SOLVE),
@@ -148,7 +148,7 @@ def sample_gaps(family: ProblemFamily, r: int, n_p: int,
     Stops at the first oracle failure with the OracleError, which names the
     failing instance's seed for replay.
     """
-    _check_count("r", r)
+    check(COUNT, "r", r)
     return [s for _, s in iter_gap_samples(family, n_p, oracle_cfg, seed,
                                            _rng.FAMILY, range(r))]
 
@@ -157,8 +157,7 @@ def build_certificate(family: ProblemFamily, r: int, n_p: int, epsilon: float,
                       oracle_cfg: OracleConfig, seed: int) -> RepetitiveCertificate:
     """Maximum of r independent gap samples with its order-statistics
     confidence; deterministic given the seed."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
+    check(PROBABILITY, "epsilon", epsilon)
     samples = sample_gaps(family, r, n_p, oracle_cfg, seed)
     return certificate_from_samples([s.gamma for s in samples], epsilon, n_p,
                                     family.description, seed)
@@ -183,37 +182,31 @@ def validate_coverage(family: ProblemFamily, certificate: RepetitiveCertificate,
                       seed: int) -> float:
     """Fraction of m fresh instances whose measured gap stays within the
     certificate's bound."""
-    _check_count("m", m)
+    check(COUNT, "m", m)
     covered = sum(certificate.covers(s.gamma) for _, s in
                   iter_gap_samples(family, n_p, oracle_cfg, seed,
                                    _rng.VALIDATE, range(m)))
     return covered / m
 
 
-# Each certificate field's JSON type (float also takes an integer), its
-# range, and how to name both in an error.
-_CERTIFICATE_FIELDS = {
-    "gamma_star": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
-    "r": (int, lambda v: v >= 1, "an integer >= 1"),
-    "epsilon": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
-    "confidence": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
-    "n_p": (int, lambda v: v >= 1, "an integer >= 1"),
-    "family": (str, lambda v: True, "a string"),
-    "seed": (int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
-}
+# The rule of each certificate field (percentile.check)
+CERTIFICATE_RULES = {
+    "gamma_star": Rule(NUMBER, lambda v: 0.0 <= v < math.inf,
+                       "a finite number >= 0"),
+    "r": COUNT_FIELD, "epsilon": PROBABILITY, "confidence": PROBABILITY,
+    "n_p": COUNT_FIELD, "family": STRING, "seed": SEED}
 
 
 def certificate_from_json(text: str) -> RepetitiveCertificate:
-    """The certificate that ``certificate_to_json`` wrote.  A field of the
-    wrong JSON type (a bool is not a number) or out of range raises
-    DomainError; an integer may stand for a float, nothing else converts."""
+    """The certificate that ``certificate_to_json`` wrote.  Text that is not
+    a JSON object, or a field that is missing, of the wrong JSON type (a
+    bool is not a number) or out of range raises DomainError naming the
+    field; an integer may stand for a float, nothing else converts."""
     raw, fields = json.loads(text), {}
-    for name, (kind, in_range, what) in _CERTIFICATE_FIELDS.items():
-        value = raw[name]
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float) if kind is float else kind) \
-                or not in_range(value):
-            raise DomainError(f"certificate field {name} must be {what}, "
-                              f"got {value!r}")
-        fields[name] = kind(value)
+    check(OBJECT, "a certificate", raw)
+    for name, rule in CERTIFICATE_RULES.items():
+        if name not in raw:
+            raise DomainError(f"certificate field {name} is missing")
+        check(rule, f"certificate field {name}", raw[name])
+        fields[name] = rule.types[0](raw[name])
     return RepetitiveCertificate(**fields)
