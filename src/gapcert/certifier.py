@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _rng
-from .percentile import COUNT, FRACTION, PROBABILITY, DomainError, InfoSet, \
-    PercentileSolution, Problem, check, confidence_of, min_samples
+from .percentile import COUNT, FRACTION, PROBABILITY, THRESHOLD, DomainError, \
+    InfoSet, PercentileSolution, Problem, check, confidence_of, min_samples
 
 DEFAULT_CHI = 0.1
 DEFAULT_EPSILON = 0.01  # safe when the unknown exceedance probability p >= 1e-2
@@ -181,8 +181,7 @@ def exceedance_probability(model: VarianceModel, threshold: float,
     m, seed)`` (m and seed are then unused).  The result does not depend on
     the order of ``costs``, which is read and never written.
     """
-    if not threshold >= 0:
-        raise DomainError(f"threshold must be >= 0, got {threshold}")
+    check(THRESHOLD, "threshold", threshold)
     if costs is None:
         costs = exceedance_costs(_problem_of(model), m, seed)
     return float((variance_of_costs(model, costs) > threshold).mean())

@@ -37,7 +37,7 @@ from .percentile import CONFIDENCE, COUNT_FIELD, ENUMERATION_LIMIT, \
     confidence_of, min_samples, percentile_solve, write_infoset_csv
 from .problems import BENCHMARK_NAMES, make_benchmark, make_tsp_family, \
     make_tsp_problem, random_tsp_instance, read_tsp_instance
-from .repetitive import OracleConfig, ProblemFamily, iter_gap_samples
+from .repetitive import ORACLE_RULES, ORACLES, OracleConfig, ProblemFamily
 from .spaces import BoxSpace, TourSpace
 
 SELECTORS = ("benchmark", "tsp_file", "tsp_random")
@@ -54,16 +54,15 @@ READS = {
     "validate": ("family", "oracle", "certificate", "n_p", "m_validate"),
 }
 EXPERIMENTS = tuple(READS)
+GAP = ["instance_seed", "solution_cost", "oracle_value", "gamma"]  # GapSample
 RECORDS = {  # experiment: (records.csv columns, its leading key columns)
     "chi-sweep": (["trial", "chi", "gap", "p"], ["trial", "chi"]),
     "table1": (["benchmark", "trial", "v_star", "gap", "success",
                 "certify_ms"], ["benchmark", "trial"]),
     "tsp-fig2": (["trial", "zeta", "gap", "p", "n_v", "v_star", "success"],
                  ["trial"]),
-    "mpc-fig4": (["phase", "n_p", "trial", "instance_seed", "solution_cost",
-                  "oracle_value", "gamma"], ["phase", "n_p", "trial"]),
-    "validate": (["trial", "instance_seed", "solution_cost", "oracle_value",
-                  "gamma", "covered"], ["trial"]),
+    "mpc-fig4": (["phase", "n_p", "trial", *GAP], ["phase", "n_p", "trial"]),
+    "validate": (["trial", *GAP, "covered"], ["trial"]),
 }
 GAP_EXPERIMENTS = tuple(e for e in READS if "family" in READS[e])
 
@@ -73,9 +72,9 @@ class ConfigError(ValueError):
 
 
 # The rule of each config field but experiment, family, oracle and check,
-# which are checked by their structure, and of each oracle key and check
-# bound (percentile.check).  Each of LISTS is a non-empty list of values
-# that meet the field's rule.  validate also needs m_validate >= 1.
+# which are checked by their structure, and of each check bound
+# (percentile.check).  Each of LISTS is a non-empty list of values that
+# meet the field's rule.  validate also needs m_validate >= 1.
 NULLABLE_STRING = STRING._replace(types=(str, type(None)))
 FIELD_RULES = {
     "seed": SEED, "out_dir": STRING, "benchmark": NULLABLE_STRING,
@@ -88,8 +87,6 @@ FIELD_RULES = {
     "epsilon": FRACTION, "chi": FRACTION, "confidence": CONFIDENCE,
     "chis": FRACTION, "n_p_list": COUNT_FIELD}
 LISTS, LIST = ("chis", "n_p_list"), Rule((list,), len, "a non-empty list")
-ORACLE_RULES = {"method": STRING, "n0": COUNT_FIELD, "gap_tolerance": Rule(
-    NUMBER, lambda v: v >= 0.0, "a number in [0, inf)")}
 BOUND = Rule(NUMBER, math.isfinite, "a number in (-inf, inf)")
 
 
@@ -228,7 +225,7 @@ class ExperimentConfig:
         if method not in methods:
             raise ConfigError(f"oracle.method {method!r} cannot run on {name} "
                               f"{value!r}; use one of {methods}")
-        reads = {"method": True, "n0": method == "refine-min",
+        reads = {"method": True, "n0": ORACLES[method].reads_n0,
                  "gap_tolerance": gaps}  # the one rule for oracle keys
         for key in raw:
             if not reads[key]:
@@ -578,24 +575,25 @@ def _run_tsp_fig2(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
     return records, summary, timings
 
 
+def _gap_phase(cfg: ExperimentConfig, sink: _RecordSink, n_p: int, seed: int,
+               tag: int, count: int, key: dict, cert=None) -> list[float]:
+    """Gaps of samples 0..count-1 at (seed, tag) under the record ``key``,
+    sampling only those the sink lacks; ``cert`` decides ``covered``."""
+    for i, s in repetitive.iter_gap_samples(
+            cfg.problem_family, n_p, cfg.oracle_config, seed, tag,
+            sink.pending(count, **key)):
+        sink.add({**key, "trial": i, **vars(s),
+                  "covered": cert is not None and cert.covers(s.gamma)})
+    return [float(r["gamma"]) for r in sink.trials(**key).values()]
+
+
 def _run_mpc_fig4(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
-    family, oracle = cfg.problem_family, cfg.oracle_config
-
-    def phase(name: str, n_p: int, seed: int, tag: int, count: int):
-        """Gaps of samples 0..count-1 of one phase, sampling only those the
-        sink lacks."""
-        for i, s in iter_gap_samples(family, n_p, oracle, seed, tag,
-                                     sink.pending(count, phase=name, n_p=n_p)):
-            sink.add({"phase": name, "n_p": n_p, "trial": i,
-                      **vars(s)})
-        return [float(r["gamma"])
-                for r in sink.trials(phase=name, n_p=n_p).values()]
-
-    timings, summary_rows = {}, {}
+    family, timings, summary_rows = cfg.problem_family, {}, {}
     for n_p in dict.fromkeys(cfg.n_p_list):  # each distinct n_p once
         base = _rng.child_seed(cfg.seed, _rng.MPC_FIG4_BASE, n_p)
         t0 = time.perf_counter()
-        gammas = phase("certify", n_p, base, _rng.FAMILY, cfg.r)
+        gammas = _gap_phase(cfg, sink, n_p, base, _rng.FAMILY, cfg.r,
+                            {"phase": "certify", "n_p": n_p})
         cert = repetitive.certificate_from_samples(
             gammas, cfg.epsilon, n_p, family.description, base)
         timings[f"certify_np{n_p}_s"] = time.perf_counter() - t0
@@ -604,8 +602,9 @@ def _run_mpc_fig4(cfg: ExperimentConfig, out: Path, sink: _RecordSink):
         coverage = None
         if cfg.m_validate > 0:
             t1 = time.perf_counter()
-            gammas = phase("validate", n_p, base, _rng.VALIDATE, cfg.m_validate)
-            coverage = float(np.mean([cert.covers(g) for g in gammas]))
+            gammas = _gap_phase(cfg, sink, n_p, base, _rng.VALIDATE,
+                                cfg.m_validate, {"phase": "validate", "n_p": n_p})
+            coverage = cert.coverage(gammas)
             timings[f"validate_np{n_p}_s"] = time.perf_counter() - t1
         counts, edges = np.histogram(gammas, bins=40)  # validation, else certify
         _write_csv(out / f"fig4_hist_np{n_p}.csv", "bin_left,bin_right,count",
@@ -633,28 +632,19 @@ def _stored_certificate(cfg: ExperimentConfig, out: Path):
     try:
         cert = repetitive.certificate_from_json(
             cert_path.read_text(encoding="utf-8"))
+        cert.check_run(cfg.problem_family.description, cfg.n_p)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"certificate {cert_path}: {type(exc).__name__}: "
                           f"{exc}") from exc
-    family = cfg.problem_family
-    if (cert.n_p, cert.family) != (cfg.n_p, family.description):
-        raise ConfigError(
-            f"certificate {cert_path} holds family {cert.family!r} at "
-            f"n_p={cert.n_p}, but this run samples family "
-            f"{family.description!r} at n_p={cfg.n_p}")
     return cert
 
 
 def _run_validate(cfg: ExperimentConfig, out: Path, sink: _RecordSink, cert):
-    family, oracle = cfg.problem_family, cfg.oracle_config
-    for i, s in iter_gap_samples(family, cfg.n_p, oracle, cfg.seed,
-                                 _rng.VALIDATE, sink.pending(cfg.m_validate)):
-        sink.add({"trial": i, **vars(s),
-                  "covered": cert.covers(s.gamma)})
-    records = sink.finish()
-    summary = {"family": family.description, "gamma_star": cert.gamma_star,
-               "m": cfg.m_validate, "coverage": _mean(records, "covered")}
-    return records, summary, {}
+    gammas = _gap_phase(cfg, sink, cfg.n_p, cfg.seed, _rng.VALIDATE,
+                        cfg.m_validate, {}, cert)
+    summary = {"family": cert.family, "gamma_star": cert.gamma_star,
+               "m": cfg.m_validate, "coverage": cert.coverage(gammas)}
+    return sink.finish(), summary, {}
 
 
 _RUNNERS = {

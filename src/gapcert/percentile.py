@@ -206,6 +206,7 @@ OBJECT = Rule((dict,), lambda v: True, "an object")
 PROBABILITY = Rule(NUMBER, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 FRACTION = Rule(NUMBER, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 CONFIDENCE = Rule(NUMBER, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+THRESHOLD = Rule(NUMBER, lambda v: v >= 0.0, ">= 0 (a number in [0, inf])")
 
 
 def confidence_of(epsilon: float, n: int) -> float:

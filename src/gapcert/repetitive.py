@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -19,9 +20,6 @@ from .oracles import OracleError, OracleResult, declared_min, exhaustive_min, \
     refine_min
 from .percentile import COUNT, COUNT_FIELD, NUMBER, OBJECT, PROBABILITY, \
     SEED, STRING, DomainError, Problem, Rule, best_of, check, confidence_of
-
-# The default gap tolerance of each oracle method that has one.
-_GAP_TOLERANCES = {"exhaustive": 1e-9, "refine-min": 1e-6}
 
 
 @dataclass(frozen=True)
@@ -35,20 +33,36 @@ class ProblemFamily:
         return self.build(int(instance_seed))
 
 
+# method: (its run on (problem, n0, seed), reads n0, default gap tolerance)
+Oracle = namedtuple("Oracle", "run reads_n0 tolerance")
+ORACLES = {
+    "exhaustive": Oracle(lambda p, n0, s: exhaustive_min(p), False, 1e-9),
+    "refine-min": Oracle(lambda p, n0, s: refine_min(p, n0, s), True, 1e-6),
+    "declared": Oracle(lambda p, n0, s: declared_min(p), False, 0.0)}
+# The rule of each OracleConfig field, checked on construction, and config key
+ORACLE_RULES = {"method": STRING, "n0": COUNT_FIELD, "gap_tolerance": Rule(
+    NUMBER, lambda v: v >= 0.0, "a number in [0, inf)")}
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """How to compute an instance's ground-truth optimum, and how far below
     zero a measured gap may fall before the oracle is considered broken."""
 
-    method: str = "refine-min"  # or "exhaustive" or "declared"
+    method: str = "refine-min"  # a key of ORACLES, or run refuses it
     n0: int = 2000
     gap_tolerance: float | None = None  # None: method default
+
+    def __post_init__(self):
+        for key, rule in ORACLE_RULES.items():
+            if key != "gap_tolerance" or self.gap_tolerance is not None:
+                check(rule, f"oracle.{key}", getattr(self, key))
 
     @property
     def tolerance(self) -> float:
         if self.gap_tolerance is not None:
             return self.gap_tolerance
-        return _GAP_TOLERANCES.get(self.method, 0.0)
+        return getattr(ORACLES.get(self.method), "tolerance", 0.0)
 
     def gap(self, cost: float, oracle_value: float, where: str) -> float:
         """The gap of ``cost`` above the oracle's value.  A gap within the
@@ -64,13 +78,9 @@ class OracleConfig:
         return max(raw, 0.0)
 
     def run(self, problem: Problem, seed: int) -> OracleResult:
-        if self.method == "exhaustive":
-            return exhaustive_min(problem)
-        if self.method == "refine-min":
-            return refine_min(problem, n0=self.n0, seed=seed)
-        if self.method == "declared":
-            return declared_min(problem)
-        raise DomainError(f"unknown oracle method {self.method!r}")
+        if self.method not in ORACLES:
+            raise DomainError(f"unknown oracle method {self.method!r}")
+        return ORACLES[self.method].run(problem, self.n0, seed)
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,17 @@ class RepetitiveCertificate:
     def covers(self, gamma: float) -> bool:
         """Whether a measured gap is within the bound, gamma_star inclusive."""
         return gamma <= self.gamma_star
+
+    def coverage(self, gammas: list[float]) -> float:
+        """The share of measured gaps that ``covers`` accepts."""
+        return sum(map(self.covers, gammas)) / len(gammas)
+
+    def check_run(self, family: str, n_p: int) -> None:
+        """DomainError unless the certificate is of this family and n_p."""
+        if (self.family, self.n_p) != (family, n_p):
+            raise DomainError(
+                f"certificate holds family {self.family!r} at n_p={self.n_p}, "
+                f"but this run samples family {family!r} at n_p={n_p}")
 
 
 def sample_gap(family: ProblemFamily, n_p: int, oracle_cfg: OracleConfig,
@@ -180,13 +201,12 @@ def certificate_from_samples(gammas: list[float], epsilon: float, n_p: int,
 def validate_coverage(family: ProblemFamily, certificate: RepetitiveCertificate,
                       m: int, n_p: int, oracle_cfg: OracleConfig,
                       seed: int) -> float:
-    """Fraction of m fresh instances whose measured gap stays within the
-    certificate's bound."""
+    """Fraction of m fresh instances whose gap the certificate covers; one
+    of another family or n_p raises DomainError (``check_run``)."""
     check(COUNT, "m", m)
-    covered = sum(certificate.covers(s.gamma) for _, s in
-                  iter_gap_samples(family, n_p, oracle_cfg, seed,
-                                   _rng.VALIDATE, range(m)))
-    return covered / m
+    certificate.check_run(family.description, n_p)
+    return certificate.coverage([s.gamma for _, s in iter_gap_samples(
+        family, n_p, oracle_cfg, seed, _rng.VALIDATE, range(m))])
 
 
 # The rule of each certificate field (percentile.check)

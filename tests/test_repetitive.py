@@ -184,6 +184,25 @@ class TestValidateCoverage:
         assert validate_coverage(family, below, m=6, n_p=1,
                                  oracle_cfg=DECLARED, seed=4) == 5 / 6
 
+    @pytest.mark.parametrize("family, oracle, n_p, cert_family, cert_n_p", [
+        (make_tsp_family(5), OracleConfig(method="exhaustive"), 2,
+         "mpc-waypoint", 999),
+        (uniform_gap_family(), DECLARED, 1, "constant", 1),
+        (uniform_gap_family(), DECLARED, 1, "uniform-gaps", 2)],
+        ids=["tsp-5-vs-mpc-waypoint", "another-family", "another-n_p"])
+    def test_a_certificate_of_another_run_is_refused(
+            self, family, oracle, n_p, cert_family, cert_n_p):
+        """The certificate bounds its own family at its own n_p only; the
+        first case used to read coverage 1.0."""
+        cert = RepetitiveCertificate(gamma_star=1e9, r=1, epsilon=0.5,
+                                     confidence=0.5, n_p=cert_n_p,
+                                     family=cert_family, seed=0)
+        with pytest.raises(DomainError, match=(
+                f"holds family '{cert_family}' at n_p={cert_n_p}, but this "
+                f"run samples family '{family.description}' at n_p={n_p}$")):
+            validate_coverage(family, cert, m=3, n_p=n_p, oracle_cfg=oracle,
+                              seed=1)
+
 
 def test_known_quantile_coverage_consistency_small_scale():
     """Certificates built at (r, eps) cover the 1-eps quantile with empirical

@@ -1,6 +1,7 @@
 """One rule per value read from outside, applied by ``percentile.check``:
 the experiment config, its oracle keys, the family certificate and the
-library's arguments."""
+library's arguments; and one table per family-certificate fact (oracle
+methods, gap record columns)."""
 
 import dataclasses
 import json
@@ -10,12 +11,13 @@ import pytest
 
 from gapcert import DomainError, build_certificate, certify_gap, \
     confidence_of, min_samples, percentile_solve, subsample_info
-from gapcert.certifier import certificate_to_json
+from gapcert import experiments, repetitive
+from gapcert.certifier import certificate_to_json, exceedance_probability
 from gapcert.experiments import FIELD_RULES, ORACLE_RULES, ExperimentConfig, \
     uniform_gap_family
 from gapcert.percentile import Rule
 from gapcert.problems import make_benchmark
-from gapcert.repetitive import CERTIFICATE_RULES, OracleConfig, \
+from gapcert.repetitive import CERTIFICATE_RULES, GapSample, OracleConfig, \
     RepetitiveCertificate, certificate_from_json
 
 CERTIFICATE = RepetitiveCertificate(gamma_star=0.5, r=3, epsilon=0.1,
@@ -46,6 +48,47 @@ class TestEveryFieldHasOneRule:
                            ("gap_tolerance", 0.5)):
             ExperimentConfig.from_dict({"experiment": "mpc-fig4", "seed": 1,
                                         "oracle": {key: value}})
+
+
+class TestEveryFactHasOneHome:
+    """An oracle method or a gap record column is written once: a new
+    method fails here until it is a row of ``repetitive.ORACLES``, and both
+    gap experiments record the one ``GAP`` column list."""
+
+    def test_oracle_methods_are_the_oracle_table(self):
+        methods = {m for ms in experiments.ORACLE_METHODS.values() for m in ms}
+        assert methods == set(repetitive.ORACLES)
+        assert experiments.ORACLE_RULES is repetitive.ORACLE_RULES
+
+    def test_gap_experiments_record_the_gap_columns(self):
+        gap = experiments.GAP
+        assert set(gap) <= {f.name for f in dataclasses.fields(GapSample)}
+        columns = [experiments.RECORDS[e][0]
+                   for e in experiments.GAP_EXPERIMENTS]
+        assert len(columns) == 2
+        for cols in columns:
+            start = cols.index(gap[0])
+            assert cols[start:start + len(gap)] == gap
+        assert set(columns[0]) & set(columns[1]) == {"trial", *gap}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("method", 3), ("method", None), ("n0", 2.5), ("n0", 0), ("n0", True),
+    ("n0", "5"), ("n0", None), ("gap_tolerance", "1"),
+    ("gap_tolerance", -1.0), ("gap_tolerance", float("nan")),
+    ("gap_tolerance", True)])
+def test_oracle_config_checks_its_fields(key, value):
+    """A library-built OracleConfig meets ORACLE_RULES as a config's oracle
+    keys do; before, a string tolerance raised a bare TypeError in ``gap``,
+    a negative one made ``gap`` refuse a cost above the oracle value, and
+    n0 = 2.5 or method = 3 were accepted."""
+    with pytest.raises(DomainError, match=f"^oracle.{key} must be "):
+        OracleConfig(**{key: value})
+
+
+def test_oracle_config_accepts_numpy_scalars():
+    assert OracleConfig(method="declared", n0=np.int64(5),
+                        gap_tolerance=np.float64(0.5)).tolerance == 0.5
 
 
 class TestCertificateShape:
@@ -114,3 +157,18 @@ def test_probability_arguments_follow_the_rules(call, name, value):
                                             1).info, np.float64(0.5), 2)])
 def test_numpy_scalars_are_numbers(call):
     call()
+
+
+@pytest.mark.parametrize("threshold", [True, False, "0.1", None, [0.1],
+                                       float("nan"), -1.0])
+def test_threshold_follows_its_rule(threshold):
+    """A bool or a string threshold is refused like a negative one; before,
+    True counted as 1 and "0.1" raised a bare TypeError."""
+    with pytest.raises(DomainError, match="^threshold must be >= 0"):
+        exceedance_probability(_model(), threshold, m=50, seed=1)
+
+
+@pytest.mark.parametrize("threshold", [0, np.float64(0.5)])
+def test_threshold_accepts_integers_and_numpy_scalars(threshold):
+    assert 0.0 <= exceedance_probability(_model(), threshold, m=50,
+                                         seed=1) <= 1.0
