@@ -107,6 +107,28 @@ def _problem_of(model: VarianceModel) -> Problem:
     return model.problem
 
 
+def _variance_ceiling(model: VarianceModel, problem: Problem) -> float:
+    """A value no draw's variance exceeds: the larger variance of the
+    enumeration's min and max cost, which those costs reach, when
+    ``problem.enumeration`` is cached and that value is at least half of the
+    widest gap between consecutive sorted D costs; else inf.
+
+    Every draw then costs one of the enumerated costs.  Below the smallest D
+    cost or above the largest, a cost's variance is its distance to that end,
+    which peaks at the enumeration's min or max.  Between sorted neighbours
+    d_i < c <= d_{i+1} it is min(fl(c - d_i), fl(d_{i+1} - c)); one of the
+    two exact differences is at most (d_{i+1} - d_i)/2, and rounding is
+    monotone and halving exact, so the variance is at most
+    fl(d_{i+1} - d_i)/2.  This never starts an enumeration.
+    """
+    if not problem.enumerated:
+        return math.inf
+    costs = problem.enumeration[0]
+    ends = float(variance_of_costs(model, [costs.min(), costs.max()]).max())
+    half_gap = np.diff(np.sort(model.d_costs)).max(initial=0.0) / 2
+    return ends if ends >= half_gap else math.inf
+
+
 def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
                 seed: int) -> GapCertificate:
     """Second percentile pass: the max variance over n_v fresh uniform draws,
@@ -115,13 +137,27 @@ def certify_gap(model: VarianceModel, n_v: int, epsilon: float,
     The draws come from a stream tag disjoint from the solve's, so they are
     independent of the information set even under seed reuse.  A warning flag
     is set when n_v is too small to reach 95% confidence at this epsilon.
+
+    The draws are scored block by block (``Problem.sample_cost_blocks``), and
+    the drawing stops once the running maximum reaches ``_variance_ceiling``:
+    no later draw's variance can exceed that ceiling, so v_star is the same
+    maximum, in the same bits, as over all n_v draws, and n_v stays the count
+    the confidence refers to.  The ceiling is finite only where an
+    enumeration is already cached; this never starts one.
     """
     check(COUNT, "n_v", n_v)
     check(PROBABILITY, "epsilon", epsilon)
     problem = _problem_of(model)
-    # np.sort copies: the costs may be the cost kernel's own array
-    costs = np.sort(problem.sample_costs(seed, n_v, (_rng.CERTIFY,)))
-    v_star = float(variance_of_costs(model, costs).max())
+    v_star, ceiling = 0.0, None
+    for costs in problem.sample_cost_blocks(seed, n_v, (_rng.CERTIFY,)):
+        # np.sort copies: the costs may be the cost kernel's own array
+        v_star = max(v_star,
+                     float(variance_of_costs(model, np.sort(costs)).max()))
+        if ceiling is None:  # worth its ~30 us only if more blocks follow
+            ceiling = _variance_ceiling(model, problem) \
+                if len(costs) < n_v else math.inf
+        if v_star >= ceiling:
+            break
     warn = epsilon > 0 and n_v < min_samples(epsilon, 0.95)
     return GapCertificate(
         v_star=v_star,

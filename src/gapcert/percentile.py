@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -114,20 +114,38 @@ class Problem:
         check(COUNT, "m", m)
         return self.sample_costs(seed, m, (tag,))
 
-    def sample_costs(self, seed: int, n: int,
-                     path: tuple[int, ...] = ()) -> np.ndarray:
-        """The costs of ``space.sample(seed, n, path)``.
+    @property
+    def enumerated(self) -> bool:
+        """Whether ``enumeration`` is cached; asking never starts one."""
+        return "enumeration" in self.__dict__
+
+    def sample_cost_blocks(self, seed: int, n: int,
+                           path: tuple[int, ...] = ()) -> Iterator[np.ndarray]:
+        """The costs of ``space.sample(seed, n, path)``, in consecutive
+        blocks, each drawn when it is pulled.
 
         Once ``enumeration`` is cached on a tour space of 3 to 9 waypoints,
-        each draw's cost is read from it at the draw's class
-        (``TourSpace.sample_classes``), with the bits of evaluating the drawn
-        tour.  Otherwise the draws are evaluated.  This never starts an
-        enumeration."""
+        the blocks hold at most 8,192 draws each, and each draw's cost is
+        read from the enumeration at the draw's class
+        (``TourSpace.class_blocks``), with the bits of evaluating the drawn
+        tour.  Otherwise the n draws are evaluated as one block.  This never
+        starts an enumeration."""
         space = self.space
-        if ("enumeration" in self.__dict__ and isinstance(space, TourSpace)
-                and space.class_sampling):
-            return self.enumeration[0].take(space.sample_classes(seed, n, path))
-        return self.evaluate_batch(space.sample(seed, n, path=path))
+        if self.enumerated and isinstance(space, TourSpace) \
+                and space.class_sampling:
+            costs = self.enumeration[0]
+            for classes in space.class_blocks(seed, n, path):
+                yield costs.take(classes)
+        else:
+            yield self.evaluate_batch(space.sample(seed, n, path=path))
+
+    def sample_costs(self, seed: int, n: int,
+                     path: tuple[int, ...] = ()) -> np.ndarray:
+        """The costs of ``space.sample(seed, n, path)``: every block of
+        ``sample_cost_blocks`` in one array.  This never starts an
+        enumeration."""
+        blocks = list(self.sample_cost_blocks(seed, n, path)) or [np.empty(0)]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     def evaluate(self, decision) -> float:
         """The cost of one decision of ``space``; anything else is refused."""

@@ -41,7 +41,7 @@ ORACLES = {
     "declared": Oracle(lambda p, n0, s: declared_min(p), False, 0.0)}
 # The rule of each OracleConfig field, checked on construction, and config key
 ORACLE_RULES = {"method": STRING, "n0": COUNT_FIELD, "gap_tolerance": Rule(
-    NUMBER, lambda v: v >= 0.0, "a number in [0, inf)")}
+    NUMBER, lambda v: 0.0 <= v < math.inf, "a number in [0, inf)")}
 
 
 @dataclass(frozen=True)

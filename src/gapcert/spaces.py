@@ -158,20 +158,23 @@ class TourSpace(PermutationSpace):
 
         Each row's class is read from its shuffle code in a cached table
         (``_tour_classes``), so no tour is decoded.  Each class holds 2n of
-        the n! codes, so the classes of uniform codes are uniform.  The
-        uniforms are drawn in blocks, so no (n, n-1) array is held.
+        the n! codes, so the classes of uniform codes are uniform.
         """
+        return np.concatenate([np.empty(0, dtype=np.uint16),
+                               *self.class_blocks(seed, n, path)])
+
+    def class_blocks(self, seed: int, n: int,
+                     path: tuple[int, ...] = ()) -> Iterator[np.ndarray]:
+        """``sample_classes(seed, n, path)`` in consecutive blocks of at most
+        ``_CLASS_BLOCK`` rows, each block's uniforms drawn when it is pulled,
+        so no (n, n-1) array is held and a consumer may stop early."""
         if not self.class_sampling:
             raise SpaceError(f"sample_classes needs 3 to {_SHUFFLE_ITEMS} "
                              f"waypoints, got {self.n_items}")
         k = self.n_items
         table = _tour_classes(k)
-        classes = np.empty(int(n), dtype=np.uint16)
-        start = 0
         for u in _rng.uniform_blocks(seed, path, n, k - 1, _CLASS_BLOCK):
-            classes[start:start + len(u)] = table.take(_shuffle_codes(u, k))
-            start += len(u)
-        return classes
+            yield table.take(_shuffle_codes(u, k))
 
     def enumerate_canonical(self) -> Iterator[np.ndarray]:
         """Yield one tour per rotation/reversal class, in lexicographic order:
@@ -250,7 +253,7 @@ def _shuffle_codes(u: np.ndarray, m: int) -> np.ndarray:
     return code
 
 
-# Rows per block of a class table build and of ``sample_classes``, which
+# Rows per block of a class table build and of ``class_blocks``, which
 # keeps their temporaries under 1 MB.
 _CLASS_BLOCK = 8192
 

@@ -1,6 +1,7 @@
 """Variance models, exceedance probabilities, and gap certificates."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gapcert import (
 )
 from gapcert.certifier import (
     GapCertificate,
+    _variance_ceiling,
     certificate_to_json,
     certify_model,
     exceedance_costs,
@@ -30,7 +32,7 @@ from gapcert.certifier import (
 )
 from gapcert.mpc import mpc_family
 from gapcert.problems import make_tsp_problem, random_tsp_instance
-from gapcert.spaces import BoxSpace, PermutationSpace, TourSpace
+from gapcert.spaces import _CLASS_BLOCK, BoxSpace, PermutationSpace, TourSpace
 
 
 def linear_problem():
@@ -260,6 +262,111 @@ class TestEnumeratedTours:
         model = subsample_info(sol.info, 0.1, seed=3, problem=problem)
         cert = certify_gap(model, 139_257, 18 / 362_880, seed=4)
         assert cert.v_star >= 0.0 and "enumeration" not in problem.__dict__
+
+
+class TestVarianceCeiling:
+    """No enumerated cost's variance exceeds ``_variance_ceiling``, and
+    wherever the ceiling is finite it is the largest such variance, in the
+    same bits."""
+
+    @staticmethod
+    def models(problem):
+        costs = problem.enumeration[0]
+        lo, hi, mid = (float(f(costs)) for f in (np.min, np.max, np.median))
+        for seed, chi in ((1, 0.1), (2, 0.5), (3, 1.0)):  # chi 1 keeps ties
+            sol = percentile_solve(problem, 60, seed=seed)
+            yield subsample_info(sol.info, chi, seed=seed + 10, problem=problem)
+        for d in ([mid, mid, mid], [lo, lo, hi], [lo, hi], [mid],
+                  [lo - 1.0, mid, mid], [hi, hi + 2.0]):
+            yield model_with_costs(problem, d)
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_sound_and_exact_where_finite(self, k):
+        problem = make_tsp_problem(random_tsp_instance(k, seed=30 + k))
+        exhaustive_min(problem)
+        finite = []
+        for model in self.models(problem):
+            ceiling = _variance_ceiling(model, problem)
+            top = variance_of_costs(model, problem.enumeration[0]).max()
+            assert ceiling >= top
+            finite.append(ceiling < math.inf)
+            if finite[-1]:
+                assert np.float64(ceiling).tobytes() == top.tobytes()
+        assert any(finite) and not all(finite)  # both outcomes are tested
+
+    def test_inf_without_an_enumeration_and_never_starts_one(self):
+        problem = make_tsp_problem(random_tsp_instance(6, seed=1))
+        model = subsample_info(percentile_solve(problem, 50, seed=2).info,
+                               0.2, seed=3, problem=problem)
+        assert _variance_ceiling(model, problem) == math.inf
+        assert not problem.enumerated
+
+
+class TestEarlyStop:
+    """On an enumerated tour problem certify_gap stops drawing once a draw
+    reaches the variance ceiling, and certifies what all n_v draws would."""
+
+    N_V = (139_257, 8_191, 8_192, 8_193, 16_385)
+
+    @staticmethod
+    def rows_drawn(monkeypatch):
+        """A list that collects the rows of every uniform block drawn."""
+        drawn = []
+        blocks = _rng.uniform_blocks
+
+        def counted(*args, **kwargs):
+            for u in blocks(*args, **kwargs):
+                drawn.append(len(u))
+                yield u
+
+        monkeypatch.setattr(_rng, "uniform_blocks", counted)
+        return drawn
+
+    @staticmethod
+    def models(seed):
+        """A fresh and an enumerated tsp-9 problem, each with the model of
+        the same solve."""
+        instance = random_tsp_instance(9, seed=seed)
+        fresh, enumerated = (make_tsp_problem(instance) for _ in range(2))
+        exhaustive_min(enumerated)
+        return [subsample_info(percentile_solve(p, 1000, seed=seed).info, 0.1,
+                               seed=seed, problem=p) for p in (fresh, enumerated)]
+
+    def certify_both(self, models, n_v, seed, drawn):
+        """The fresh and the enumerated certificate, after checking they
+        match field for field; returns the rows the enumerated one drew."""
+        want = certify_gap(models[0], n_v, 18 / 362_880, seed)
+        drawn.clear()
+        got = certify_gap(models[1], n_v, 18 / 362_880, seed)
+        assert got == want
+        assert np.float64(got.v_star).tobytes() == \
+            np.float64(want.v_star).tobytes()
+        assert not models[0].problem.enumerated
+        return sum(drawn)
+
+    def test_same_certificate_from_fewer_rows(self, monkeypatch):
+        # seed 5: the first draw to reach the ceiling is draw 3,146
+        models = self.models(5)
+        ceiling = _variance_ceiling(models[1], models[1].problem)
+        assert ceiling < math.inf
+        drawn = self.rows_drawn(monkeypatch)
+        block = _CLASS_BLOCK  # 8,192
+        for n_v in self.N_V:
+            rows = self.certify_both(models, n_v, 5, drawn)
+            variances = variance_of_costs(
+                models[1], models[0].problem.sample_costs(5, n_v,
+                                                          (_rng.CERTIFY,)))
+            first = int(np.argmax(variances >= ceiling))
+            assert variances[first] == ceiling
+            assert rows == min(n_v, (first // block + 1) * block)
+            assert rows < n_v or n_v <= block
+
+    def test_no_finite_ceiling_draws_every_row(self, monkeypatch):
+        models = self.models(10)
+        assert _variance_ceiling(models[1], models[1].problem) == math.inf
+        drawn = self.rows_drawn(monkeypatch)
+        for n_v in self.N_V:
+            assert self.certify_both(models, n_v, 10, drawn) == n_v
 
 
 class TestModelWithoutProblem:

@@ -688,6 +688,20 @@ class TestCli:
         assert "config error" in err and "oracle.method" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_infinite_gap_tolerance_exit_code(self, tmp_path, capsys):
+        # JSON's Infinity would clamp every undercut to a zero gap
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "family": "uniform-gaps",
+                                   "r": 2, "n_p_list": [5],
+                                   "oracle": {"gap_tolerance": float("inf")},
+                                   "out_dir": str(tmp_path)}))
+        assert "Infinity" in cfg.read_text()
+        assert main(["mpc-fig4", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and \
+            "oracle.gap_tolerance must be a number in [0, inf)" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("experiment, problem, oracle, field", [
         ("table1", {"benchmark": "beale", "trials": 2, "n_p": 20},
          {"method": "exhaustive", "gap_tolerance": 5.0}, "oracle.method"),

@@ -76,12 +76,13 @@ class TestEveryFactHasOneHome:
     ("method", 3), ("method", None), ("n0", 2.5), ("n0", 0), ("n0", True),
     ("n0", "5"), ("n0", None), ("gap_tolerance", "1"),
     ("gap_tolerance", -1.0), ("gap_tolerance", float("nan")),
-    ("gap_tolerance", True)])
+    ("gap_tolerance", float("inf")), ("gap_tolerance", True)])
 def test_oracle_config_checks_its_fields(key, value):
     """A library-built OracleConfig meets ORACLE_RULES as a config's oracle
     keys do; before, a string tolerance raised a bare TypeError in ``gap``,
-    a negative one made ``gap`` refuse a cost above the oracle value, and
-    n0 = 2.5 or method = 3 were accepted."""
+    a negative one made ``gap`` refuse a cost above the oracle value, an
+    infinite one clamped every undercut to a zero gap, and n0 = 2.5 or
+    method = 3 were accepted."""
     with pytest.raises(DomainError, match=f"^oracle.{key} must be "):
         OracleConfig(**{key: value})
 
